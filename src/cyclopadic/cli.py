@@ -8,8 +8,13 @@ Two subcommands:
   newline-delimited JSON report per (checker, p, n, r) task.
 
 Exit codes: 0 all checks passed, 1 at least one violation, 2 usage error.
-Report emission is ordered by parameter sort regardless of completion order,
-so output is byte-identical for any ``--threads`` value.
+
+Each task is exact, CPU-bound and independent, so ``verify`` runs up to
+``--threads`` of them at once (default ``os.cpu_count()``) in worker processes
+forked from the CLI; where the platform cannot fork, or only one worker would
+run, the tasks run serially in-process. Report emission is ordered by
+parameter sort regardless of completion order, so output is byte-identical
+for any ``--threads`` value.
 """
 from __future__ import annotations
 
@@ -17,12 +22,12 @@ import argparse
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from dataclasses import dataclass
+from functools import partial
+from typing import Callable, List, Optional, Tuple
 
 from . import congruences, meixner
-from .cycle_index import CycleType, coefficient, cycle_indicator
+from .cycle_index import CycleType, coefficient, cycle_indicator, partition_count
 from .padic import PadicContext, is_prime
 from .reports import CongruenceReport, Mutation
 
@@ -44,6 +49,12 @@ CHECKERS = [
     "corollary2",
     "all",
 ]
+
+# `compute cycle-index N` refuses N whose C_N has more terms than this (C_N has
+# p(N) terms); p(45) = 89,134 is the largest admitted, and C_45 takes a few
+# seconds and about 150 MB with the pure-Python kernel. Sweeps build at most
+# C_36 (p(36) = 17,977) in the tests and the benchmark grids.
+MAX_CYCLE_INDEX_TERMS = 100_000
 
 # congruences stated only for odd p; run as non-asserted experiments under
 # --allow-p2 where the math still makes sense, skip where it does not
@@ -200,6 +211,15 @@ def build_all_tasks(spec: SweepSpec):
     return tasks
 
 
+# Tasks are closures, which cannot be pickled: forked workers inherit the
+# running sweep through this list and receive only task indices.
+_sweep: List[Callable[[], tuple]] = []
+
+
+def _run_index(i: int) -> tuple:
+    return _sweep[i]()
+
+
 def run_verify(spec: SweepSpec, out) -> int:
     for p in spec.primes:
         if not is_prime(p):
@@ -218,11 +238,31 @@ def run_verify(spec: SweepSpec, out) -> int:
             report.advisory = True
         return key, report
 
-    if spec.threads > 1:
-        with ThreadPoolExecutor(max_workers=spec.threads) as pool:
-            results = list(pool.map(run_one, tasks))
-    else:
-        results = [run_one(t) for t in tasks]
+    workers = min(spec.threads, len(tasks))
+    fork = None
+    if workers > 1:
+        import multiprocessing
+
+        if "fork" in multiprocessing.get_all_start_methods():
+            fork = multiprocessing.get_context("fork")
+    _sweep[:] = [partial(run_one, t) for t in tasks]
+    try:
+        if fork is None:
+            results = [task() for task in _sweep]
+        else:
+            from concurrent.futures import ProcessPoolExecutor
+
+            # a forked worker flushes the standard streams it inherited when
+            # it exits, so nothing may be pending in them
+            sys.stdout.flush()
+            sys.stderr.flush()
+            # a sweep's tasks grow with n and p, so they are handed out
+            # last-first: the small ones then come at the end, and the
+            # workers finish together whichever of them took the large ones
+            with ProcessPoolExecutor(max_workers=workers, mp_context=fork) as pool:
+                results = list(pool.map(_run_index, reversed(range(len(tasks)))))
+    finally:
+        _sweep.clear()
     results.sort(key=lambda kr: kr[0])
 
     failed = False
@@ -255,6 +295,12 @@ def run_compute(args, out) -> int:
     if n < 0:
         raise UsageError("n must be >= 0")
     if obj == "cycle-index":
+        terms = partition_count(n)
+        if terms > MAX_CYCLE_INDEX_TERMS:
+            raise UsageError(
+                f"C_{n} has p({n}) = {terms} terms, over the limit of "
+                f"{MAX_CYCLE_INDEX_TERMS}"
+            )
         poly = cycle_indicator(n)
         out.write((poly.to_json() if args.format == "json" else repr(poly)) + "\n")
     elif obj == "coeff":
@@ -274,12 +320,6 @@ def run_compute(args, out) -> int:
 
 
 def _default_threads() -> int:
-    env = os.environ.get("CYCLOPADIC_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
     return os.cpu_count() or 1
 
 
@@ -306,7 +346,9 @@ def build_parser() -> argparse.ArgumentParser:
     pv.add_argument("--r-range", default=None, help="LO:HI inclusive")
     pv.add_argument("--degree-cap", type=int, default=24)
     pv.add_argument("--seed", type=int, default=0)
-    pv.add_argument("--threads", type=int, default=None)
+    pv.add_argument("--threads", type=int, default=None, metavar="K",
+                    help="tasks run at once, in worker processes "
+                    "(default: the number of CPUs)")
     pv.add_argument("--format", choices=["json", "text"], default="json")
     pv.add_argument("--out", default=None)
     pv.add_argument("--allow-p2", action="store_true")
@@ -323,11 +365,14 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     out = sys.stdout
-    close = False
-    try:
-        if args.out:
+    if args.out:
+        try:
             out = open(args.out, "w")
-            close = True
+        except OSError as exc:
+            print(f"error: cannot write {args.out}: {exc.strerror or exc}",
+                  file=sys.stderr)
+            return 2
+    try:
         if args.command == "compute":
             return run_compute(args, out)
 
@@ -361,7 +406,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     finally:
-        if close:
+        if args.out:
             out.close()
 
 

@@ -93,13 +93,14 @@ def partition_count(n: int) -> int:
 
 
 def coefficient(ct: CycleType) -> int:
-    """n! / prod_i i^m_i * m_i!, exact; integrality is asserted."""
+    """n! / prod_i i^m_i * m_i!, exact; integrality is checked."""
     denom = prod(
         i**x * factorial(x) for i, x in enumerate(ct.m, start=1) if x
     )
     num = factorial(ct.n)
     q, r = divmod(num, denom)
-    assert r == 0, f"non-integral cycle-indicator coefficient for {ct}"
+    if r:
+        raise ArithmeticError(f"non-integral cycle-indicator coefficient for {ct}")
     return q
 
 
@@ -115,7 +116,8 @@ def coefficient_raw(n: int, m: Tuple[int, ...]) -> int:
         return 0
     denom = prod(i**x * factorial(x) for i, x in enumerate(m, start=1) if x)
     q, r = divmod(factorial(n), denom)
-    assert r == 0
+    if r:
+        raise ArithmeticError(f"non-integral cycle-indicator coefficient for {m}")
     return q
 
 
@@ -134,7 +136,8 @@ def cycle_indicator(n: int) -> MultiPoly:
             acc: dict = {}
             for j in range(m):
                 scale, rem = divmod(fact, factorial(j))
-                assert rem == 0
+                if rem:
+                    raise ArithmeticError(f"{m - 1}! is not divisible by {j}!")
                 _kernels.shift_accumulate(
                     acc, _indicator_cache[j].terms, m - j - 1, scale
                 )
@@ -202,7 +205,7 @@ def cycle_indicator_via_determinant(
 def cycle_indicator_via_egf(n: int) -> MultiPoly:
     """C_n as n! times the t^n coefficient of exp(sum_i X_i t^i / i).
 
-    Exact-rational truncated series route; integrality is asserted.
+    Exact-rational truncated series route; integrality is checked.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
@@ -222,6 +225,7 @@ def cycle_indicator_via_egf(n: int) -> MultiPoly:
     terms = {}
     for exps, c in e[n].items():
         val = c * nf
-        assert val.denominator == 1, "EGF route produced a non-integer"
+        if val.denominator != 1:
+            raise ArithmeticError("EGF route produced a non-integer")
         terms[exps] = int(val)
     return MultiPoly(terms)

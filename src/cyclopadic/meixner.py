@@ -34,7 +34,8 @@ def _to_unipoly(qcoeffs, scale: int) -> UniPoly:
     out = []
     for c in qcoeffs:
         v = Fraction(c) * scale
-        assert v.denominator == 1, "Meixner series produced a non-integer"
+        if v.denominator != 1:
+            raise ArithmeticError("Meixner series produced a non-integer")
         out.append(int(v))
     return UniPoly(out)
 
@@ -58,7 +59,7 @@ def _extend_series_caches(n: int) -> None:
 
 
 def meixner_q(n: int) -> UniPoly:
-    """Q_n from the truncated EGF (exact rationals, integrality asserted)."""
+    """Q_n from the truncated EGF (exact rationals, integrality checked)."""
     if n < 0:
         raise ValueError("n must be >= 0")
     with _lock:

@@ -1,8 +1,10 @@
 import json
+import time
 
 import pytest
 
-from cyclopadic.cli import main
+from cyclopadic import congruences
+from cyclopadic.cli import MAX_CYCLE_INDEX_TERMS, main
 
 pytestmark = pytest.mark.filterwarnings("ignore")
 
@@ -43,6 +45,19 @@ class TestCompute:
     def test_text_format(self, tmp_path):
         code, text = run(tmp_path, "compute", "cycle-index", "2", "--format", "text")
         assert code == 0 and "X2" in text
+
+    def test_cycle_index_size_guard(self, tmp_path, capsys):
+        start = time.monotonic()
+        code, text = run(tmp_path, "compute", "cycle-index", "120")
+        assert time.monotonic() - start < 1.0
+        assert code == 2 and text == ""
+        err = capsys.readouterr().err
+        assert "p(120) = 1844349560" in err and str(MAX_CYCLE_INDEX_TERMS) in err
+
+    def test_unwritable_out_exit2(self, tmp_path, capsys):
+        path = tmp_path / "missing" / "x"
+        assert main(["compute", "cycle-index", "3", "--out", str(path)]) == 2
+        assert f"error: cannot write {path}: " in capsys.readouterr().err
 
 
 class TestVerify:
@@ -111,9 +126,29 @@ class TestVerify:
             "verify", "all", "--primes", "3,5",
             "--n-max", "2", "--degree-cap", "14", "--trials", "10",
         ]
-        _, single = run(tmp_path, *args, "--threads", "1")
-        _, many = run(tmp_path, *args, "--threads", "4")
-        assert single == many
+        for extra, expected in (([], 0), (["--mutate", "0:1"], 1)):
+            outputs = set()
+            for threads in ("1", "2", "4"):
+                code, text = run(tmp_path, *args, *extra, "--threads", threads)
+                assert code == expected
+                outputs.add(text)
+            assert len(outputs) == 1
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_checker_error_propagates(self, tmp_path, monkeypatch, threads):
+        def broken(*args):
+            raise RuntimeError("injected checker fault")
+
+        monkeypatch.setattr(congruences, "check_carlitz_coeff", broken)
+        with pytest.raises(RuntimeError, match="injected checker fault"):
+            main(["verify", "carlitz-coeff", "--primes", "3", "--n-max", "2",
+                  "--threads", threads, "--out", str(tmp_path / "out.txt")])
+
+    def test_unwritable_out_exit2(self, tmp_path, capsys):
+        path = tmp_path / "missing" / "x"
+        code = main(["verify", "carlitz-coeff", "--primes", "3", "--out", str(path)])
+        assert code == 2
+        assert f"error: cannot write {path}: " in capsys.readouterr().err
 
     def test_rerun_is_byte_identical(self, tmp_path):
         args = ["verify", "junod-lemma", "--primes", "3", "--seed", "7",

@@ -1,5 +1,10 @@
+import os
+import subprocess
+import sys
+
 import pytest
 
+import cyclopadic
 from cyclopadic.meixner import (
     check_corollary2,
     check_junod_qp,
@@ -57,6 +62,21 @@ class TestConstruction:
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             meixner_q(-1)
+
+    def test_integrality_check_survives_optimize(self):
+        # under `python -O` an assert would vanish and 1/2 would truncate to 0
+        script = (
+            "from fractions import Fraction\n"
+            "from cyclopadic import meixner\n"
+            "meixner._to_unipoly([Fraction(1, 2)], 1)\n"
+        )
+        src = os.path.dirname(os.path.dirname(cyclopadic.__file__))
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", script],
+            env=dict(os.environ, PYTHONPATH=src),
+            capture_output=True, text=True, timeout=60,
+        )
+        assert "ArithmeticError: Meixner series produced a non-integer" in proc.stderr
 
 
 class TestCongruences:
