@@ -13,7 +13,6 @@ from .cycle_index import (
 from .meixner import meixner_q, meixner_qstar
 from .padic import PadicContext, binomial, factorial, is_prime
 from .polyring import (
-    KERNEL_BACKEND,
     MultiPoly,
     UniPoly,
     congruent_mod,
@@ -24,7 +23,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CycleType",
-    "KERNEL_BACKEND",
     "MultiPoly",
     "PadicContext",
     "UniPoly",

@@ -50,15 +50,12 @@ def _compare_polys(
     tag: str = "",
 ) -> None:
     req = ctx.vp(modulus)
-    diff = lhs - rhs
     report.instances += max(len(lhs), len(rhs))
-    for e, c in diff.sorted_terms():
-        v = ctx.vp(c)
-        if v < req:
-            instance = {"exponents": list(e)}
-            if tag:
-                instance["form"] = tag
-            report.add_violation(instance, c, modulus, v, req)
+    for e, c in (lhs - rhs).nondivisible_terms(ctx.p**req):
+        instance = {"exponents": list(e)}
+        if tag:
+            instance["form"] = tag
+        report.add_violation(instance, c, modulus, ctx.vp(c), req)
 
 
 def _carlitz_branch(m: Tuple[int, ...], p: int) -> Tuple[bool, int, int]:
@@ -287,20 +284,18 @@ def check_junod_lemma(
         beta = alpha + m * gamma
         modulus = m * n
         lhs = _mutate_poly(alpha**n, mutation if trial == 0 else None)
-        _compare_polys_trial = lhs - beta**n
         report.instances += 1
         req = ctx.vp(modulus)
-        for e, c in _compare_polys_trial.sorted_terms():
-            v = ctx.vp(c)
-            if v < req:
-                report.add_violation(
-                    {"trial": trial, "m": m, "n": n, "exponents": list(e)},
-                    c,
-                    modulus,
-                    v,
-                    req,
-                )
-                break
+        bad = (lhs - beta**n).nondivisible_terms(p**req)
+        if bad:
+            e, c = bad[0]
+            report.add_violation(
+                {"trial": trial, "m": m, "n": n, "exponents": list(e)},
+                c,
+                modulus,
+                ctx.vp(c),
+                req,
+            )
     return report
 
 

@@ -4,7 +4,7 @@ The indicator of S_n lives in Z[X_1..X_n]; its term for the cycle type
 (m_1,...,m_n) (m_i cycles of length i, sum of i*m_i = n) has coefficient
 n! / prod_i i^m_i * m_i!.
 
-Three independent construction routes are provided:
+Four independent construction routes are provided:
 
 * :func:`cycle_indicator` -- the production route, via the recurrence
   C_m = sum_{j<m} ((m-1)!/j!) * X_{m-j} * C_j, memoized.
@@ -23,7 +23,7 @@ from fractions import Fraction
 from math import factorial, prod
 from typing import Iterator, Tuple
 
-from .polyring import KERNEL_BACKEND, MultiPoly, _kernels  # noqa: F401
+from .polyring import MultiPoly, _shift_accumulate
 
 DETERMINANT_BOUND_DEFAULT = 8
 
@@ -138,9 +138,7 @@ def cycle_indicator(n: int) -> MultiPoly:
                 scale, rem = divmod(fact, factorial(j))
                 if rem:
                     raise ArithmeticError(f"{m - 1}! is not divisible by {j}!")
-                _kernels.shift_accumulate(
-                    acc, _indicator_cache[j].terms, m - j - 1, scale
-                )
+                _shift_accumulate(acc, _indicator_cache[j], m - j, scale)
             _indicator_cache.append(MultiPoly(acc, _raw=True))
         return _indicator_cache[n]
 
@@ -149,13 +147,7 @@ def cycle_indicator_direct(n: int) -> MultiPoly:
     """C_n as the explicit sum over cycle types (test oracle)."""
     if n == 0:
         return MultiPoly.one()
-    terms = {}
-    for ct in enumerate_cycle_types(n):
-        e = tuple(ct.m)
-        while e and e[-1] == 0:
-            e = e[:-1]
-        terms[e] = coefficient(ct)
-    return MultiPoly(terms, _raw=True)
+    return MultiPoly({ct.m: coefficient(ct) for ct in enumerate_cycle_types(n)})
 
 
 def _det(mat) -> MultiPoly:

@@ -3,65 +3,130 @@
 Two representations:
 
 * :class:`MultiPoly` -- sparse multivariate polynomials in X_1, X_2, ...
-  stored as a map from exponent tuples to nonzero integer coefficients.
-  Exponent tuples are canonical (no trailing zeros); deterministic term
-  order is graded reverse-lexicographic, leading term first.
+  stored as a map from packed monomials to nonzero integer coefficients.
+  A packed monomial is one Python int of fixed-width slots (the packed
+  exponent vectors of Monagan & Pearce, CASC 2007): slot 0 holds the total
+  degree and slot i the exponent of X_i, so multiplying two monomials is
+  one int addition and the graded reverse-lexicographic order comes
+  straight from the key. The public API takes and returns exponent tuples;
+  keys are unpacked only for sorting, serialization and witnesses.
+  Deterministic term order is graded revlex, leading term first.
 * :class:`UniPoly` -- dense univariate polynomials, coefficient list
   indexed by degree.
 
-Coefficientwise congruence mod m*Z_p is provided by :func:`congruent_mod`.
-
-The term-map multiplication kernels are compiled (Cython) when available,
-with a pure-Python fallback; set CYCLOPADIC_PURE_PYTHON=1 to force the
-fallback.
+Coefficientwise congruence mod m*Z_p is provided by :func:`congruent_mod`,
+on top of :meth:`MultiPoly.nondivisible_terms`.
 """
 from __future__ import annotations
 
 import json
-import os
 from typing import Iterable, Mapping, Optional, Union
 
 from .padic import PadicContext
 
-if os.environ.get("CYCLOPADIC_PURE_PYTHON"):
-    from . import _kernels_py as _kernels
-else:
-    try:
-        from . import _kernels  # type: ignore[attr-defined]
-    except ImportError:
-        from . import _kernels_py as _kernels
-
-KERNEL_BACKEND = _kernels.BACKEND
+SLOT_BITS = 16
+# largest total degree a packed monomial can hold; also the slot mask
+MAX_DEGREE = (1 << SLOT_BITS) - 1
 
 
-def _canonical_exp(e) -> tuple:
-    e = tuple(e)
-    while e and e[-1] == 0:
-        e = e[:-1]
-    return e
+def _pack(exponents) -> int:
+    """Packed key of an exponent vector (X_1 first); trailing zeros are free."""
+    key = degree = 0
+    shift = SLOT_BITS
+    for x in exponents:
+        if x < 0:
+            raise ValueError(f"negative exponent {x}")
+        key |= x << shift
+        degree += x
+        shift += SLOT_BITS
+    _check_degree(degree)
+    return key | degree
 
 
-def _grevlex_key(e: tuple, nvars: int):
-    # ascending sort with this key = descending graded revlex
-    padded = e + (0,) * (nvars - len(e))
-    return (-sum(e), tuple(reversed(padded)))
+def _unpack(key: int) -> tuple:
+    """Canonical exponent tuple (no trailing zeros) of a packed key."""
+    exps = []
+    key >>= SLOT_BITS
+    while key:
+        exps.append(key & MAX_DEGREE)
+        key >>= SLOT_BITS
+    return tuple(exps)
+
+
+def _grevlex(key: int):
+    # ascending sort with this key = descending graded revlex: higher total
+    # degree first, then the smaller exponent of the last variable first
+    return (-(key & MAX_DEGREE), key >> SLOT_BITS)
+
+
+def _check_degree(degree: int) -> None:
+    if degree > MAX_DEGREE:
+        raise OverflowError(
+            f"total degree {degree} exceeds the packed limit {MAX_DEGREE}"
+        )
+
+
+def _mul_terms(a: dict, b: dict) -> dict:
+    """Exact product of two term maps whose degrees sum to at most MAX_DEGREE."""
+    if len(a) < len(b):
+        a, b = b, a
+    out: dict = {}
+    get = out.get
+    for kb, cb in b.items():
+        for ka, ca in a.items():
+            k = ka + kb
+            out[k] = get(k, 0) + ca * cb
+    for k in [k for k, c in out.items() if not c]:
+        del out[k]
+    return out
+
+
+def _add_scaled(acc: dict, src: dict, scale: int, step: int = 0) -> None:
+    """In-place acc += scale * src, times the monomial with packed key step.
+
+    The caller checks that the shifted degrees stay within MAX_DEGREE.
+    """
+    if not scale:
+        return
+    get = acc.get
+    for k, c in src.items():
+        k += step
+        v = get(k, 0) + scale * c
+        if v:
+            acc[k] = v
+        else:
+            del acc[k]
+
+
+def _shift_accumulate(acc: dict, src: "MultiPoly", var: int, scale: int) -> None:
+    """In-place acc += scale * X_var * src on a packed term map (var 1-based)."""
+    if var < 1:
+        raise ValueError("variable index is 1-based")
+    _check_degree(src.total_degree() + 1)
+    _add_scaled(acc, src.terms, scale, 1 | 1 << SLOT_BITS * var)
 
 
 class MultiPoly:
     """Immutable sparse multivariate polynomial with integer coefficients."""
 
-    __slots__ = ("terms",)
+    # _degree caches total_degree(), read before every product and shift
+    __slots__ = ("terms", "_degree")
 
     def __init__(self, terms: Optional[Mapping] = None, *, _raw: bool = False):
+        """Build from a map of exponent tuples (X_1 first) to coefficients.
+
+        With ``_raw`` the map already holds packed keys and nonzero
+        coefficients, and the new polynomial takes ownership of it.
+        """
         if terms is None:
             terms = {}
         if _raw:
-            object.__setattr__(self, "terms", dict(terms))
+            object.__setattr__(self, "terms", terms)
             return
         canon = {}
         for e, c in terms.items():
             if c:
-                canon[_canonical_exp(e)] = c
+                canon[_pack(e)] = c
         object.__setattr__(self, "terms", canon)
 
     def __setattr__(self, name, value):
@@ -79,14 +144,14 @@ class MultiPoly:
 
     @classmethod
     def constant(cls, c: int) -> "MultiPoly":
-        return cls({(): c} if c else {}, _raw=True)
+        return cls({0: c} if c else {}, _raw=True)
 
     @classmethod
     def variable(cls, i: int) -> "MultiPoly":
         """The variable X_i (1-based index)."""
         if i < 1:
             raise ValueError("variable index is 1-based")
-        return cls({(0,) * (i - 1) + (1,): 1}, _raw=True)
+        return cls({1 | 1 << SLOT_BITS * i: 1}, _raw=True)
 
     @classmethod
     def monomial(cls, exponents, coeff: int = 1) -> "MultiPoly":
@@ -96,21 +161,37 @@ class MultiPoly:
 
     @property
     def nvars(self) -> int:
-        return max((len(e) for e in self.terms), default=0)
+        top = max(self.terms, default=0)
+        return (top.bit_length() - 1) // SLOT_BITS if top else 0
 
     def is_zero(self) -> bool:
         return not self.terms
 
     def coefficient(self, exponents) -> int:
-        return self.terms.get(_canonical_exp(exponents), 0)
+        return self.terms.get(_pack(exponents), 0)
 
     def total_degree(self) -> int:
-        return max((sum(e) for e in self.terms), default=0)
+        try:
+            return self._degree
+        except AttributeError:
+            d = max((k & MAX_DEGREE for k in self.terms), default=0)
+            object.__setattr__(self, "_degree", d)
+            return d
 
     def sorted_terms(self) -> list:
         """Terms as (exponents, coeff) pairs in descending graded revlex order."""
-        k = self.nvars
-        return sorted(self.terms.items(), key=lambda t: _grevlex_key(t[0], k))
+        return [
+            (_unpack(k), self.terms[k]) for k in sorted(self.terms, key=_grevlex)
+        ]
+
+    def nondivisible_terms(self, q: int) -> list:
+        """The terms whose coefficient q does not divide, as sorted_terms() does.
+
+        Only those terms are sorted and unpacked, so a congruent difference
+        costs one remainder per term.
+        """
+        bad = [k for k, c in self.terms.items() if c % q]
+        return [(_unpack(k), self.terms[k]) for k in sorted(bad, key=_grevlex)]
 
     def __len__(self) -> int:
         return len(self.terms)
@@ -147,7 +228,7 @@ class MultiPoly:
         if not isinstance(other, MultiPoly):
             return NotImplemented
         acc = dict(self.terms)
-        _kernels.add_scaled(acc, other.terms, 1)
+        _add_scaled(acc, other.terms, 1)
         return MultiPoly(acc, _raw=True)
 
     __radd__ = __add__
@@ -161,7 +242,7 @@ class MultiPoly:
         if not isinstance(other, MultiPoly):
             return NotImplemented
         acc = dict(self.terms)
-        _kernels.add_scaled(acc, other.terms, -1)
+        _add_scaled(acc, other.terms, -1)
         return MultiPoly(acc, _raw=True)
 
     def __rsub__(self, other) -> "MultiPoly":
@@ -176,7 +257,8 @@ class MultiPoly:
             )
         if not isinstance(other, MultiPoly):
             return NotImplemented
-        return MultiPoly(_kernels.mul_terms(self.terms, other.terms), _raw=True)
+        _check_degree(self.total_degree() + other.total_degree())
+        return MultiPoly(_mul_terms(self.terms, other.terms), _raw=True)
 
     __rmul__ = __mul__
 
@@ -343,7 +425,8 @@ def substitute_univariate(a: MultiPoly, images: Mapping[int, UniPoly]) -> UniPol
         return got
 
     total = UniPoly()
-    for exps, c in a.terms.items():
+    for key, c in a.terms.items():
+        exps = _unpack(key)
         prod = UniPoly.constant(c)
         for i, e in enumerate(exps, start=1):
             if e:
@@ -392,15 +475,15 @@ def congruent_mod(a: Poly, b: Poly, m: int, ctx: PadicContext):
         return True, None
 
     if isinstance(a, MultiPoly) and isinstance(b, MultiPoly):
-        diff = a - b
-        for e, c in diff.sorted_terms():
-            if ctx.vp(c) < req:
-                return False, {
-                    "exponents": list(e),
-                    "difference": c,
-                    "observed_vp": ctx.vp(c),
-                    "required_vp": req,
-                }
+        bad = (a - b).nondivisible_terms(ctx.p**req)
+        if bad:
+            e, c = bad[0]
+            return False, {
+                "exponents": list(e),
+                "difference": c,
+                "observed_vp": ctx.vp(c),
+                "required_vp": req,
+            }
         return True, None
 
     raise TypeError("congruent_mod requires two polynomials of the same kind")

@@ -121,6 +121,20 @@ class TestVerify:
         wit = report["violations"][0]
         assert wit["observed_vp"] == 0
 
+    def test_mutation_at_the_largest_modulus(self, tmp_path):
+        args = ["verify", "prop-poly", "--primes", "3", "--n-max", "3",
+                "--degree-cap", "12"]
+        # 9 is the largest modulus in the grid, so a delta of 9 is no fault
+        code, _ = run(tmp_path, *args, "--mutate", "0:9")
+        assert code == 0
+        code, text = run(tmp_path, *args, "--mutate", "0:3")
+        assert code == 1
+        reports = [json.loads(line) for line in text.splitlines()]
+        flagged = [r["params"] for r in reports if r["violations"]]
+        assert [(f["n"], f["modulus"], f["r"]) for f in flagged] == [
+            (3, 9, 0), (3, 9, 1), (3, 9, 2)
+        ]
+
     def test_thread_count_does_not_change_output(self, tmp_path):
         args = [
             "verify", "all", "--primes", "3,5",

@@ -198,6 +198,13 @@ class TestMutationDetection:
         wit = report.violations[0]
         assert wit["observed_vp"] == 0 and wit["required_vp"] == 2
 
+    def test_junod_lemma_mutation_is_two_sided(self, ctx3, ctx5):
+        # m <= 20p and n <= 12 keep the required valuation vp(m*n) below 10
+        for ctx in (ctx3, ctx5):
+            assert cg.check_junod_lemma(50, 0, ctx, Mutation(0, ctx.p**10)).passed
+            report = cg.check_junod_lemma(50, 0, ctx, Mutation(0, 1))
+            assert [v["instance"]["trial"] for v in report.violations] == [0]
+
     def test_every_scalar_checker_catches_perturbation(self, ctx3):
         mut = Mutation(0, 1)
         assert not cg.report_gamma_identity(2, ctx3, mut).passed

@@ -64,19 +64,29 @@ class TestConstruction:
             meixner_q(-1)
 
     def test_integrality_check_survives_optimize(self):
-        # under `python -O` an assert would vanish and 1/2 would truncate to 0
-        script = (
-            "from fractions import Fraction\n"
-            "from cyclopadic import meixner\n"
-            "meixner._to_unipoly([Fraction(1, 2)], 1)\n"
-        )
+        # under `python -O` an assert would vanish: 1/2 would truncate to 0,
+        # and a packed degree slot would carry into the X_1 slot
+        cases = [
+            (
+                "from fractions import Fraction\n"
+                "from cyclopadic import meixner\n"
+                "meixner._to_unipoly([Fraction(1, 2)], 1)\n",
+                "ArithmeticError: Meixner series produced a non-integer",
+            ),
+            (
+                "from cyclopadic.polyring import MultiPoly\n"
+                "MultiPoly.variable(1) ** 2**16\n",
+                "OverflowError: total degree 65536 exceeds the packed limit",
+            ),
+        ]
         src = os.path.dirname(os.path.dirname(cyclopadic.__file__))
-        proc = subprocess.run(
-            [sys.executable, "-O", "-c", script],
-            env=dict(os.environ, PYTHONPATH=src),
-            capture_output=True, text=True, timeout=60,
-        )
-        assert "ArithmeticError: Meixner series produced a non-integer" in proc.stderr
+        for script, expected in cases:
+            proc = subprocess.run(
+                [sys.executable, "-O", "-c", script],
+                env=dict(os.environ, PYTHONPATH=src),
+                capture_output=True, text=True, timeout=60,
+            )
+            assert expected in proc.stderr
 
 
 class TestCongruences:

@@ -3,12 +3,12 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cyclopadic import _kernels_py
 from cyclopadic.padic import PadicContext
 from cyclopadic.polyring import (
+    MAX_DEGREE,
     MultiPoly,
     UniPoly,
-    _kernels,
+    _shift_accumulate,
     congruent_mod,
     substitute_univariate,
 )
@@ -21,6 +21,66 @@ X3 = MultiPoly.variable(3)
 exponents = st.tuples(*[st.integers(min_value=0, max_value=3)] * 3)
 coeffs = st.integers(min_value=-20, max_value=20)
 polys = st.dictionaries(exponents, coeffs, max_size=5).map(MultiPoly)
+
+
+# -- tuple-keyed reference: exponent tuples without trailing zeros ----------
+
+
+def ref_canonical(e) -> tuple:
+    e = tuple(e)
+    while e and e[-1] == 0:
+        e = e[:-1]
+    return e
+
+
+def ref_grevlex_key(e: tuple, nvars: int):
+    # ascending sort with this key = descending graded revlex
+    padded = e + (0,) * (nvars - len(e))
+    return (-sum(e), tuple(reversed(padded)))
+
+
+def ref_mul(a: dict, b: dict) -> dict:
+    out = {}
+    for ea, ca in a.items():
+        for eb, cb in b.items():
+            n = max(len(ea), len(eb))
+            e = tuple(
+                (ea[i] if i < len(ea) else 0) + (eb[i] if i < len(eb) else 0)
+                for i in range(n)
+            )
+            out[e] = out.get(e, 0) + ca * cb
+    return {e: c for e, c in out.items() if c}
+
+
+def ref_add_scaled(acc: dict, src: dict, scale: int) -> dict:
+    out = dict(acc)
+    for e, c in src.items():
+        out[e] = out.get(e, 0) + scale * c
+    return {e: c for e, c in out.items() if c}
+
+
+def ref_shift(src: dict, var: int, scale: int) -> dict:
+    """scale * X_var * src."""
+    out = {}
+    for e, c in src.items():
+        padded = list(e) + [0] * (var - len(e))
+        padded[var - 1] += 1
+        out[tuple(padded)] = scale * c
+    return {e: c for e, c in out.items() if c}
+
+
+def view(poly: MultiPoly) -> dict:
+    """The public exponent-tuple view of a polynomial's terms."""
+    return dict(poly.sorted_terms())
+
+
+# polynomials in up to five variables, so operands differ in nvars
+ref_exponents = st.lists(st.integers(min_value=0, max_value=3), max_size=5).map(
+    ref_canonical
+)
+ref_terms = st.dictionaries(
+    ref_exponents, st.integers(min_value=-20, max_value=20).filter(bool), max_size=6
+)
 
 
 class TestMultiPolyBasics:
@@ -56,7 +116,10 @@ class TestMultiPolyBasics:
 
     def test_canonical_no_trailing_zeros(self):
         p = MultiPoly({(1, 0, 0): 2, (0, 0, 0): 5})
-        assert set(p.terms) == {(1,), ()}
+        assert p.sorted_terms() == [((1,), 2), ((), 5)]
+        assert p.nvars == 1
+        assert p == MultiPoly({(1,): 2, (): 5})
+        assert p.coefficient((1, 0, 0, 0)) == p.coefficient((1,)) == 2
 
     def test_grevlex_order(self):
         p = X1**2 + X1 * X2 + X2**2 + X1 * X3 + X3 + MultiPoly.one()
@@ -86,32 +149,70 @@ class TestRingAxioms:
 
 
 class TestKernelParity:
-    @settings(max_examples=60)
-    @given(polys, polys)
-    def test_mul_matches_fallback(self, a, b):
-        compiled = _kernels.mul_terms(a.terms, b.terms)
-        pure = _kernels_py.mul_terms(a.terms, b.terms)
-        assert compiled == pure
+    """The packed-key kernel against the tuple-keyed reference above."""
 
-    @settings(max_examples=60)
-    @given(polys, polys, st.integers(min_value=-9, max_value=9))
-    def test_add_scaled_matches_fallback(self, a, b, s):
-        acc1 = dict(a.terms)
-        acc2 = dict(a.terms)
-        _kernels.add_scaled(acc1, b.terms, s)
-        _kernels_py.add_scaled(acc2, b.terms, s)
-        assert acc1 == acc2
+    @settings(max_examples=150)
+    @given(ref_terms, ref_terms)
+    def test_mul_matches_reference(self, a, b):
+        assert view(MultiPoly(a) * MultiPoly(b)) == ref_mul(a, b)
 
-    @settings(max_examples=60)
-    @given(polys, st.integers(min_value=0, max_value=4),
+    @settings(max_examples=150)
+    @given(ref_terms, ref_terms, st.integers(min_value=-3, max_value=3))
+    def test_add_scaled_matches_reference(self, a, b, s):
+        pa, pb = MultiPoly(a), MultiPoly(b)
+        assert view(pa + s * pb) == ref_add_scaled(a, b, s)
+        assert view(pa - pb) == ref_add_scaled(a, b, -1)
+
+    @settings(max_examples=150)
+    @given(ref_terms, ref_terms, st.integers(min_value=1, max_value=6),
+           st.integers(min_value=1, max_value=6),
            st.integers(min_value=-9, max_value=9))
-    def test_shift_accumulate_matches_fallback(self, a, var0, s):
-        acc1, acc2 = {}, {}
-        _kernels.shift_accumulate(acc1, a.terms, var0, s)
-        _kernels_py.shift_accumulate(acc2, a.terms, var0, s)
-        assert acc1 == acc2
-        manual = MultiPoly(acc2)
-        assert manual == s * MultiPoly.variable(var0 + 1) * a
+    def test_shift_accumulate_matches_reference(self, a, b, va, vb, s):
+        # one step of the C_n recurrence: acc += s X_va a + X_vb b
+        acc = {}
+        _shift_accumulate(acc, MultiPoly(a), va, s)
+        _shift_accumulate(acc, MultiPoly(b), vb, 1)
+        expected = ref_add_scaled(ref_shift(a, va, s), ref_shift(b, vb, 1), 1)
+        assert view(MultiPoly(acc, _raw=True)) == expected
+
+    @settings(max_examples=150)
+    @given(ref_terms)
+    def test_sorted_terms_match_reference_order(self, a):
+        nvars = max((len(e) for e in a), default=0)
+        expected = sorted(a.items(), key=lambda t: ref_grevlex_key(t[0], nvars))
+        poly = MultiPoly(a)
+        assert poly.sorted_terms() == expected
+        assert poly.nvars == nvars
+
+
+class TestPackedLimits:
+    def test_degree_limit_is_exact(self):
+        top = X1**MAX_DEGREE
+        assert top.sorted_terms() == [((MAX_DEGREE,), 1)]
+        assert top.total_degree() == MAX_DEGREE
+        assert (X2 ** (MAX_DEGREE - 1) * X1).coefficient((1, MAX_DEGREE - 1)) == 1
+
+    def test_power_past_limit_raises(self):
+        with pytest.raises(OverflowError):
+            X1 ** 2**16
+
+    def test_product_past_limit_raises(self):
+        a = MultiPoly.monomial((0, 40000))
+        b = MultiPoly.monomial((30000,)) + 1
+        with pytest.raises(OverflowError):
+            a * b
+
+    def test_shift_past_limit_raises(self):
+        with pytest.raises(OverflowError):
+            _shift_accumulate({}, MultiPoly.monomial((0, MAX_DEGREE)), 3, 1)
+
+    def test_packing_rejects_bad_exponents(self):
+        with pytest.raises(OverflowError):
+            MultiPoly.monomial((2**16,))
+        with pytest.raises(OverflowError):
+            MultiPoly.monomial((MAX_DEGREE, 1))
+        with pytest.raises(ValueError):
+            MultiPoly.monomial((1, -1))
 
 
 class TestUniPoly:
@@ -176,6 +277,22 @@ class TestCongruentMod:
         ctx = PadicContext(3)
         ok, wit = congruent_mod(UniPoly((0, 3)), UniPoly((0, 0, 9)), 9, ctx)
         assert not ok and wit["degree"] == 1
+
+    @pytest.mark.parametrize("p,m", [(3, 3), (3, 18), (5, 250), (7, 4 * 7**3)])
+    def test_perturbation_at_the_modulus_boundary(self, p, m):
+        # p**req * X1 is a multiple of m in Z_p[X]; p**(req-1) * X1 is not
+        ctx = PadicContext(p)
+        req = ctx.vp(m)
+        a = (X1 + 2 * X2) ** 3 + 5
+        assert congruent_mod(a, a + p**req * X1, m, ctx) == (True, None)
+        ok, wit = congruent_mod(a, a + p ** (req - 1) * X1, m, ctx)
+        assert not ok
+        assert wit == {
+            "exponents": [1],
+            "difference": -(p ** (req - 1)),
+            "observed_vp": req - 1,
+            "required_vp": req,
+        }
 
     def test_zero_modulus_rejected(self):
         with pytest.raises(ValueError):
