@@ -52,9 +52,20 @@ CHECKERS = [
 
 # `compute cycle-index N` refuses N whose C_N has more terms than this (C_N has
 # p(N) terms); p(45) = 89,134 is the largest admitted, and C_45 takes a few
-# seconds and about 150 MB with the pure-Python kernel. Sweeps build at most
-# C_36 (p(36) = 17,977) in the tests and the benchmark grids.
+# seconds and about 150 MB with the pure-Python kernel. `verify` refuses a grid
+# in which one of _SIZED_CHECKERS would reach such an N. The tests and the
+# benchmark grids reach at most N = 39 (p(39) = 31,185).
 MAX_CYCLE_INDEX_TERMS = 100_000
+
+# checkers that enumerate the p(N) cycle types of S_N, or build C_N, for each
+# task (checker, p, n, r), where N = r + np
+_SIZED_CHECKERS = {
+    "carlitz-coeff",
+    "prop-coeff",
+    "corollary1",
+    "carlitz-poly",
+    "prop-poly",
+}
 
 # congruences stated only for odd p; run as non-asserted experiments under
 # --allow-p2 where the math still makes sense, skip where it does not
@@ -227,6 +238,17 @@ def run_verify(spec: SweepSpec, out) -> int:
         if p == 2 and not spec.allow_p2:
             raise UsageError("p=2 sweeps require --allow-p2")
     tasks = build_all_tasks(spec)
+    largest = {}
+    for (checker, p, n, r), _, _ in tasks:
+        if checker in _SIZED_CHECKERS:
+            largest[checker] = max(largest.get(checker, 0), r + n * p)
+    for checker, big in sorted(largest.items()):
+        terms = partition_count(big)
+        if terms > MAX_CYCLE_INDEX_TERMS:
+            raise UsageError(
+                f"{checker} reaches N = {big}, and S_{big} has p({big}) = "
+                f"{terms} cycle types, over the limit of {MAX_CYCLE_INDEX_TERMS}"
+            )
 
     def run_one(entry):
         key, fn, advisory = entry

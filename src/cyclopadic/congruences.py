@@ -14,6 +14,7 @@ import random
 from typing import Optional, Tuple
 
 from .cycle_index import (
+    coefficient,
     coefficient_raw,
     cycle_indicator,
     enumerate_cycle_types,
@@ -58,61 +59,61 @@ def _compare_polys(
         report.add_violation(instance, c, modulus, ctx.vp(c), req)
 
 
-def _carlitz_branch(m: Tuple[int, ...], p: int) -> Tuple[bool, int, int]:
-    """(pure 1/p class?, m_1, m_p) for a multiplicity vector of np."""
-    m1 = m[0]
-    mp = m[p - 1] if len(m) >= p else 0
-    pure = all(x == 0 for i, x in enumerate(m, start=1) if i not in (1, p))
-    return pure, m1, mp
+def _carlitz_branch(
+    parts: Tuple[Tuple[int, int], ...], p: int
+) -> Tuple[bool, int, int]:
+    """(pure 1/p class?, m_1, m_p) of a class given by its parts, largest first."""
+    mult = dict(parts)
+    m1 = mult.get(1, 0)
+    mp = mult.get(p, 0)
+    return len(mult) == (m1 > 0) + (mp > 0), m1, mp
+
+
+def _coeff_congruence_report(
+    name: str,
+    n: int,
+    ctx: PadicContext,
+    modulus: int,
+    sign: int,
+    mutation: Optional[Mutation],
+) -> CongruenceReport:
+    """c_np(m) = sign^m_p * C(n, m_p) on pure 1/p classes, 0 elsewhere, mod modulus."""
+    p = ctx.p
+    report = CongruenceReport(name, {"p": p, "n": n, "modulus": modulus})
+    req = ctx.vp(modulus)
+    q = p**req
+    tap = MutationTap(mutation)
+    for ct in enumerate_cycle_types(n * p):
+        pure, _, mp = _carlitz_branch(ct.parts, p)
+        c = tap.tap(coefficient(ct))
+        expected = sign**mp * binomial(n, mp) if pure else 0
+        report.instances += 1
+        diff = c - expected
+        if diff % q:
+            report.add_violation(
+                {"cycle_type": list(ct.m), "branch": 1 if pure else 2},
+                diff,
+                modulus,
+                ctx.vp(diff),
+                req,
+            )
+    return report
 
 
 def check_carlitz_coeff(
     n: int, ctx: PadicContext, mutation: Optional[Mutation] = None
 ) -> CongruenceReport:
     """Carlitz's coefficient congruence mod p over all cycle types of np."""
-    p = ctx.p
-    report = CongruenceReport("carlitz-coeff", {"p": p, "n": n, "modulus": p})
-    tap = MutationTap(mutation)
-    for ct in enumerate_cycle_types(n * p):
-        pure, _, mp = _carlitz_branch(ct.m, p)
-        c = tap.tap(coefficient_raw(n * p, ct.m))
-        expected = (-1) ** mp * binomial(n, mp) if pure else 0
-        report.instances += 1
-        diff = c - expected
-        if not ctx.in_mZp(diff, p):
-            report.add_violation(
-                {"cycle_type": list(ct.m), "branch": 1 if pure else 2},
-                diff,
-                p,
-                ctx.vp(diff),
-                ctx.vp(p),
-            )
-    return report
+    return _coeff_congruence_report("carlitz-coeff", n, ctx, ctx.p, -1, mutation)
 
 
 def check_prop_coeff(
     n: int, ctx: PadicContext, mutation: Optional[Mutation] = None
 ) -> CongruenceReport:
     """Strengthened coefficient congruences mod n*p over all cycle types of np."""
-    p = ctx.p
-    modulus = n_star(n) * p
-    report = CongruenceReport("prop-coeff", {"p": p, "n": n, "modulus": modulus})
-    tap = MutationTap(mutation)
-    for ct in enumerate_cycle_types(n * p):
-        pure, _, mp = _carlitz_branch(ct.m, p)
-        c = tap.tap(coefficient_raw(n * p, ct.m))
-        expected = (-1) ** (p * mp) * binomial(n, mp) if pure else 0
-        report.instances += 1
-        diff = c - expected
-        if not ctx.in_mZp(diff, modulus):
-            report.add_violation(
-                {"cycle_type": list(ct.m), "branch": 1 if pure else 2},
-                diff,
-                modulus,
-                ctx.vp(diff),
-                ctx.vp(modulus),
-            )
-    return report
+    return _coeff_congruence_report(
+        "prop-coeff", n, ctx, n_star(n) * ctx.p, (-1) ** ctx.p, mutation
+    )
 
 
 def _poly_congruence_report(
@@ -179,18 +180,16 @@ def check_corollary1(
     report = CongruenceReport(
         "corollary1", {"p": p, "n": n, "r": r, "modulus": modulus}
     )
+    req = ctx.vp(modulus)
+    q = p**req
     tap = MutationTap(mutation)
     rhs_infeasible = 0
     for ct in enumerate_cycle_types(r + n * p):
-        m1 = ct.m[0]
-        mp = ct.m[p - 1]
-        c = tap.tap(coefficient_raw(r + n * p, ct.m))
+        _, m1, mp = _carlitz_branch(ct.parts, p)
+        c = tap.tap(coefficient(ct))
         if mp <= n and m1 >= p * (n - mp):
-            reduced = (m1 + p * mp - n * p,) + ct.m[1:r]
-            cr = coefficient_raw(r, reduced)
-            if cr == 0 and sum(
-                i * x for i, x in enumerate(reduced, start=1)
-            ) != r:
+            cr = coefficient_raw(r, (m1 + p * mp - n * p,) + ct.m[1:r])
+            if not cr:
                 rhs_infeasible += 1
             expected = (-1) ** (p * mp) * binomial(n, mp) * cr
             branch = "a"
@@ -199,13 +198,13 @@ def check_corollary1(
             branch = "b"
         report.instances += 1
         diff = c - expected
-        if not ctx.in_mZp(diff, modulus):
+        if diff % q:
             report.add_violation(
                 {"cycle_type": list(ct.m), "branch": branch},
                 diff,
                 modulus,
                 ctx.vp(diff),
-                ctx.vp(modulus),
+                req,
             )
     if rhs_infeasible:
         report.params["rhs_infeasible"] = rhs_infeasible

@@ -4,6 +4,13 @@ The indicator of S_n lives in Z[X_1..X_n]; its term for the cycle type
 (m_1,...,m_n) (m_i cycles of length i, sum of i*m_i = n) has coefficient
 n! / prod_i i^m_i * m_i!.
 
+A :class:`CycleType` holds its class twice: densely as ``m`` and sparsely
+as ``parts``, the pairs (i, m_i) with m_i > 0, largest part first.
+:func:`enumerate_cycle_types` visits the classes in reverse-lexicographic
+order of their partitions (n first, 1^n last), stepping from one class to
+the next in multiplicity form; :func:`coefficient` evaluates the closed
+formula over ``parts``.
+
 Four independent construction routes are provided:
 
 * :func:`cycle_indicator` -- the production route, via the recurrence
@@ -18,22 +25,26 @@ Four independent construction routes are provided:
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from math import factorial, prod
-from typing import Iterator, Tuple
+from math import factorial
+from typing import Iterable, Iterator, Tuple
 
 from .polyring import MultiPoly, _shift_accumulate
 
 DETERMINANT_BOUND_DEFAULT = 8
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CycleType:
-    """Multiplicity vector (m_1,...,m_n) of one conjugacy class of S_n."""
+    """Multiplicity vector (m_1,...,m_n) of one conjugacy class of S_n.
+
+    ``parts`` is derived from ``m`` and takes no part in equality or hashing.
+    """
 
     n: int
     m: Tuple[int, ...]
+    parts: Tuple[Tuple[int, int], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.n < 1 or len(self.m) != self.n:
@@ -42,33 +53,57 @@ class CycleType:
             raise ValueError("multiplicities must be nonnegative")
         if sum(i * x for i, x in enumerate(self.m, start=1)) != self.n:
             raise ValueError("sum of i*m_i must equal n")
-
-
-def partitions_desc(n: int) -> Iterator[Tuple[int, ...]]:
-    """Partitions of n as non-increasing tuples, largest first part first."""
-    if n == 0:
-        yield ()
-        return
-
-    def rec(remaining: int, cap: int, prefix: tuple):
-        if remaining == 0:
-            yield prefix
-            return
-        for part in range(min(cap, remaining), 0, -1):
-            yield from rec(remaining - part, part, prefix + (part,))
-
-    yield from rec(n, n, ())
+        m = self.m
+        parts = tuple((i, m[i - 1]) for i in range(self.n, 0, -1) if m[i - 1])
+        object.__setattr__(self, "parts", parts)
 
 
 def enumerate_cycle_types(n: int) -> Iterator[CycleType]:
-    """All cycle types of S_n, one per partition, largest-part-descending order."""
+    """All cycle types of S_n, in reverse-lexicographic order of their partitions.
+
+    The successor of a partition in this order (Knuth, TAOCP 4A, 7.2.1.4)
+    strips its 1s, lowers one copy of the smallest part k > 1, and refills
+    the freed amount with parts k-1 and one smaller remainder. The step runs
+    on stacks of distinct parts and their multiplicities, largest first; the
+    classes it yields are not revalidated.
+    """
     if n < 1:
         raise ValueError("n must be >= 1")
-    for parts in partitions_desc(n):
-        m = [0] * n
-        for part in parts:
-            m[part - 1] += 1
-        yield CycleType(n, tuple(m))
+    ks = [n]  # distinct parts, largest first
+    cs = [1]  # their multiplicities
+    dense = [0] * n
+    dense[n - 1] = 1
+    new, put = object.__new__, object.__setattr__
+    while True:
+        ct = new(CycleType)
+        put(ct, "n", n)
+        put(ct, "m", tuple(dense))
+        put(ct, "parts", tuple(zip(ks, cs)))
+        yield ct
+        if ks[-1] == 1:
+            ks.pop()
+            freed = cs.pop()
+            dense[0] = 0
+            if not ks:
+                return
+        else:
+            freed = 0
+        k = ks[-1]
+        if cs[-1] == 1:
+            ks.pop()
+            cs.pop()
+        else:
+            cs[-1] -= 1
+        dense[k - 1] -= 1
+        # every slot below k is empty now
+        q, s = divmod(freed + k, k - 1)
+        ks.append(k - 1)
+        cs.append(q)
+        dense[k - 2] = q
+        if s:
+            ks.append(s)
+            cs.append(1)
+            dense[s - 1] = 1
 
 
 def partition_count(n: int) -> int:
@@ -92,16 +127,29 @@ def partition_count(n: int) -> int:
     return p[n]
 
 
-def coefficient(ct: CycleType) -> int:
-    """n! / prod_i i^m_i * m_i!, exact; integrality is checked."""
-    denom = prod(
-        i**x * factorial(x) for i, x in enumerate(ct.m, start=1) if x
-    )
-    num = factorial(ct.n)
-    q, r = divmod(num, denom)
+def _closed_form(n: int, parts: Iterable[Tuple[int, int]]) -> int:
+    """n! / prod i^m_i * m_i! over the pairs (i, m_i); 0 if they are no class of n."""
+    denom = 1
+    total = 0
+    for i, x in parts:
+        if x < 0:
+            return 0
+        total += i * x
+        denom *= i**x * factorial(x)
+    if total != n:
+        return 0
+    q, r = divmod(factorial(n), denom)
     if r:
-        raise ArithmeticError(f"non-integral cycle-indicator coefficient for {ct}")
+        raise ArithmeticError(f"non-integral cycle-indicator coefficient for {parts}")
     return q
+
+
+def coefficient(ct: CycleType) -> int:
+    """n! / prod_i i^m_i * m_i!, exact, from ``ct.parts``; integrality is checked."""
+    c = _closed_form(ct.n, ct.parts)
+    if not c:
+        raise ArithmeticError(f"{ct} is not a cycle type of S_{ct.n}")
+    return c
 
 
 def coefficient_raw(n: int, m: Tuple[int, ...]) -> int:
@@ -110,15 +158,7 @@ def coefficient_raw(n: int, m: Tuple[int, ...]) -> int:
     Returns 0 when the vector is not a valid cycle type of n (infeasible
     class, e.g. negative or mismatched total).
     """
-    if any(x < 0 for x in m):
-        return 0
-    if sum(i * x for i, x in enumerate(m, start=1)) != n:
-        return 0
-    denom = prod(i**x * factorial(x) for i, x in enumerate(m, start=1) if x)
-    q, r = divmod(factorial(n), denom)
-    if r:
-        raise ArithmeticError(f"non-integral cycle-indicator coefficient for {m}")
-    return q
+    return _closed_form(n, [(i, x) for i, x in enumerate(m, start=1) if x])
 
 
 _cache_lock = threading.Lock()

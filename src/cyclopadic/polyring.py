@@ -123,11 +123,13 @@ class MultiPoly:
         if _raw:
             object.__setattr__(self, "terms", terms)
             return
+        # tuples that differ only by trailing zeros pack to the same key
         canon = {}
         for e, c in terms.items():
             if c:
-                canon[_pack(e)] = c
-        object.__setattr__(self, "terms", canon)
+                k = _pack(e)
+                canon[k] = canon.get(k, 0) + c
+        object.__setattr__(self, "terms", {k: c for k, c in canon.items() if c})
 
     def __setattr__(self, name, value):
         raise AttributeError("MultiPoly is immutable")

@@ -135,6 +135,30 @@ class TestVerify:
             (3, 9, 0), (3, 9, 1), (3, 9, 2)
         ]
 
+    @pytest.mark.parametrize("checker", [
+        "carlitz-coeff", "prop-coeff", "corollary1", "carlitz-poly", "prop-poly"
+    ])
+    def test_size_guard(self, tmp_path, capsys, checker):
+        start = time.monotonic()
+        code, text = run(tmp_path, "verify", checker, "--primes", "3",
+                         "--n-max", "40", "--degree-cap", "120")
+        assert time.monotonic() - start < 1.0
+        assert code == 2 and text == ""
+        # the largest r + 3n <= 120, with r <= 2 and, for corollary1, r >= 1
+        largest = 119 if checker == "corollary1" else 120
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {checker} reaches N = {largest},")
+        assert f"p({largest}) = " in err and str(MAX_CYCLE_INDEX_TERMS) in err
+
+    def test_size_guard_boundary(self, tmp_path):
+        # p(45) = 89,134 is admitted, p(46) = 105,558 is not
+        code, text = run(tmp_path, "verify", "prop-coeff", "--primes", "5",
+                         "--n-max", "9", "--degree-cap", "45")
+        assert code == 0 and json.loads(text.splitlines()[-1])["params"]["n"] == 9
+        code, _ = run(tmp_path, "verify", "prop-coeff", "--primes", "23",
+                      "--n-max", "2", "--degree-cap", "46")
+        assert code == 2
+
     def test_thread_count_does_not_change_output(self, tmp_path):
         args = [
             "verify", "all", "--primes", "3,5",

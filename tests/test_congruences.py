@@ -1,7 +1,7 @@
 import pytest
 
 from cyclopadic import congruences as cg
-from cyclopadic.cycle_index import coefficient_raw
+from cyclopadic.cycle_index import coefficient_raw, enumerate_cycle_types
 from cyclopadic.padic import PadicContext
 from cyclopadic.reports import CongruenceReport, Mutation
 
@@ -212,6 +212,39 @@ class TestMutationDetection:
         assert not cg.report_binomial_lift(3, ctx3, mut).passed
         assert not cg.check_formula_gamma_ratio(2, ctx3, mut).passed
         assert not cg.check_wilson_sharpness(3, ctx3, mut).passed
+
+
+# (checker, arguments before ctx, degree N swept) for a grid with p = 3 and 5;
+# at n = p the modulus of prop-coeff and corollary1 is p^2
+COEFF_SWEEPS = [
+    (cg.check_carlitz_coeff, lambda p: (3,), lambda p: 3 * p),
+    (cg.check_prop_coeff, lambda p: (p,), lambda p: p * p),
+    (cg.check_corollary1, lambda p: (1, p), lambda p: 1 + p * p),
+]
+
+
+class TestCoeffMutationTwoSided:
+    @pytest.mark.parametrize("p", [3, 5])
+    @pytest.mark.parametrize("check,args,degree", COEFF_SWEEPS)
+    def test_boundary_delta(self, check, args, degree, p):
+        ctx = PadicContext(p)
+        clean = check(*args(p), ctx)
+        assert clean.passed
+        modulus = clean.params["modulus"]
+        req = ctx.vp(modulus)
+        assert req == (1 if check is cg.check_carlitz_coeff else 2)
+        classes = [ct.m for ct in enumerate_cycle_types(degree(p))]
+        assert clean.instances == len(classes)
+        for index in (0, 1, len(classes) // 2, len(classes) - 1):
+            # a multiple of p^req is no fault at any class
+            assert check(*args(p), ctx, Mutation(index, p**req)).passed
+            assert check(*args(p), ctx, Mutation(index, -(p**req))).passed
+            report = check(*args(p), ctx, Mutation(index, p ** (req - 1)))
+            assert len(report.violations) == 1
+            v = report.violations[0]
+            assert v["instance"]["cycle_type"] == list(classes[index])
+            assert v["required_modulus"] == modulus
+            assert (v["observed_vp"], v["required_vp"]) == (req - 1, req)
 
 
 class TestReportShape:

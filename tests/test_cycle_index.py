@@ -1,6 +1,7 @@
 import itertools
 import json
 import pathlib
+import pickle
 
 import pytest
 
@@ -14,11 +15,37 @@ from cyclopadic.cycle_index import (
     cycle_indicator_via_egf,
     enumerate_cycle_types,
     partition_count,
-    partitions_desc,
 )
 from cyclopadic.polyring import MultiPoly, UniPoly, substitute_univariate
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
+
+
+def partitions_desc(n):
+    """Partitions of n as non-increasing tuples, largest first part first.
+
+    Recursive, prefix by prefix: the enumeration oracle for the successor
+    step of enumerate_cycle_types.
+    """
+    if n == 0:
+        yield ()
+        return
+
+    def rec(remaining, cap, prefix):
+        if remaining == 0:
+            yield prefix
+            return
+        for part in range(min(cap, remaining), 0, -1):
+            yield from rec(remaining - part, part, prefix + (part,))
+
+    yield from rec(n, n, ())
+
+
+def multiplicities(n, parts):
+    m = [0] * n
+    for part in parts:
+        m[part - 1] += 1
+    return tuple(m)
 
 
 class TestEnumeration:
@@ -46,6 +73,37 @@ class TestEnumeration:
         for n, p in known.items():
             assert partition_count(n) == p
 
+    @pytest.mark.parametrize("n", range(1, 41))
+    def test_matches_recursive_oracle(self, n):
+        expected = [multiplicities(n, parts) for parts in partitions_desc(n)]
+        yielded = list(enumerate_cycle_types(n))
+        assert [ct.m for ct in yielded] == expected
+        for ct in yielded:
+            assert ct.n == n
+            assert ct.parts == tuple(
+                (i, ct.m[i - 1]) for i in range(n, 0, -1) if ct.m[i - 1]
+            )
+            built = CycleType(n, ct.m)
+            assert ct == built and hash(ct) == hash(built)
+            assert ct.parts == built.parts
+
+    def test_parts_largest_first(self):
+        assert CycleType(6, (2, 0, 0, 1, 0, 0)).parts == ((4, 1), (1, 2))
+        assert [ct.parts for ct in enumerate_cycle_types(4)] == [
+            ((4, 1),),
+            ((3, 1), (1, 1)),
+            ((2, 2),),
+            ((2, 1), (1, 2)),
+            ((1, 4),),
+        ]
+
+    def test_parts_outside_equality(self):
+        ct = CycleType(3, (1, 1, 0))
+        assert "parts" not in repr(ct)
+        assert {ct: 1}[CycleType(3, (1, 1, 0))] == 1
+        copied = pickle.loads(pickle.dumps(list(enumerate_cycle_types(3))[1]))
+        assert copied == ct and copied.parts == ct.parts
+
     def test_invalid_cycle_type_rejected(self):
         with pytest.raises(ValueError):
             CycleType(3, (1, 1, 1))
@@ -72,6 +130,20 @@ class TestCoefficient:
         assert coefficient_raw(3, (1, 0, 0)) == 0
         assert coefficient_raw(3, (-1, 2, 0)) == 0
         assert coefficient_raw(3, (1, 1, 0)) == 3
+        assert coefficient_raw(3, (1, 1)) == 3
+        assert coefficient_raw(4, (-2, 3, 0, 0)) == 0
+
+    @pytest.mark.parametrize("n", [1, 6, 12, 20])
+    def test_coefficient_matches_raw(self, n):
+        for ct in enumerate_cycle_types(n):
+            assert coefficient(ct) == coefficient_raw(n, ct.m) > 0
+
+    def test_class_whose_parts_disagree_is_refused(self):
+        # a class the enumerator got wrong must not read as coefficient 0
+        ct = next(enumerate_cycle_types(3))
+        object.__setattr__(ct, "parts", ((2, 1),))
+        with pytest.raises(ArithmeticError, match="not a cycle type"):
+            coefficient(ct)
 
     @pytest.mark.parametrize("n", range(1, 8))
     def test_brute_force_census(self, n):

@@ -121,6 +121,21 @@ class TestMultiPolyBasics:
         assert p == MultiPoly({(1,): 2, (): 5})
         assert p.coefficient((1, 0, 0, 0)) == p.coefficient((1,)) == 2
 
+    def test_trailing_zero_collisions_are_summed(self):
+        assert MultiPoly({(1, 0): 2, (1,): 3}) == 5 * X1
+        assert MultiPoly({(1, 0): 2, (1,): -2}) == MultiPoly.zero()
+        assert MultiPoly({(1, 0): 2, (1,): -2, (0, 1): 4}).sorted_terms() == [
+            ((0, 1), 4)
+        ]
+
+    def test_json_terms_that_collide_are_summed(self):
+        obj = {"vars": 2, "terms": [[[1, 0], "2"], [[1], "3"], [[0, 1], "-1"]]}
+        p = MultiPoly.from_json_obj(obj)
+        assert p == 5 * X1 - X2
+        assert MultiPoly.from_json_obj(json.loads(p.to_json())) == p
+        cancel = {"vars": 2, "terms": [[[1, 0], "2"], [[1], "-2"]]}
+        assert MultiPoly.from_json_obj(cancel).is_zero()
+
     def test_grevlex_order(self):
         p = X1**2 + X1 * X2 + X2**2 + X1 * X3 + X3 + MultiPoly.one()
         exps = [e for e, _ in p.sorted_terms()]
