@@ -409,6 +409,12 @@ def main(argv=None) -> int:
             primes = [int(x) for x in args.primes.split(",") if x]
         except ValueError:
             raise UsageError(f"malformed --primes {args.primes!r}")
+        mutation = None
+        if args.mutate:
+            try:
+                mutation = Mutation.parse(args.mutate)
+            except ValueError:
+                raise UsageError(f"malformed --mutate {args.mutate!r}")
         spec = SweepSpec(
             checker=args.checker,
             primes=sorted(set(primes)),
@@ -421,10 +427,10 @@ def main(argv=None) -> int:
             allow_p2=args.allow_p2,
             timing=args.timing,
             trials=args.trials,
-            mutation=Mutation.parse(args.mutate) if args.mutate else None,
+            mutation=mutation,
         )
         return run_verify(spec, out)
-    except (UsageError, ValueError) as exc:
+    except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     finally:

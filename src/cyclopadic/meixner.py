@@ -143,14 +143,12 @@ def _compare_unipolys(
     tag: str = "",
 ) -> None:
     req = ctx.vp(modulus)
-    diff = lhs - rhs
     report.instances += max(len(lhs.coeffs), len(rhs.coeffs))
-    for d, c in enumerate(diff.coeffs):
-        if c and ctx.vp(c) < req:
-            instance = {"degree": d}
-            if tag:
-                instance["form"] = tag
-            report.add_violation(instance, c, modulus, ctx.vp(c), req)
+    for d, c in (lhs - rhs).nondivisible_terms(ctx.p**req):
+        instance = {"degree": d}
+        if tag:
+            instance["form"] = tag
+        report.add_violation(instance, c, modulus, ctx.vp(c), req)
 
 
 def _require_odd(ctx: PadicContext) -> None:

@@ -11,6 +11,11 @@ Two representations:
   straight from the key. The public API takes and returns exponent tuples;
   keys are unpacked only for sorting, serialization and witnesses.
   Deterministic term order is graded revlex, leading term first.
+  A power P^n of an s-term P is expanded by the multinomial theorem: one
+  pass over the C(n+s-1, s-1) compositions of n, where the key of
+  prod t_i^k_i is sum k_i key_i. A dense base, whose compositions
+  outnumber s*(n-1)*C(n deg + v, v) (the cost bound of repeated squaring
+  for a degree-deg base in v variables), is squared and multiplied instead.
 * :class:`UniPoly` -- dense univariate polynomials, coefficient list
   indexed by degree.
 
@@ -20,6 +25,7 @@ on top of :meth:`MultiPoly.nondivisible_terms`.
 from __future__ import annotations
 
 import json
+from math import comb
 from typing import Iterable, Mapping, Optional, Union
 
 from .padic import PadicContext
@@ -78,6 +84,58 @@ def _mul_terms(a: dict, b: dict) -> dict:
             out[k] = get(k, 0) + ca * cb
     for k in [k for k, c in out.items() if not c]:
         del out[k]
+    return out
+
+
+def _multinomial_power(terms: dict, n: int) -> dict:
+    """Term map of P^n, P given by a term map of at least two terms.
+
+    Multinomial theorem: each composition k_1 + ... + k_s = n contributes
+    prod C(rem_i, k_i) c_i^k_i at key sum k_i key_i, where rem_i is what the
+    earlier exponents leave of n and the last exponent takes the rest. The
+    caller checks that n times the total degree is within MAX_DEGREE.
+    """
+    tables = []
+    for key, c in terms.items():
+        pw = [1]
+        for _ in range(n):
+            pw.append(pw[-1] * c)
+        tables.append((key, pw))
+    (key_a, pw_a), (key_b, pw_b) = tables.pop(), tables.pop()
+
+    def last_two(rem: int) -> list:
+        # (t_a + t_b)^rem, one term per split of rem: distinct keys, no zero
+        row = []
+        b = 1  # C(rem, k)
+        for k in range(rem + 1):
+            r = rem - k
+            row.append((k * key_b + r * key_a, b * pw_b[k] * pw_a[r]))
+            b = b * r // (k + 1)
+        return row
+
+    if not tables:
+        return dict(last_two(n))
+    # with three terms or more every rem occurs, and the C(n+2, 2) terms of
+    # the rows are no more than the compositions
+    rows = [last_two(rem) for rem in range(n + 1)]
+    out: dict = {}
+    get = out.get
+
+    def expand(i: int, rem: int, key: int, coeff: int) -> None:
+        if i == len(tables):
+            for mono, c in rows[rem]:
+                mono += key
+                out[mono] = get(mono, 0) + coeff * c
+            return
+        key_i, pw = tables[i]
+        b = 1
+        for k in range(rem + 1):
+            expand(i + 1, rem - k, key + k * key_i, coeff * b * pw[k])
+            b = b * (rem - k) // (k + 1)
+
+    expand(0, n, 0, 1)
+    for mono in [mono for mono, c in out.items() if not c]:
+        del out[mono]
     return out
 
 
@@ -267,6 +325,24 @@ class MultiPoly:
     def __pow__(self, n: int) -> "MultiPoly":
         if not isinstance(n, int) or n < 0:
             raise ValueError("exponent must be a natural number")
+        if n == 0:
+            return MultiPoly.one()
+        if n == 1 or not self.terms:
+            return self
+        deg = self.total_degree()
+        # deg(P^n) = n deg(P) over Z, so this is the only check needed, and
+        # below it no slot of a sum of keys carries into the next
+        _check_degree(n * deg)
+        s = len(self.terms)
+        if s == 1:
+            (key, c), = self.terms.items()
+            return MultiPoly({n * key: c**n}, _raw=True)
+        # the expansion visits C(n+s-1, s-1) compositions of n; repeated
+        # squaring costs at most n-1 products of an s-term factor by a partial
+        # power, which has at most C(n deg + v, v) terms in v variables
+        v = self.nvars
+        if comb(n + s - 1, s - 1) <= s * (n - 1) * comb(n * deg + v, v):
+            return MultiPoly(_multinomial_power(self.terms, n), _raw=True)
         result = MultiPoly.one()
         base = self
         while n:
@@ -328,6 +404,10 @@ class UniPoly:
 
     def __getitem__(self, d: int) -> int:
         return self.coeffs[d] if 0 <= d < len(self.coeffs) else 0
+
+    def nondivisible_terms(self, q: int) -> list:
+        """(degree, coeff) pairs whose coefficient q does not divide, lowest first."""
+        return [(d, c) for d, c in enumerate(self.coeffs) if c % q]
 
     def __eq__(self, other) -> bool:
         if isinstance(other, int):
@@ -464,28 +544,17 @@ def congruent_mod(a: Poly, b: Poly, m: int, ctx: PadicContext):
             else MultiPoly.constant(b)
         )
 
-    if isinstance(a, UniPoly) and isinstance(b, UniPoly):
-        diff = a - b
-        for d, c in enumerate(diff.coeffs):
-            if c and ctx.vp(c) < req:
-                return False, {
-                    "degree": d,
-                    "difference": c,
-                    "observed_vp": ctx.vp(c),
-                    "required_vp": req,
-                }
+    if not (
+        isinstance(a, UniPoly) and isinstance(b, UniPoly)
+        or isinstance(a, MultiPoly) and isinstance(b, MultiPoly)
+    ):
+        raise TypeError("congruent_mod requires two polynomials of the same kind")
+    bad = (a - b).nondivisible_terms(ctx.p**req)
+    if not bad:
         return True, None
-
-    if isinstance(a, MultiPoly) and isinstance(b, MultiPoly):
-        bad = (a - b).nondivisible_terms(ctx.p**req)
-        if bad:
-            e, c = bad[0]
-            return False, {
-                "exponents": list(e),
-                "difference": c,
-                "observed_vp": ctx.vp(c),
-                "required_vp": req,
-            }
-        return True, None
-
-    raise TypeError("congruent_mod requires two polynomials of the same kind")
+    where, c = bad[0]
+    witness = (
+        {"degree": where} if isinstance(a, UniPoly) else {"exponents": list(where)}
+    )
+    witness.update(difference=c, observed_vp=ctx.vp(c), required_vp=req)
+    return False, witness

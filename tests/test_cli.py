@@ -182,6 +182,25 @@ class TestVerify:
             main(["verify", "carlitz-coeff", "--primes", "3", "--n-max", "2",
                   "--threads", threads, "--out", str(tmp_path / "out.txt")])
 
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_checker_value_error_is_not_a_usage_error(
+        self, tmp_path, monkeypatch, threads
+    ):
+        def broken(*args):
+            raise ValueError("injected checker fault")
+
+        monkeypatch.setattr(congruences, "check_carlitz_coeff", broken)
+        with pytest.raises(ValueError, match="injected checker fault"):
+            main(["verify", "carlitz-coeff", "--primes", "3", "--n-max", "2",
+                  "--threads", threads, "--out", str(tmp_path / "out.txt")])
+
+    @pytest.mark.parametrize("text", ["x:1", "5", "1:y", ":"])
+    def test_malformed_mutate_exit2(self, tmp_path, capsys, text):
+        code, out = run(tmp_path, "verify", "carlitz-coeff", "--primes", "3",
+                        "--mutate", text)
+        assert code == 2 and out == ""
+        assert capsys.readouterr().err == f"error: malformed --mutate {text!r}\n"
+
     def test_unwritable_out_exit2(self, tmp_path, capsys):
         path = tmp_path / "missing" / "x"
         code = main(["verify", "carlitz-coeff", "--primes", "3", "--out", str(path)])

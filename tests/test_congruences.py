@@ -246,6 +246,25 @@ class TestCoeffMutationTwoSided:
             assert v["required_modulus"] == modulus
             assert (v["observed_vp"], v["required_vp"]) == (req - 1, req)
 
+    @pytest.mark.parametrize("p", [3, 5])
+    def test_remark1_boundary_delta(self, p):
+        ctx = PadicContext(p)
+        r, n = 1, p
+        clean = cg.check_remark1(r, n, ctx)
+        assert clean.passed and clean.instances == n + 1
+        modulus = clean.params["modulus"]
+        req = ctx.vp(modulus)
+        assert req == 2
+        for mp in (0, 1, n):
+            assert cg.check_remark1(r, n, ctx, Mutation(mp, p**req)).passed
+            assert cg.check_remark1(r, n, ctx, Mutation(mp, -(p**req))).passed
+            report = cg.check_remark1(r, n, ctx, Mutation(mp, p ** (req - 1)))
+            assert len(report.violations) == 1
+            v = report.violations[0]
+            assert v["instance"] == {"m1": r + n * p - p * mp, "mp": mp}
+            assert v["required_modulus"] == modulus
+            assert (v["observed_vp"], v["required_vp"]) == (req - 1, req)
+
 
 class TestReportShape:
     def test_json_schema_fields(self, ctx3):

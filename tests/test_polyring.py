@@ -3,6 +3,7 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cyclopadic import polyring
 from cyclopadic.padic import PadicContext
 from cyclopadic.polyring import (
     MAX_DEGREE,
@@ -200,6 +201,74 @@ class TestKernelParity:
         assert poly.nvars == nvars
 
 
+def power_oracle(base: MultiPoly, n: int) -> MultiPoly:
+    acc = MultiPoly.one()
+    for _ in range(n):
+        acc = acc * base
+    return acc
+
+
+pow_exponents = st.lists(st.integers(min_value=0, max_value=3), max_size=4).map(
+    ref_canonical
+)
+pow_coeffs = st.one_of(
+    st.integers(min_value=-9, max_value=9),
+    st.integers(min_value=-(2**70), max_value=2**70),
+).filter(bool)
+pow_bases = st.dictionaries(pow_exponents, pow_coeffs, min_size=1, max_size=6).map(
+    MultiPoly
+)
+
+
+class TestPower:
+    """P**n, by the multinomial expansion or by squaring, against repeated *."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(pow_bases, st.integers(min_value=0, max_value=12))
+    def test_matches_repeated_mul(self, base, n):
+        power = base**n
+        assert power == power_oracle(base, n)
+        assert all(power.terms.values())
+
+    def test_sparse_base_is_expanded(self, monkeypatch):
+        calls = []
+        expand = polyring._multinomial_power
+        monkeypatch.setattr(
+            polyring, "_multinomial_power",
+            lambda terms, n: calls.append(n) or expand(terms, n),
+        )
+        base = 3 * X1**2 * X3 - 7 * X2 + 5 * X1 * X2 * X3**2 + 1
+        assert base**12 == power_oracle(base, 12)
+        assert calls == [12]
+
+    def test_dense_base_falls_back_to_squaring(self, monkeypatch):
+        def refuse(terms, n):
+            raise AssertionError("a dense base is not expanded")
+
+        monkeypatch.setattr(polyring, "_multinomial_power", refuse)
+        base = sum((i + 1) * X1**i for i in range(11))
+        assert len(base) == 11
+        assert base**12 == power_oracle(base, 12)
+
+    def test_trivial_bases_and_exponents(self):
+        zero = MultiPoly.zero()
+        assert zero**0 == MultiPoly.one()
+        assert zero**1 == zero**7 == zero
+        assert MultiPoly.constant(-2) ** 5 == MultiPoly.constant(-32)
+        assert MultiPoly.constant(3) ** 0 == MultiPoly.one()
+        p = X1**2 - 4 * X2 * X3
+        assert p**0 == MultiPoly.one() and p**1 == p
+        assert (-5 * X1 * X2**3) ** 3 == -125 * X1**3 * X2**9
+
+    def test_cancelled_terms_are_not_stored(self):
+        # 2 * (X1^2)(-2 X2^2) + (2 X1 X2)^2 = 0 at X1^2 X2^2
+        base = X1**2 - 2 * X2**2 + 2 * X1 * X2
+        square = base**2
+        assert square == power_oracle(base, 2)
+        assert square.coefficient((2, 2)) == 0
+        assert all(square.terms.values()) and len(square) == 4
+
+
 class TestPackedLimits:
     def test_degree_limit_is_exact(self):
         top = X1**MAX_DEGREE
@@ -210,6 +279,12 @@ class TestPackedLimits:
     def test_power_past_limit_raises(self):
         with pytest.raises(OverflowError):
             X1 ** 2**16
+        with pytest.raises(OverflowError):
+            (X1 * X2) ** 32768
+        with pytest.raises(OverflowError):
+            (X1**32767 + X2**32768) ** 2
+        assert ((X1 * X2) ** 32767).total_degree() == MAX_DEGREE - 1
+        assert len((X1**32767 + X2**32767) ** 2) == 3
 
     def test_product_past_limit_raises(self):
         a = MultiPoly.monomial((0, 40000))
@@ -308,6 +383,15 @@ class TestCongruentMod:
             "observed_vp": req - 1,
             "required_vp": req,
         }
+        x = UniPoly.x()
+        u = (x + 2) ** 3 + 5
+        assert congruent_mod(u, u + p**req * x, m, ctx) == (True, None)
+        assert congruent_mod(u, u + p ** (req - 1) * x, m, ctx) == (False, {
+            "degree": 1,
+            "difference": -(p ** (req - 1)),
+            "observed_vp": req - 1,
+            "required_vp": req,
+        })
 
     def test_zero_modulus_rejected(self):
         with pytest.raises(ValueError):
