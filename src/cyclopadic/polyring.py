@@ -11,11 +11,15 @@ Two representations:
   straight from the key. The public API takes and returns exponent tuples;
   keys are unpacked only for sorting, serialization and witnesses.
   Deterministic term order is graded revlex, leading term first.
-  A power P^n of an s-term P is expanded by the multinomial theorem: one
-  pass over the C(n+s-1, s-1) compositions of n, where the key of
-  prod t_i^k_i is sum k_i key_i. A dense base, whose compositions
-  outnumber s*(n-1)*C(n deg + v, v) (the cost bound of repeated squaring
-  for a degree-deg base in v variables), is squared and multiplied instead.
+  A power P^n of an s-term P is either expanded by the multinomial
+  theorem, one pass over the C(n+s-1, s-1) compositions of n where the key
+  of prod t_i^k_i is sum k_i key_i, or squared and multiplied. The
+  expansion is taken when its steps (compositions plus prefixes) number at
+  most half the term pairs squaring would form, bounded by the sizes of the
+  partial powers P^j: at most C(j+s-1, s-1) terms, and at most
+  prod (j e_i + 1) for e_i the top exponent of X_i. So few-term sparse
+  bases are expanded from about n = 4 on, while dense bases and many-term
+  bases at small n are squared.
 * :class:`UniPoly` -- dense univariate polynomials, coefficient list
   indexed by degree.
 
@@ -93,7 +97,12 @@ def _multinomial_power(terms: dict, n: int) -> dict:
     Multinomial theorem: each composition k_1 + ... + k_s = n contributes
     prod C(rem_i, k_i) c_i^k_i at key sum k_i key_i, where rem_i is what the
     earlier exponents leave of n and the last exponent takes the rest. The
-    caller checks that n times the total degree is within MAX_DEGREE.
+    compositions are walked depth first on an explicit stack, so the depth
+    does not grow with s; a prefix that uses up n is added at once, and the
+    last two terms come from a precomputed row of (t_a + t_b)^rem. Each
+    composition is one update, each prefix of at most s-2 exponents summing
+    below n one stack entry. The caller checks that n times the total
+    degree is within MAX_DEGREE.
     """
     tables = []
     for key, c in terms.items():
@@ -115,28 +124,67 @@ def _multinomial_power(terms: dict, n: int) -> dict:
 
     if not tables:
         return dict(last_two(n))
-    # with three terms or more every rem occurs, and the C(n+2, 2) terms of
-    # the rows are no more than the compositions
     rows = [last_two(rem) for rem in range(n + 1)]
+    last = len(tables)
     out: dict = {}
     get = out.get
-
-    def expand(i: int, rem: int, key: int, coeff: int) -> None:
-        if i == len(tables):
+    stack = [(0, n, 0, 1)]  # (term index, exponent left, key, coefficient)
+    push, pop = stack.append, stack.pop
+    while stack:
+        i, rem, key, coeff = pop()
+        if i == last:
             for mono, c in rows[rem]:
                 mono += key
                 out[mono] = get(mono, 0) + coeff * c
-            return
+            continue
         key_i, pw = tables[i]
+        mono = key + rem * key_i  # k_i = rem: the later exponents are 0
+        out[mono] = get(mono, 0) + coeff * pw[rem]
         b = 1
-        for k in range(rem + 1):
-            expand(i + 1, rem - k, key + k * key_i, coeff * b * pw[k])
+        for k in range(rem):
+            push((i + 1, rem - k, key + k * key_i, coeff * b * pw[k]))
             b = b * (rem - k) // (k + 1)
-
-    expand(0, n, 0, 1)
     for mono in [mono for mono, c in out.items() if not c]:
         del out[mono]
     return out
+
+
+def _expansion_steps(s: int, n: int) -> int:
+    """Updates plus stack entries of _multinomial_power for an s-term P^n."""
+    return comb(n + s - 1, s - 1) + comb(n + s - 2, s - 2)
+
+
+def _squaring_pairs(terms: dict, n: int) -> int:
+    """A bound on the term pairs square-and-multiply forms for P^n.
+
+    P^j has at most C(j+s-1, s-1) terms, one per composition of j, and at
+    most prod (j e_i + 1), e_i the largest exponent of X_i in P.
+    """
+    s = len(terms)
+    tops: list = []
+    for key in terms:
+        for i, x in enumerate(_unpack(key)):
+            if i == len(tops):
+                tops.append(x)
+            elif x > tops[i]:
+                tops[i] = x
+
+    def size(j: int) -> int:
+        box = 1
+        for e in tops:
+            box *= j * e + 1
+        return min(comb(j + s - 1, s - 1), box)
+
+    pairs, have, j = 0, 0, 1
+    while n:
+        if n & 1:
+            pairs += size(have) * size(j)
+            have += j
+        n >>= 1
+        if n:
+            pairs += size(j) ** 2
+            j *= 2
+    return pairs
 
 
 def _add_scaled(acc: dict, src: dict, scale: int, step: int = 0) -> None:
@@ -337,11 +385,11 @@ class MultiPoly:
         if s == 1:
             (key, c), = self.terms.items()
             return MultiPoly({n * key: c**n}, _raw=True)
-        # the expansion visits C(n+s-1, s-1) compositions of n; repeated
-        # squaring costs at most n-1 products of an s-term factor by a partial
-        # power, which has at most C(n deg + v, v) terms in v variables
-        v = self.nvars
-        if comb(n + s - 1, s - 1) <= s * (n - 1) * comb(n * deg + v, v):
+        # a step of the expansion costs about 1.4 term pairs of a product
+        # (median over sparse, dense and cycle-indicator bases of 3 to 150
+        # terms); the pairs are only bounded from above, and a base whose
+        # products collide forms fewer, so the expansion must win by 2
+        if 2 * _expansion_steps(s, n) <= _squaring_pairs(self.terms, n):
             return MultiPoly(_multinomial_power(self.terms, n), _raw=True)
         result = MultiPoly.one()
         base = self

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cyclopadic import polyring
+from cyclopadic.cycle_index import cycle_indicator
 from cyclopadic.padic import PadicContext
 from cyclopadic.polyring import (
     MAX_DEGREE,
@@ -250,6 +251,48 @@ class TestPower:
         assert len(base) == 11
         assert base**12 == power_oracle(base, 12)
 
+    def test_many_term_base(self, monkeypatch):
+        # 1002 terms: the expansion walks its compositions without recursion,
+        # and __pow__ squares the base, whose pairs are fewer than twice
+        # the expansion's steps
+        base = cycle_indicator(22)
+        assert len(base) == 1002
+        square = base * base
+        assert polyring._multinomial_power(base.terms, 2) == square.terms
+
+        def refuse(terms, n):
+            raise AssertionError("a many-term base at n = 2 is not expanded")
+
+        monkeypatch.setattr(polyring, "_multinomial_power", refuse)
+        assert base**2 == square
+
+    @pytest.mark.parametrize(
+        "base, n, pairs",
+        [
+            (sum((i + 1) * X1**i for i in range(11)), 12, 5605),
+            (3 * X1**2 * X3 - 7 * X2 + 5 * X1 * X2 * X3**2 + 1, 4, 151),
+            (X1 + 2 * X2 - X3, 7, 216),
+        ],
+    )
+    def test_pair_bound_is_exact_without_collisions(
+        self, monkeypatch, base, n, pairs
+    ):
+        # dense univariate and collision-free sparse bases: the bound is the
+        # number of term pairs the squaring loop forms
+        assert polyring._squaring_pairs(base.terms, n) == pairs
+        formed = []
+        mul = polyring._mul_terms
+        monkeypatch.setattr(
+            polyring, "_mul_terms",
+            lambda a, b: formed.append(len(a) * len(b)) or mul(a, b),
+        )
+        monkeypatch.setattr(
+            polyring, "_expansion_steps", lambda s, n: float("inf")
+        )
+        power = base**n
+        assert sum(formed) == pairs
+        assert power == power_oracle(base, n)
+
     def test_trivial_bases_and_exponents(self):
         zero = MultiPoly.zero()
         assert zero**0 == MultiPoly.one()
@@ -267,6 +310,7 @@ class TestPower:
         assert square == power_oracle(base, 2)
         assert square.coefficient((2, 2)) == 0
         assert all(square.terms.values()) and len(square) == 4
+        assert polyring._multinomial_power(base.terms, 2) == square.terms
 
 
 class TestPackedLimits:
