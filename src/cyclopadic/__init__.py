@@ -4,9 +4,6 @@ from .cycle_index import (
     CycleType,
     coefficient,
     cycle_indicator,
-    cycle_indicator_direct,
-    cycle_indicator_via_determinant,
-    cycle_indicator_via_egf,
     enumerate_cycle_types,
     partition_count,
 )
@@ -30,9 +27,6 @@ __all__ = [
     "coefficient",
     "congruent_mod",
     "cycle_indicator",
-    "cycle_indicator_direct",
-    "cycle_indicator_via_determinant",
-    "cycle_indicator_via_egf",
     "enumerate_cycle_types",
     "factorial",
     "is_prime",

@@ -2,7 +2,7 @@
 
 The indicator of S_n lives in Z[X_1..X_n]; its term for the cycle type
 (m_1,...,m_n) (m_i cycles of length i, sum of i*m_i = n) has coefficient
-n! / prod_i i^m_i * m_i!.
+n! / prod_i i^m_i * m_i!, the size of the class.
 
 A :class:`CycleType` holds its class twice: densely as ``m`` and sparsely
 as ``parts``, the pairs (i, m_i) with m_i > 0, largest part first.
@@ -11,28 +11,20 @@ order of their partitions (n first, 1^n last), stepping from one class to
 the next in multiplicity form; :func:`coefficient` evaluates the closed
 formula over ``parts``.
 
-Four independent construction routes are provided:
-
-* :func:`cycle_indicator` -- the production route, via the recurrence
-  C_m = sum_{j<m} ((m-1)!/j!) * X_{m-j} * C_j, memoized.
-* :func:`cycle_indicator_direct` -- sum over enumerated cycle types.
-* :func:`cycle_indicator_via_determinant` -- cofactor expansion of the
-  m x m matrix with X_i down the first column and -1..-(m-1) above the
-  diagonal (small m only).
-* :func:`cycle_indicator_via_egf` -- truncated exponential generating
-  function over exact rationals.
+:func:`cycle_indicator` is the one production route to C_n: memoized, it
+builds each class of n once, from the cached class of n - k that lacks one
+copy of the largest part k. Independent routes (the shifted-sum recurrence,
+the sum over cycle types, the determinant and the truncated EGF) are test
+oracles in ``tests/oracles.py``.
 """
 from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, field
-from fractions import Fraction
 from math import factorial
 from typing import Iterable, Iterator, Tuple
 
-from .polyring import MultiPoly, _shift_accumulate
-
-DETERMINANT_BOUND_DEFAULT = 8
+from .polyring import MAX_DEGREE, SLOT_BITS, MultiPoly, _check_degree
 
 
 @dataclass(frozen=True, slots=True)
@@ -162,102 +154,46 @@ def coefficient_raw(n: int, m: Tuple[int, ...]) -> int:
 
 
 _cache_lock = threading.Lock()
-_indicator_cache: list = [MultiPoly.one()]  # C_0, C_1, ... as computed
+# C_0, C_1, ... as computed. Each C_m's term map holds its classes in
+# nondecreasing order of largest part (the highest nonzero slot of the key),
+# so the classes of C_j with parts all <= k are a prefix of C_j.terms: the
+# keys below 1 << SLOT_BITS*(k+1). cycle_indicator relies on this.
+_indicator_cache: list = [MultiPoly.one()]
 
 
 def cycle_indicator(n: int) -> MultiPoly:
-    """C_n via the memoized recurrence C_m = sum_j ((m-1)!/j!) X_{m-j} C_j."""
+    """C_n, memoized, built with one term per cycle type.
+
+    Removing one k-cycle from a class lambda of m whose largest part k
+    occurs a times leaves a class lambda - k of m - k with all parts <= k,
+    and c(lambda) = c(lambda - k) * (m!/(m-k)!) / (k*a). Taking k = 1, 2, ...
+    in turn reads each such source once from the cached prefix of C_{m-k}
+    and inserts each class of m once, in the order the cache invariant asks
+    for. The quotients are floored: the exact ones are integer class sizes
+    summing to m!, so a coefficient sum other than m! means a step was not
+    integral, and C_m is refused.
+    """
     if n < 0:
         raise ValueError("n must be >= 0")
+    # slot 0 of a term of C_n holds its number of cycles, at most n
+    _check_degree(n)
     with _cache_lock:
-        while len(_indicator_cache) <= n:
-            m = len(_indicator_cache)
-            fact = factorial(m - 1)
+        for m in range(len(_indicator_cache), n + 1):
             acc: dict = {}
-            for j in range(m):
-                scale, rem = divmod(fact, factorial(j))
-                if rem:
-                    raise ArithmeticError(f"{m - 1}! is not divisible by {j}!")
-                _shift_accumulate(acc, _indicator_cache[j], m - j, scale)
+            falling = 1  # m!/(m-k)!
+            for k in range(1, m + 1):
+                falling *= m - k + 1
+                shift = SLOT_BITS * k
+                step = 1 | 1 << shift
+                bound = 1 << (shift + SLOT_BITS)
+                for key, c in _indicator_cache[m - k].terms.items():
+                    if key >= bound:
+                        break
+                    a = ((key >> shift) & MAX_DEGREE) + 1
+                    acc[key + step] = c * falling // (k * a)
+            if sum(acc.values()) != factorial(m):
+                raise ArithmeticError(
+                    f"non-integral cycle-indicator coefficient in C_{m}"
+                )
             _indicator_cache.append(MultiPoly(acc, _raw=True))
         return _indicator_cache[n]
-
-
-def cycle_indicator_direct(n: int) -> MultiPoly:
-    """C_n as the explicit sum over cycle types (test oracle)."""
-    if n == 0:
-        return MultiPoly.one()
-    return MultiPoly({ct.m: coefficient(ct) for ct in enumerate_cycle_types(n)})
-
-
-def _det(mat) -> MultiPoly:
-    size = len(mat)
-    if size == 1:
-        return mat[0][0]
-    total = MultiPoly.zero()
-    # expand along the first row: only two nonzero entries by construction
-    for col in range(size):
-        a = mat[0][col]
-        if a.is_zero():
-            continue
-        minor = [row[:col] + row[col + 1 :] for row in mat[1:]]
-        cof = _det(minor)
-        total = total + (a * cof if col % 2 == 0 else -(a * cof))
-    return total
-
-
-def cycle_indicator_via_determinant(
-    m: int, bound: int = DETERMINANT_BOUND_DEFAULT
-) -> MultiPoly:
-    """C_m as the determinant with X_i down the first column, -j superdiagonal.
-
-    Cofactor expansion; refuse m above the configured bound.
-    """
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    if m > bound:
-        raise ValueError(
-            f"determinant route limited to m <= {bound}; "
-            "use cycle_indicator() for larger m"
-        )
-    mat = []
-    for i in range(1, m + 1):
-        row = []
-        for j in range(1, m + 1):
-            if j <= i:
-                row.append(MultiPoly.variable(i - j + 1))
-            elif j == i + 1:
-                row.append(MultiPoly.constant(-i))
-            else:
-                row.append(MultiPoly.zero())
-        mat.append(row)
-    return _det(mat)
-
-
-def cycle_indicator_via_egf(n: int) -> MultiPoly:
-    """C_n as n! times the t^n coefficient of exp(sum_i X_i t^i / i).
-
-    Exact-rational truncated series route; integrality is checked.
-    """
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    # e_0 = 1; m * e_m = sum_{k=1..m} X_k * e_{m-k}   (from E' = A'E)
-    e: list = [{(): Fraction(1)}]
-    for m in range(1, n + 1):
-        acc: dict = {}
-        for k in range(1, m + 1):
-            for exps, c in e[m - k].items():
-                if len(exps) >= k:
-                    enew = exps[: k - 1] + (exps[k - 1] + 1,) + exps[k:]
-                else:
-                    enew = exps + (0,) * (k - 1 - len(exps)) + (1,)
-                acc[enew] = acc.get(enew, Fraction(0)) + c
-        e.append({k2: v / m for k2, v in acc.items() if v})
-    nf = factorial(n)
-    terms = {}
-    for exps, c in e[n].items():
-        val = c * nf
-        if val.denominator != 1:
-            raise ArithmeticError("EGF route produced a non-integer")
-        terms[exps] = int(val)
-    return MultiPoly(terms)

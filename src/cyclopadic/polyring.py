@@ -187,16 +187,12 @@ def _squaring_pairs(terms: dict, n: int) -> int:
     return pairs
 
 
-def _add_scaled(acc: dict, src: dict, scale: int, step: int = 0) -> None:
-    """In-place acc += scale * src, times the monomial with packed key step.
-
-    The caller checks that the shifted degrees stay within MAX_DEGREE.
-    """
+def _add_scaled(acc: dict, src: dict, scale: int) -> None:
+    """In-place acc += scale * src."""
     if not scale:
         return
     get = acc.get
     for k, c in src.items():
-        k += step
         v = get(k, 0) + scale * c
         if v:
             acc[k] = v
@@ -204,18 +200,10 @@ def _add_scaled(acc: dict, src: dict, scale: int, step: int = 0) -> None:
             del acc[k]
 
 
-def _shift_accumulate(acc: dict, src: "MultiPoly", var: int, scale: int) -> None:
-    """In-place acc += scale * X_var * src on a packed term map (var 1-based)."""
-    if var < 1:
-        raise ValueError("variable index is 1-based")
-    _check_degree(src.total_degree() + 1)
-    _add_scaled(acc, src.terms, scale, 1 | 1 << SLOT_BITS * var)
-
-
 class MultiPoly:
     """Immutable sparse multivariate polynomial with integer coefficients."""
 
-    # _degree caches total_degree(), read before every product and shift
+    # _degree caches total_degree(), read before every product and power
     __slots__ = ("terms", "_degree")
 
     def __init__(self, terms: Optional[Mapping] = None, *, _raw: bool = False):

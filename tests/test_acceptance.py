@@ -13,16 +13,14 @@ import pytest
 from cyclopadic import congruences as cg
 from cyclopadic import meixner as mx
 from cyclopadic.cli import main
-from cyclopadic.cycle_index import (
-    coefficient,
-    cycle_indicator,
+from cyclopadic.cycle_index import coefficient, cycle_indicator, enumerate_cycle_types
+from cyclopadic.padic import PadicContext, check_gamma_identity, is_prime
+from cyclopadic.polyring import UniPoly, substitute_univariate
+from oracles import (
     cycle_indicator_direct,
     cycle_indicator_via_determinant,
     cycle_indicator_via_egf,
-    enumerate_cycle_types,
 )
-from cyclopadic.padic import PadicContext, check_gamma_identity, is_prime
-from cyclopadic.polyring import UniPoly, substitute_univariate
 
 
 def _announce(num, label, reports=None):

@@ -1,24 +1,34 @@
 import itertools
 import json
+import math
 import pathlib
 import pickle
 
 import pytest
 
+from cyclopadic import cycle_index
 from cyclopadic.cycle_index import (
     CycleType,
     coefficient,
     coefficient_raw,
     cycle_indicator,
-    cycle_indicator_direct,
-    cycle_indicator_via_determinant,
-    cycle_indicator_via_egf,
     enumerate_cycle_types,
     partition_count,
 )
 from cyclopadic.polyring import MultiPoly, UniPoly, substitute_univariate
+from oracles import (
+    cycle_indicator_direct,
+    cycle_indicator_via_determinant,
+    cycle_indicator_via_egf,
+    cycle_indicators_by_recurrence,
+)
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
+
+
+@pytest.fixture(scope="module")
+def recurrence_table():
+    return cycle_indicators_by_recurrence(30)
 
 
 def partitions_desc(n):
@@ -178,9 +188,42 @@ class TestIndicatorRoutes:
         assert cycle_indicator(2) == x1**2 + x2
         assert cycle_indicator(3) == x1**3 + 3 * x1 * x2 + 2 * x3
 
-    @pytest.mark.parametrize("n", range(0, 16))
-    def test_recurrence_equals_direct(self, n):
-        assert cycle_indicator(n) == cycle_indicator_direct(n)
+    @pytest.mark.parametrize("n", range(0, 31))
+    def test_recurrence_equals_direct(self, n, recurrence_table):
+        built = cycle_indicator(n)
+        assert built == recurrence_table[n]
+        assert built == cycle_indicator_direct(n)
+
+    @pytest.mark.parametrize("n", range(0, 37))
+    def test_one_term_per_class_summing_to_group_order(self, n):
+        built = cycle_indicator(n)
+        assert len(built) == partition_count(n)
+        assert sum(built.terms.values()) == math.factorial(n)
+
+    def test_cache_state_does_not_change_the_result(self, monkeypatch):
+        monkeypatch.setattr(cycle_index, "_indicator_cache", [MultiPoly.one()])
+        fresh = cycle_indicator(25)
+        monkeypatch.setattr(cycle_index, "_indicator_cache", [MultiPoly.one()])
+        cycle_indicator(7)
+        assert cycle_indicator(25) == fresh == cycle_indicator_direct(25)
+
+    def test_corrupted_cache_entry_is_refused(self, monkeypatch):
+        cache = [MultiPoly.one()]
+        monkeypatch.setattr(cycle_index, "_indicator_cache", cache)
+        cycle_indicator(7)
+        terms = dict(cache[7].terms)  # same order: the prefix invariant holds
+        first = next(iter(terms))  # X_1^7, read again for X_1^8
+        terms[first] += 1
+        cache[7] = MultiPoly(terms, _raw=True)
+        with pytest.raises(ArithmeticError, match="non-integral"):
+            cycle_indicator(8)
+        assert len(cache) == 8
+
+    def test_degree_past_limit_refused_before_building(self):
+        built = len(cycle_index._indicator_cache)
+        with pytest.raises(OverflowError, match="65536"):
+            cycle_indicator(2**16)
+        assert len(cycle_index._indicator_cache) == built
 
     @pytest.mark.parametrize("m", range(1, 9))
     def test_determinant_route(self, m):

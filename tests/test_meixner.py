@@ -65,7 +65,8 @@ class TestConstruction:
 
     def test_integrality_check_survives_optimize(self):
         # under `python -O` an assert would vanish: 1/2 would truncate to 0,
-        # and a packed degree slot would carry into the X_1 slot
+        # a packed degree slot would carry into the X_1 slot, and a floored
+        # cycle-indicator quotient would go unnoticed
         cases = [
             (
                 "from fractions import Fraction\n"
@@ -77,6 +78,15 @@ class TestConstruction:
                 "from cyclopadic.polyring import MultiPoly\n"
                 "MultiPoly.variable(1) ** 2**16\n",
                 "OverflowError: total degree 65536 exceeds the packed limit",
+            ),
+            (
+                "from cyclopadic import cycle_index\n"
+                "from cyclopadic.polyring import MultiPoly\n"
+                "terms = dict(cycle_index.cycle_indicator(7).terms)\n"
+                "terms[next(iter(terms))] += 1\n"
+                "cycle_index._indicator_cache[7] = MultiPoly(terms, _raw=True)\n"
+                "cycle_index.cycle_indicator(8)\n",
+                "ArithmeticError: non-integral cycle-indicator coefficient in C_8",
             ),
         ]
         src = os.path.dirname(os.path.dirname(cyclopadic.__file__))

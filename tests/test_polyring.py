@@ -10,7 +10,6 @@ from cyclopadic.polyring import (
     MAX_DEGREE,
     MultiPoly,
     UniPoly,
-    _shift_accumulate,
     congruent_mod,
     substitute_univariate,
 )
@@ -58,16 +57,6 @@ def ref_add_scaled(acc: dict, src: dict, scale: int) -> dict:
     out = dict(acc)
     for e, c in src.items():
         out[e] = out.get(e, 0) + scale * c
-    return {e: c for e, c in out.items() if c}
-
-
-def ref_shift(src: dict, var: int, scale: int) -> dict:
-    """scale * X_var * src."""
-    out = {}
-    for e, c in src.items():
-        padded = list(e) + [0] * (var - len(e))
-        padded[var - 1] += 1
-        out[tuple(padded)] = scale * c
     return {e: c for e, c in out.items() if c}
 
 
@@ -179,18 +168,6 @@ class TestKernelParity:
         pa, pb = MultiPoly(a), MultiPoly(b)
         assert view(pa + s * pb) == ref_add_scaled(a, b, s)
         assert view(pa - pb) == ref_add_scaled(a, b, -1)
-
-    @settings(max_examples=150)
-    @given(ref_terms, ref_terms, st.integers(min_value=1, max_value=6),
-           st.integers(min_value=1, max_value=6),
-           st.integers(min_value=-9, max_value=9))
-    def test_shift_accumulate_matches_reference(self, a, b, va, vb, s):
-        # one step of the C_n recurrence: acc += s X_va a + X_vb b
-        acc = {}
-        _shift_accumulate(acc, MultiPoly(a), va, s)
-        _shift_accumulate(acc, MultiPoly(b), vb, 1)
-        expected = ref_add_scaled(ref_shift(a, va, s), ref_shift(b, vb, 1), 1)
-        assert view(MultiPoly(acc, _raw=True)) == expected
 
     @settings(max_examples=150)
     @given(ref_terms)
@@ -335,10 +312,6 @@ class TestPackedLimits:
         b = MultiPoly.monomial((30000,)) + 1
         with pytest.raises(OverflowError):
             a * b
-
-    def test_shift_past_limit_raises(self):
-        with pytest.raises(OverflowError):
-            _shift_accumulate({}, MultiPoly.monomial((0, MAX_DEGREE)), 3, 1)
 
     def test_packing_rejects_bad_exponents(self):
         with pytest.raises(OverflowError):
