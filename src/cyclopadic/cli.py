@@ -7,7 +7,14 @@ Two subcommands:
 * ``verify`` -- run checker sweeps over a (primes, n, r) grid and stream one
   newline-delimited JSON report per (checker, p, n, r) task.
 
-Exit codes: 0 all checks passed, 1 at least one violation, 2 usage error.
+``CHECKER_TABLE`` has one row per checker. The ``verify`` choices, ``verify
+all``, the p = 2 handling and the size guard all read it. The guard runs
+before any task is built. It refuses a grid in which a checker sized by p(N)
+reaches an N with more than 100,000 cycle types, or in which another
+checker's largest n passes 1000 (junod-lemma's trial count is not bounded).
+
+Exit codes: 0 all checks passed, 1 at least one violation, 2 usage error,
+a refused grid included.
 
 Each task is exact, CPU-bound and independent, so ``verify`` runs up to
 ``--threads`` of them at once (default ``os.cpu_count()``) in worker processes
@@ -24,58 +31,28 @@ import sys
 import time
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable, List, Optional, Tuple
+from types import ModuleType
+from typing import Callable, List, NamedTuple, Optional, Tuple
 
-from . import congruences, meixner
+from . import congruences as cg, meixner as mx
 from .cycle_index import CycleType, coefficient, cycle_indicator, partition_count
 from .padic import PadicContext, is_prime
-from .reports import CongruenceReport, Mutation
-
-CHECKERS = [
-    "carlitz-coeff",
-    "carlitz-poly",
-    "prop-coeff",
-    "prop-poly",
-    "corollary1",
-    "remark1",
-    "junod-lemma",
-    "gamma-identity",
-    "gamma-congruence",
-    "binomial-lift",
-    "gamma-ratio",
-    "wilson-sharpness",
-    "meixner-qstar-q",
-    "meixner-qp",
-    "corollary2",
-    "all",
-]
+from .reports import Mutation
 
 # `compute cycle-index N` refuses N whose C_N has more terms than this (C_N has
 # p(N) terms); p(45) = 89,134 is the largest admitted, and C_45 takes a few
 # seconds and about 150 MB with the pure-Python kernel. `verify` refuses a grid
-# in which one of _SIZED_CHECKERS would reach such an N. The tests and the
+# in which a checker sized by p(N) would reach such an N. The tests and the
 # benchmark grids reach at most N = 39 (p(39) = 31,185).
 MAX_CYCLE_INDEX_TERMS = 100_000
 
-# checkers that enumerate the p(N) cycle types of S_N, or build C_N, for each
-# task (checker, p, n, r), where N = r + np
-_SIZED_CHECKERS = {
-    "carlitz-coeff",
-    "prop-coeff",
-    "corollary1",
-    "carlitz-poly",
-    "prop-poly",
-}
-
-# congruences stated only for odd p; run as non-asserted experiments under
-# --allow-p2 where the math still makes sense, skip where it does not
-_ODD_ONLY_HARD = {
-    "wilson-sharpness",
-    "meixner-qstar-q",
-    "meixner-qp",
-    "corollary2",
-    "gamma-congruence",
-}
+# `verify` refuses a grid in which another checker's largest n (or m) is over
+# this. binomial-lift, gamma-ratio and remark1 grow about as n^2.5: at n = 1000
+# one instance takes 0.3 to 11 s for p = 3 to 7 on a 2-core VM, like C_45
+# above. The acceptance module lifts binomials to n = 200, and the CLI tests
+# stay under 500. junod-lemma's trials are not bounded: they are one task
+# whose memory does not grow with them, and 1000 of them take 0.2 s.
+MAX_SCALAR_SIZE = 1000
 
 
 @dataclass
@@ -98,126 +75,116 @@ class UsageError(Exception):
     pass
 
 
-def _r_values(spec: SweepSpec, p: int, lo_default: int) -> range:
-    lo, hi = spec.r_range if spec.r_range else (lo_default, p - 1)
-    lo = max(lo, lo_default)
-    hi = min(hi, p - 1)
-    return range(lo, hi + 1)
+class Checker(NamedTuple):
+    """A checker: ``module.function(*args, ctx, mutation)`` at each grid point."""
+
+    name: str
+    module: ModuleType
+    function: str  # looked up in module when the tasks are built
+    grid: str  # the (n, r) of its tasks at p, see _grid
+    args: str  # the leading arguments, among n, r, trials and seed
+    size: str  # its largest instance: "p(N)" at N = r + np, or n, m or trials
+    p2: str = "advisory"  # at p = 2: "advisory", "asserted", or "odd" (no task)
 
 
-def _build_tasks(spec: SweepSpec, checker: str, p: int):
-    """Yield (sort_key, thunk) pairs for one checker at one prime."""
-    ctx = PadicContext(p)
-    mut = spec.mutation
-    advisory = p == 2 and checker not in ("junod-lemma", "gamma-identity",
-                                          "binomial-lift", "gamma-ratio")
+# One row per checker, in report order (tasks sort by checker name first).
+CHECKER_TABLE = [
+    Checker("binomial-lift", cg, "report_binomial_lift", "n", "n", "n", "asserted"),
+    Checker("carlitz-coeff", cg, "check_carlitz_coeff", "np", "n", "p(N)"),
+    Checker("carlitz-poly", cg, "check_carlitz_poly", "rnp0", "r n", "p(N)"),
+    Checker("corollary1", cg, "check_corollary1", "rnp1", "r n", "p(N)"),
+    Checker("corollary2", mx, "check_corollary2", "np", "n", "n", "odd"),
+    Checker("gamma-congruence", cg, "report_gamma_congruence", "cap", "n", "m", "odd"),
+    Checker("gamma-identity", cg, "report_gamma_identity", "n", "n", "m", "asserted"),
+    Checker("gamma-ratio", cg, "check_formula_gamma_ratio", "n", "n", "n", "asserted"),
+    Checker("junod-lemma", cg, "check_junod_lemma", "once", "trials seed", "trials",
+            "asserted"),
+    Checker("meixner-qp", mx, "check_junod_qp", "once", "", "n", "odd"),
+    Checker("meixner-qstar-q", mx, "check_junod_qstar_q", "np", "n", "n", "odd"),
+    Checker("prop-coeff", cg, "check_prop_coeff", "np", "n", "p(N)"),
+    Checker("prop-poly", cg, "check_prop_poly", "rnp0", "r n", "p(N)"),
+    Checker("remark1", cg, "check_remark1", "rnp1", "r n", "n"),
+    Checker("wilson-sharpness", cg, "check_wilson_sharpness", "pn", "n", "n", "odd"),
+]
+CHECKERS = [row.name for row in CHECKER_TABLE] + ["all"]
 
-    def task(key, fn):
-        return key, fn, advisory
 
-    if checker in ("carlitz-coeff", "prop-coeff"):
-        fn = (
-            congruences.check_carlitz_coeff
-            if checker == "carlitz-coeff"
-            else congruences.check_prop_coeff
-        )
-        for n in range(1, spec.n_max + 1):
-            if n * p <= spec.degree_cap:
-                yield task((checker, p, n, 0), lambda n=n, fn=fn: fn(n, ctx, mut))
-    elif checker in ("carlitz-poly", "prop-poly"):
-        fn = (
-            congruences.check_carlitz_poly
-            if checker == "carlitz-poly"
-            else congruences.check_prop_poly
-        )
-        for n in range(1, spec.n_max + 1):
-            for r in _r_values(spec, p, 0):
-                if r + n * p <= spec.degree_cap:
-                    yield task(
-                        (checker, p, n, r),
-                        lambda r=r, n=n, fn=fn: fn(r, n, ctx, mut),
-                    )
-    elif checker == "corollary1":
-        for n in range(1, spec.n_max + 1):
-            for r in _r_values(spec, p, 1):
-                if r + n * p <= spec.degree_cap:
-                    yield task(
-                        (checker, p, n, r),
-                        lambda r=r, n=n: congruences.check_corollary1(
-                            r, n, ctx, mut
-                        ),
-                    )
-    elif checker == "remark1":
-        for n in range(1, spec.n_max + 1):
-            for r in _r_values(spec, p, 1):
-                if r + n * p <= spec.degree_cap:
-                    yield task(
-                        (checker, p, n, r),
-                        lambda r=r, n=n: congruences.check_remark1(r, n, ctx, mut),
-                    )
-    elif checker == "junod-lemma":
-        yield task(
-            (checker, p, 0, 0),
-            lambda: congruences.check_junod_lemma(spec.trials, spec.seed, ctx, mut),
-        )
-    elif checker == "gamma-identity":
-        for m in range(1, spec.n_max + 1):
-            yield task(
-                (checker, p, m, 0),
-                lambda m=m: congruences.report_gamma_identity(m, ctx, mut),
+def _grid(spec: SweepSpec, row: Checker, p: int) -> Tuple[range, Callable]:
+    """The n of row's sweep at p, and the r at each n.
+
+    "once" is one task at n = 0, "n" is n = 1..n_max, "np" keeps those with
+    np <= degree cap, "cap" is 1..degree cap // p, "pn" is p, 2p, .., p*n_max;
+    r is 0. "rnp0" and "rnp1" take r from 0 or 1 to p - 1, within --r-range,
+    with r + np <= degree cap, so their n stop where the smallest r passes it.
+    """
+    cap = spec.degree_cap
+    if row.grid.startswith("rnp"):
+        lo, hi = spec.r_range or (0, p - 1)
+        lo, hi = max(lo, int(row.grid[3:])), min(hi, p - 1)
+        ns = range(1, min(spec.n_max, (cap - lo) // p) + 1)
+        return ns, lambda n: range(lo, min(hi, cap - n * p) + 1)
+    return {
+        "once": range(1),
+        "n": range(1, spec.n_max + 1),
+        "np": range(1, min(spec.n_max, cap // p) + 1),
+        "cap": range(1, cap // p + 1),
+        "pn": range(p, p * spec.n_max + 1, p),
+    }[row.grid], lambda n: range(1)
+
+
+def _rows(spec: SweepSpec) -> List[Checker]:
+    rows = [row for row in CHECKER_TABLE if spec.checker in (row.name, "all")]
+    if not rows:
+        raise UsageError(f"unknown checker {spec.checker!r}")
+    return rows
+
+
+def _primes(spec: SweepSpec, row: Checker) -> List[int]:
+    return [p for p in spec.primes if p != 2 or row.p2 != "odd"]
+
+
+def _largest(spec: SweepSpec, row: Checker, p: int) -> int:
+    """The N = r + np, n or m of row's largest instance at p, 0 for no task."""
+    ns, r_of = _grid(spec, row, p)
+    rs = r_of(ns[-1]) if ns else ()
+    if not rs:
+        return 0
+    return rs[-1] + ns[-1] * p if row.size == "p(N)" else ns[-1]
+
+
+def _check_sizes(spec: SweepSpec) -> None:
+    """Refuse a grid whose largest instance of some checker is over its limit."""
+    for row in _rows(spec):
+        if row.size == "trials":
+            continue
+        big = max((_largest(spec, row, p) for p in _primes(spec, row)), default=0)
+        if row.size != "p(N)":
+            if big > MAX_SCALAR_SIZE:
+                raise UsageError(f"{row.name} reaches {row.size} = {big}, over "
+                                 f"the limit of {MAX_SCALAR_SIZE}")
+        elif (terms := partition_count(big)) > MAX_CYCLE_INDEX_TERMS:
+            raise UsageError(
+                f"{row.name} reaches N = {big}, and S_{big} has p({big}) = "
+                f"{terms} cycle types, over the limit of {MAX_CYCLE_INDEX_TERMS}"
             )
-    elif checker == "gamma-congruence":
-        for m in range(1, spec.degree_cap // p + 1):
-            yield task(
-                (checker, p, m, 0),
-                lambda m=m: congruences.report_gamma_congruence(m, ctx, mut),
-            )
-    elif checker == "binomial-lift":
-        for n in range(1, spec.n_max + 1):
-            yield task(
-                (checker, p, n, 0),
-                lambda n=n: congruences.report_binomial_lift(n, ctx, mut),
-            )
-    elif checker == "gamma-ratio":
-        for n in range(1, spec.n_max + 1):
-            yield task(
-                (checker, p, n, 0),
-                lambda n=n: congruences.check_formula_gamma_ratio(n, ctx, mut),
-            )
-    elif checker == "wilson-sharpness":
-        for j in range(1, spec.n_max + 1):
-            yield task(
-                (checker, p, p * j, 0),
-                lambda n=p * j: congruences.check_wilson_sharpness(n, ctx, mut),
-            )
-    elif checker == "meixner-qstar-q":
-        for n in range(1, spec.n_max + 1):
-            if n * p <= spec.degree_cap:
-                yield task(
-                    (checker, p, n, 0),
-                    lambda n=n: meixner.check_junod_qstar_q(n, ctx, mut),
-                )
-    elif checker == "meixner-qp":
-        yield task((checker, p, 0, 0), lambda: meixner.check_junod_qp(ctx, mut))
-    elif checker == "corollary2":
-        for n in range(1, spec.n_max + 1):
-            if n * p <= spec.degree_cap:
-                yield task(
-                    (checker, p, n, 0),
-                    lambda n=n: meixner.check_corollary2(n, ctx, mut),
-                )
-    else:
-        raise UsageError(f"unknown checker {checker!r}")
 
 
 def build_all_tasks(spec: SweepSpec):
-    checkers = CHECKERS[:-1] if spec.checker == "all" else [spec.checker]
+    """(sort key, thunk, advisory) per task, sorted; a refused grid builds none."""
+    _check_sizes(spec)
     tasks = []
-    for checker in checkers:
-        for p in spec.primes:
-            if p == 2 and checker in _ODD_ONLY_HARD:
-                continue
-            tasks.extend(_build_tasks(spec, checker, p))
+    for row in _rows(spec):
+        fn = getattr(row.module, row.function)
+        for p in _primes(spec, row):
+            ctx = PadicContext(p)
+            ns, r_of = _grid(spec, row, p)
+            for n in ns:
+                for r in r_of(n):
+                    values = dict(n=n, r=r, trials=spec.trials, seed=spec.seed)
+                    args = [values[a] for a in row.args.split()]
+                    thunk = partial(fn, *args, ctx, spec.mutation)
+                    tasks.append(((row.name, p, n, r), thunk,
+                                  p == 2 and row.p2 == "advisory"))
     tasks.sort(key=lambda t: t[0])
     return tasks
 
@@ -238,17 +205,6 @@ def run_verify(spec: SweepSpec, out) -> int:
         if p == 2 and not spec.allow_p2:
             raise UsageError("p=2 sweeps require --allow-p2")
     tasks = build_all_tasks(spec)
-    largest = {}
-    for (checker, p, n, r), _, _ in tasks:
-        if checker in _SIZED_CHECKERS:
-            largest[checker] = max(largest.get(checker, 0), r + n * p)
-    for checker, big in sorted(largest.items()):
-        terms = partition_count(big)
-        if terms > MAX_CYCLE_INDEX_TERMS:
-            raise UsageError(
-                f"{checker} reaches N = {big}, and S_{big} has p({big}) = "
-                f"{terms} cycle types, over the limit of {MAX_CYCLE_INDEX_TERMS}"
-            )
 
     def run_one(entry):
         key, fn, advisory = entry
@@ -287,15 +243,9 @@ def run_verify(spec: SweepSpec, out) -> int:
         _sweep.clear()
     results.sort(key=lambda kr: kr[0])
 
-    failed = False
     for _, report in results:
-        if spec.fmt == "json":
-            out.write(report.to_json() + "\n")
-        else:
-            out.write(report.to_text() + "\n")
-        if report.violations and not report.advisory:
-            failed = True
-    return 1 if failed else 0
+        out.write((report.to_json() if spec.fmt == "json" else report.to_text()) + "\n")
+    return int(any(r.violations and not r.advisory for _, r in results))
 
 
 def _parse_cycle_type(n: int, text: str) -> CycleType:
@@ -331,10 +281,10 @@ def run_compute(args, out) -> int:
         ct = _parse_cycle_type(n, args.cycle_type)
         out.write(str(coefficient(ct)) + "\n")
     elif obj == "meixner-q":
-        poly = meixner.meixner_q(n)
+        poly = mx.meixner_q(n)
         out.write((poly.to_json() if args.format == "json" else repr(poly)) + "\n")
     elif obj == "meixner-qstar":
-        poly = meixner.meixner_qstar(n)
+        poly = mx.meixner_qstar(n)
         out.write((poly.to_json() if args.format == "json" else repr(poly)) + "\n")
     else:
         raise UsageError(f"unknown object {obj!r}")

@@ -20,7 +20,7 @@ from .cycle_index import (
     enumerate_cycle_types,
 )
 from .padic import PadicContext, binomial
-from .polyring import MultiPoly
+from .polyring import MultiPoly, Poly, congruence_witnesses
 from .reports import CongruenceReport, Mutation, MutationTap
 
 
@@ -42,21 +42,25 @@ def _mutate_poly(poly: MultiPoly, mutation: Optional[Mutation]) -> MultiPoly:
     return poly + MultiPoly.monomial(e, mutation.delta)
 
 
-def _compare_polys(
+def compare_polys(
     report: CongruenceReport,
-    lhs: MultiPoly,
-    rhs: MultiPoly,
+    lhs: Poly,
+    rhs: Poly,
     modulus: int,
     ctx: PadicContext,
     tag: str = "",
 ) -> None:
-    req = ctx.vp(modulus)
-    report.instances += max(len(lhs), len(rhs))
-    for e, c in (lhs - rhs).nondivisible_terms(ctx.p**req):
-        instance = {"exponents": list(e)}
+    """Compare two MultiPolys or two UniPolys coefficientwise mod modulus*Z_p.
+
+    Counts the longer operand's coefficients as instances and adds one
+    violation per coefficient that differs, tagged with ``form`` if given.
+    """
+    size = len if isinstance(lhs, MultiPoly) else (lambda u: len(u.coeffs))
+    report.instances += max(size(lhs), size(rhs))
+    for place, c, observed, req in congruence_witnesses(lhs, rhs, modulus, ctx):
         if tag:
-            instance["form"] = tag
-        report.add_violation(instance, c, modulus, ctx.vp(c), req)
+            place["form"] = tag
+        report.add_violation(place, c, modulus, observed, req)
 
 
 def _carlitz_branch(
@@ -134,10 +138,10 @@ def _poly_congruence_report(
     x1p = MultiPoly.variable(1) ** p
     xp = MultiPoly.variable(p)
     rhs = (x1p - xp) ** n * cr
-    _compare_polys(report, lhs, rhs, modulus, ctx)
+    compare_polys(report, lhs, rhs, modulus, ctx)
     if cross_check_sign_form:
         rhs2 = (x1p + (-1) ** p * xp) ** n * cr
-        _compare_polys(report, lhs, rhs2, modulus, ctx, tag="signed")
+        compare_polys(report, lhs, rhs2, modulus, ctx, tag="signed")
     return report
 
 
@@ -277,16 +281,11 @@ def check_junod_lemma(
         modulus = m * n
         lhs = _mutate_poly(alpha**n, mutation if trial == 0 else None)
         report.instances += 1
-        req = ctx.vp(modulus)
-        bad = (lhs - beta**n).nondivisible_terms(p**req)
+        bad = congruence_witnesses(lhs, beta**n, modulus, ctx)
         if bad:
-            e, c = bad[0]
+            place, c, observed, req = bad[0]
             report.add_violation(
-                {"trial": trial, "m": m, "n": n, "exponents": list(e)},
-                c,
-                modulus,
-                ctx.vp(c),
-                req,
+                dict(place, trial=trial, m=m, n=n), c, modulus, observed, req
             )
     return report
 

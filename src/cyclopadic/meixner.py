@@ -17,6 +17,7 @@ from fractions import Fraction
 from math import factorial
 from typing import List, Optional
 
+from .congruences import compare_polys
 from .cycle_index import cycle_indicator
 from .padic import PadicContext
 from .polyring import UniPoly, substitute_univariate
@@ -134,23 +135,6 @@ def _mutate_unipoly(poly: UniPoly, mutation: Optional[Mutation]) -> UniPoly:
     return UniPoly(coeffs)
 
 
-def _compare_unipolys(
-    report: CongruenceReport,
-    lhs: UniPoly,
-    rhs: UniPoly,
-    modulus: int,
-    ctx: PadicContext,
-    tag: str = "",
-) -> None:
-    req = ctx.vp(modulus)
-    report.instances += max(len(lhs.coeffs), len(rhs.coeffs))
-    for d, c in (lhs - rhs).nondivisible_terms(ctx.p**req):
-        instance = {"degree": d}
-        if tag:
-            instance["form"] = tag
-        report.add_violation(instance, c, modulus, ctx.vp(c), req)
-
-
 def _require_odd(ctx: PadicContext) -> None:
     if ctx.p == 2:
         raise ValueError("this congruence is stated for odd p only")
@@ -167,7 +151,7 @@ def check_junod_qstar_q(
         "meixner-qstar-q", {"p": p, "n": n, "modulus": modulus}
     )
     lhs = _mutate_unipoly(meixner_qstar(n * p), mutation)
-    _compare_unipolys(report, lhs, meixner_q(n * p), modulus, ctx)
+    compare_polys(report, lhs, meixner_q(n * p), modulus, ctx)
     return report
 
 
@@ -181,7 +165,7 @@ def check_junod_qp(
     x = UniPoly.x()
     target = x**p - (-1) ** ((p - 1) // 2) * x
     lhs = _mutate_unipoly(meixner_q(p), mutation)
-    _compare_unipolys(report, lhs, target, p, ctx)
+    compare_polys(report, lhs, target, p, ctx)
     return report
 
 
@@ -197,7 +181,7 @@ def check_corollary2(
     )
     lhs = _mutate_unipoly(meixner_q(n * p), mutation)
     x = UniPoly.x()
-    _compare_unipolys(report, lhs, meixner_q(p) ** n, modulus, ctx, tag="qp-power")
+    compare_polys(report, lhs, meixner_q(p) ** n, modulus, ctx, tag="qp-power")
     closed = (x**p - (-1) ** ((p - 1) // 2) * x) ** n
-    _compare_unipolys(report, lhs, closed, modulus, ctx, tag="closed-form")
+    compare_polys(report, lhs, closed, modulus, ctx, tag="closed-form")
     return report

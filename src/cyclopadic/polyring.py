@@ -23,8 +23,9 @@ Two representations:
 * :class:`UniPoly` -- dense univariate polynomials, coefficient list
   indexed by degree.
 
-Coefficientwise congruence mod m*Z_p is provided by :func:`congruent_mod`,
-on top of :meth:`MultiPoly.nondivisible_terms`.
+Coefficientwise congruence mod m*Z_p is decided by
+:func:`congruence_witnesses`, on top of the ``nondivisible_terms`` of the
+difference; :func:`congruent_mod` and the checkers' reports both read it.
 """
 from __future__ import annotations
 
@@ -560,12 +561,10 @@ def substitute_univariate(a: MultiPoly, images: Mapping[int, UniPoly]) -> UniPol
 Poly = Union[MultiPoly, UniPoly, int]
 
 
-def congruent_mod(a: Poly, b: Poly, m: int, ctx: PadicContext):
-    """Coefficientwise test of a = b (mod m*Z_p).
-
-    Returns (True, None) on success, else (False, witness) where the witness
-    names the first offending monomial, the coefficient difference, and the
-    observed/required valuations.
+def congruence_witnesses(a: Poly, b: Poly, m: int, ctx: PadicContext) -> list:
+    """(place, difference, observed vp, required vp) for each coefficient at
+    which a and b differ mod m*Z_p, in ``nondivisible_terms`` order; place is
+    ``{"exponents": [...]}`` for MultiPolys and ``{"degree": d}`` for UniPolys.
     """
     if m == 0:
         raise ValueError("modulus m must be nonzero")
@@ -574,23 +573,29 @@ def congruent_mod(a: Poly, b: Poly, m: int, ctx: PadicContext):
     if isinstance(a, int):
         a = MultiPoly.constant(a)
     if isinstance(b, int):
-        b = (
-            UniPoly.constant(b)
-            if isinstance(a, UniPoly)
-            else MultiPoly.constant(b)
-        )
+        b = UniPoly.constant(b) if isinstance(a, UniPoly) else MultiPoly.constant(b)
 
     if not (
         isinstance(a, UniPoly) and isinstance(b, UniPoly)
         or isinstance(a, MultiPoly) and isinstance(b, MultiPoly)
     ):
-        raise TypeError("congruent_mod requires two polynomials of the same kind")
-    bad = (a - b).nondivisible_terms(ctx.p**req)
+        raise TypeError("a congruence needs two polynomials of the same kind")
+    uni = isinstance(a, UniPoly)
+    return [
+        ({"degree": w} if uni else {"exponents": list(w)}, c, ctx.vp(c), req)
+        for w, c in (a - b).nondivisible_terms(ctx.p**req)
+    ]
+
+
+def congruent_mod(a: Poly, b: Poly, m: int, ctx: PadicContext):
+    """Coefficientwise test of a = b (mod m*Z_p).
+
+    Returns (True, None) on success, else (False, witness) where the witness
+    names the first offending monomial, the coefficient difference, and the
+    observed/required valuations.
+    """
+    bad = congruence_witnesses(a, b, m, ctx)
     if not bad:
         return True, None
-    where, c = bad[0]
-    witness = (
-        {"degree": where} if isinstance(a, UniPoly) else {"exponents": list(where)}
-    )
-    witness.update(difference=c, observed_vp=ctx.vp(c), required_vp=req)
-    return False, witness
+    place, c, observed, req = bad[0]
+    return False, dict(place, difference=c, observed_vp=observed, required_vp=req)

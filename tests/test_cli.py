@@ -4,7 +4,15 @@ import time
 import pytest
 
 from cyclopadic import congruences
-from cyclopadic.cli import MAX_CYCLE_INDEX_TERMS, main
+from cyclopadic.cli import (
+    CHECKER_TABLE,
+    MAX_CYCLE_INDEX_TERMS,
+    MAX_SCALAR_SIZE,
+    SweepSpec,
+    UsageError,
+    build_all_tasks,
+    main,
+)
 
 pytestmark = pytest.mark.filterwarnings("ignore")
 
@@ -241,3 +249,85 @@ class TestVerify:
         assert code == 0
         rs = [json.loads(line)["params"]["r"] for line in text.splitlines()]
         assert rs == [1, 2]
+
+
+SMALL_GRID = ["--primes", "3,5", "--n-max", "2", "--degree-cap", "16",
+              "--trials", "10"]
+
+
+@pytest.fixture(scope="module")
+def all_small_grid(tmp_path_factory):
+    code, text = run(tmp_path_factory.mktemp("all"), "verify", "all", *SMALL_GRID)
+    assert code == 0
+    return text.splitlines()
+
+
+class TestCheckerTable:
+    def test_rows_are_in_report_order(self):
+        names = [row.name for row in CHECKER_TABLE]
+        assert names == sorted(names) and len(set(names)) == len(names)
+
+    @pytest.mark.parametrize("row", CHECKER_TABLE, ids=lambda row: row.name)
+    def test_checker_gives_its_lines_of_all(self, tmp_path, all_small_grid, row):
+        code, text = run(tmp_path, "verify", row.name, *SMALL_GRID)
+        assert code == 0
+        mine = [line for line in all_small_grid
+                if json.loads(line)["checker"] == row.name]
+        assert mine and text.splitlines() == mine
+
+    def test_p2_columns(self, tmp_path):
+        code, text = run(tmp_path, "verify", "all", "--primes", "2,3", "--allow-p2",
+                         "--n-max", "2", "--degree-cap", "12", "--trials", "10")
+        assert code == 0
+        marks = {}
+        for line in text.splitlines():
+            report = json.loads(line)
+            key = (report["checker"], report["params"]["p"])
+            marks.setdefault(key, set()).add(report.get("advisory", False))
+        assert all(len(m) == 1 for m in marks.values())
+        names = {row.name for row in CHECKER_TABLE}
+        odd_only = {"corollary2", "gamma-congruence", "meixner-qp",
+                    "meixner-qstar-q", "wilson-sharpness"}
+        exempt = {"binomial-lift", "gamma-identity", "gamma-ratio", "junod-lemma"}
+        assert {c for c, p in marks if p == 3} == names
+        assert {c for c, p in marks if p == 2} == names - odd_only
+        assert {c for (c, p), m in marks.items() if m == {True}} == (
+            names - odd_only - exempt
+        )
+
+    def test_n_loop_stops_at_the_degree_cap(self, tmp_path):
+        args = ["verify", "prop-poly", "--primes", "3", "--degree-cap", "12",
+                "--threads", "1"]
+        start = time.monotonic()
+        huge = run(tmp_path, *args, "--n-max", "3000000")
+        assert time.monotonic() - start < 1.0
+        assert huge == run(tmp_path, *args, "--n-max", "4")
+        # r + 3n <= 12: r = 0..2 for n = 1..3, and (n, r) = (4, 0)
+        assert huge[0] == 0 and len(huge[1].splitlines()) == 10
+
+    def test_scalar_ceiling(self, tmp_path, capsys):
+        start = time.monotonic()
+        code, text = run(tmp_path, "verify", "binomial-lift", "--primes", "3,5",
+                         "--n-max", "1000000")
+        assert time.monotonic() - start < 1.0
+        assert code == 2 and text == ""
+        assert capsys.readouterr().err == (
+            "error: binomial-lift reaches n = 1000000, over the limit of "
+            f"{MAX_SCALAR_SIZE}\n"
+        )
+
+    @pytest.mark.parametrize("checker, field, top", [
+        ("binomial-lift", "n_max", MAX_SCALAR_SIZE),
+        ("wilson-sharpness", "n_max", MAX_SCALAR_SIZE // 3),  # n = 3j
+        ("gamma-congruence", "degree_cap", 3 * MAX_SCALAR_SIZE + 2),  # m <= cap // 3
+    ])
+    def test_scalar_ceiling_boundary(self, checker, field, top):
+        spec = SweepSpec(checker, [3], **{field: top})
+        assert build_all_tasks(spec)
+        setattr(spec, field, top + 1)
+        with pytest.raises(UsageError, match=f"over the limit of {MAX_SCALAR_SIZE}"):
+            build_all_tasks(spec)
+
+    def test_trials_are_not_bounded(self):
+        spec = SweepSpec("junod-lemma", [3], trials=100 * MAX_SCALAR_SIZE)
+        assert len(build_all_tasks(spec)) == 1
