@@ -2,6 +2,7 @@
 
 from .cycle_index import (
     CycleType,
+    class_sizes,
     coefficient,
     cycle_indicator,
     enumerate_cycle_types,
@@ -24,6 +25,7 @@ __all__ = [
     "PadicContext",
     "UniPoly",
     "binomial",
+    "class_sizes",
     "coefficient",
     "congruent_mod",
     "cycle_indicator",

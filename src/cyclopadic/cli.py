@@ -10,8 +10,9 @@ Two subcommands:
 ``CHECKER_TABLE`` has one row per checker. The ``verify`` choices, ``verify
 all``, the p = 2 handling and the size guard all read it. The guard runs
 before any task is built. It refuses a grid in which a checker sized by p(N)
-reaches an N with more than 100,000 cycle types, or in which another
-checker's largest n passes 1000 (junod-lemma's trial count is not bounded).
+reaches an N with more than 100,000 cycle types, in which a Meixner checker
+builds a polynomial of degree over 100, or in which another checker's largest
+n passes 1000 (junod-lemma's trial count is not bounded).
 
 Exit codes: 0 all checks passed, 1 at least one violation, 2 usage error,
 a refused grid included.
@@ -54,6 +55,13 @@ MAX_CYCLE_INDEX_TERMS = 100_000
 # whose memory does not grow with them, and 1000 of them take 0.2 s.
 MAX_SCALAR_SIZE = 1000
 
+# `verify` refuses a grid in which a Meixner checker builds a Q_d of degree d
+# over this: corollary2 and meixner-qstar-q build degree np, meixner-qp degree
+# p. Q_d comes from an exact rational series whose cost grows about as d^3, and
+# whose cache may grow to almost twice the largest degree asked for: on a 2-core
+# VM Q_100 takes 2 s and Q_198 14 s. The acceptance module reaches np = 66.
+MAX_MEIXNER_DEGREE = 100
+
 
 @dataclass
 class SweepSpec:
@@ -83,7 +91,8 @@ class Checker(NamedTuple):
     function: str  # looked up in module when the tasks are built
     grid: str  # the (n, r) of its tasks at p, see _grid
     args: str  # the leading arguments, among n, r, trials and seed
-    size: str  # its largest instance: "p(N)" at N = r + np, or n, m or trials
+    size: str  # its largest instance: "p(N)" at N = r + np, degree "np" or
+    # "p", or n, m or trials
     p2: str = "advisory"  # at p = 2: "advisory", "asserted", or "odd" (no task)
 
 
@@ -93,14 +102,14 @@ CHECKER_TABLE = [
     Checker("carlitz-coeff", cg, "check_carlitz_coeff", "np", "n", "p(N)"),
     Checker("carlitz-poly", cg, "check_carlitz_poly", "rnp0", "r n", "p(N)"),
     Checker("corollary1", cg, "check_corollary1", "rnp1", "r n", "p(N)"),
-    Checker("corollary2", mx, "check_corollary2", "np", "n", "n", "odd"),
+    Checker("corollary2", mx, "check_corollary2", "np", "n", "np", "odd"),
     Checker("gamma-congruence", cg, "report_gamma_congruence", "cap", "n", "m", "odd"),
     Checker("gamma-identity", cg, "report_gamma_identity", "n", "n", "m", "asserted"),
     Checker("gamma-ratio", cg, "check_formula_gamma_ratio", "n", "n", "n", "asserted"),
     Checker("junod-lemma", cg, "check_junod_lemma", "once", "trials seed", "trials",
             "asserted"),
-    Checker("meixner-qp", mx, "check_junod_qp", "once", "", "n", "odd"),
-    Checker("meixner-qstar-q", mx, "check_junod_qstar_q", "np", "n", "n", "odd"),
+    Checker("meixner-qp", mx, "check_junod_qp", "once", "", "p", "odd"),
+    Checker("meixner-qstar-q", mx, "check_junod_qstar_q", "np", "n", "np", "odd"),
     Checker("prop-coeff", cg, "check_prop_coeff", "np", "n", "p(N)"),
     Checker("prop-poly", cg, "check_prop_poly", "rnp0", "r n", "p(N)"),
     Checker("remark1", cg, "check_remark1", "rnp1", "r n", "n"),
@@ -144,12 +153,16 @@ def _primes(spec: SweepSpec, row: Checker) -> List[int]:
 
 
 def _largest(spec: SweepSpec, row: Checker, p: int) -> int:
-    """The N = r + np, n or m of row's largest instance at p, 0 for no task."""
+    """The N = r + np, degree np or p, n or m of row's largest instance at p.
+
+    0 for no task.
+    """
     ns, r_of = _grid(spec, row, p)
     rs = r_of(ns[-1]) if ns else ()
     if not rs:
         return 0
-    return rs[-1] + ns[-1] * p if row.size == "p(N)" else ns[-1]
+    n, r = ns[-1], rs[-1]
+    return {"p(N)": r + n * p, "np": n * p, "p": p}.get(row.size, n)
 
 
 def _check_sizes(spec: SweepSpec) -> None:
@@ -159,9 +172,10 @@ def _check_sizes(spec: SweepSpec) -> None:
             continue
         big = max((_largest(spec, row, p) for p in _primes(spec, row)), default=0)
         if row.size != "p(N)":
-            if big > MAX_SCALAR_SIZE:
+            limit = MAX_MEIXNER_DEGREE if row.size in ("np", "p") else MAX_SCALAR_SIZE
+            if big > limit:
                 raise UsageError(f"{row.name} reaches {row.size} = {big}, over "
-                                 f"the limit of {MAX_SCALAR_SIZE}")
+                                 f"the limit of {limit}")
         elif (terms := partition_count(big)) > MAX_CYCLE_INDEX_TERMS:
             raise UsageError(
                 f"{row.name} reaches N = {big}, and S_{big} has p({big}) = "

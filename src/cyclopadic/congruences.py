@@ -7,6 +7,12 @@ violations carry enough witness data to be actionable without a rerun.
 Coefficient-level checkers recompute coefficients from the closed formula
 rather than reading them out of the constructed polynomial, so the
 coefficient checks and the polynomial builder fail independently.
+carlitz-coeff, prop-coeff and corollary1 read every class of their degree
+from one stream, ``cycle_index.class_sizes``: its pairs (i, m_i), largest
+part first, and its size n!/z, each checked for part sum and integrality.
+They read m_1, m_p and whether a class has only parts 1 and p from the
+pairs, and build the dense multiplicity vector only for a witness (and for
+the few classes of corollary1's branch (a)).
 """
 from __future__ import annotations
 
@@ -14,10 +20,10 @@ import random
 from typing import Optional, Tuple
 
 from .cycle_index import (
-    coefficient,
+    class_sizes,
     coefficient_raw,
     cycle_indicator,
-    enumerate_cycle_types,
+    multiplicity_vector,
 )
 from .padic import PadicContext, binomial
 from .polyring import MultiPoly, Poly, congruence_witnesses
@@ -63,16 +69,6 @@ def compare_polys(
         report.add_violation(place, c, modulus, observed, req)
 
 
-def _carlitz_branch(
-    parts: Tuple[Tuple[int, int], ...], p: int
-) -> Tuple[bool, int, int]:
-    """(pure 1/p class?, m_1, m_p) of a class given by its parts, largest first."""
-    mult = dict(parts)
-    m1 = mult.get(1, 0)
-    mp = mult.get(p, 0)
-    return len(mult) == (m1 > 0) + (mp > 0), m1, mp
-
-
 def _coeff_congruence_report(
     name: str,
     n: int,
@@ -87,15 +83,22 @@ def _coeff_congruence_report(
     req = ctx.vp(modulus)
     q = p**req
     tap = MutationTap(mutation)
-    for ct in enumerate_cycle_types(n * p):
-        pure, _, mp = _carlitz_branch(ct.parts, p)
-        c = tap.tap(coefficient(ct))
+    for parts, c in class_sizes(n * p):
+        c = tap.tap(c)
+        # parts are largest first: a pure class is 1^np, or p^m_p with at
+        # most a second part 1
+        k, mp = parts[0]
+        if k == 1:
+            pure, mp = True, 0
+        else:
+            pure = k == p and len(parts) <= 2 and parts[-1][0] in (1, p)
         expected = sign**mp * binomial(n, mp) if pure else 0
         report.instances += 1
         diff = c - expected
         if diff % q:
             report.add_violation(
-                {"cycle_type": list(ct.m), "branch": 1 if pure else 2},
+                {"cycle_type": multiplicity_vector(n * p, parts),
+                 "branch": 1 if pure else 2},
                 diff,
                 modulus,
                 ctx.vp(diff),
@@ -187,11 +190,20 @@ def check_corollary1(
     req = ctx.vp(modulus)
     q = p**req
     tap = MutationTap(mutation)
-    for ct in enumerate_cycle_types(r + n * p):
-        _, m1, mp = _carlitz_branch(ct.parts, p)
-        c = tap.tap(coefficient(ct))
+    for parts, c in class_sizes(r + n * p):
+        c = tap.tap(c)
+        # branch (a) needs m_1 + p*m_p >= np, so the other parts sum to at
+        # most r < p: the largest part is p or below p. A largest part above
+        # p leaves m_1 < np, and branch (b) is taken whatever m_p is.
+        k, mp = parts[0]
+        if k != p:
+            mp = 0
+        i, m1 = parts[-1]
+        if i != 1:
+            m1 = 0
         if mp <= n and m1 >= p * (n - mp):
-            cr = coefficient_raw(r, (m1 + p * mp - n * p,) + ct.m[1:r])
+            m = multiplicity_vector(r + n * p, parts)
+            cr = coefficient_raw(r, (m1 + p * mp - n * p, *m[1:r]))
             expected = (-1) ** (p * mp) * binomial(n, mp) * cr
             branch = "a"
         else:
@@ -201,7 +213,8 @@ def check_corollary1(
         diff = c - expected
         if diff % q:
             report.add_violation(
-                {"cycle_type": list(ct.m), "branch": branch},
+                {"cycle_type": multiplicity_vector(r + n * p, parts),
+                 "branch": branch},
                 diff,
                 modulus,
                 ctx.vp(diff),

@@ -4,12 +4,18 @@ The indicator of S_n lives in Z[X_1..X_n]; its term for the cycle type
 (m_1,...,m_n) (m_i cycles of length i, sum of i*m_i = n) has coefficient
 n! / prod_i i^m_i * m_i!, the size of the class.
 
-A :class:`CycleType` holds its class twice: densely as ``m`` and sparsely
-as ``parts``, the pairs (i, m_i) with m_i > 0, largest part first.
-:func:`enumerate_cycle_types` visits the classes in reverse-lexicographic
-order of their partitions (n first, 1^n last), stepping from one class to
-the next in multiplicity form; :func:`coefficient` evaluates the closed
-formula over ``parts``.
+The package has one partition successor step, in :func:`class_sizes`. It
+visits the classes in reverse-lexicographic order of their partitions (n
+first, 1^n last) on a stack of the pairs (i, m_i), largest part first, and
+yields each class as those ``parts`` with its size n!/z. Beside the pairs it
+keeps the prefix products of the weights i^m_i * m_i! and the prefix sums of
+i * m_i, so a class costs a few multiplications and one division of n!.
+Every class is checked with ``ArithmeticError``, which survives ``python -O``:
+its part sum must be n, and n!/z must be an integer. The coefficient
+checkers read this stream. :func:`enumerate_cycle_types` is a view of it that
+wraps each class as a :class:`CycleType`, which holds the class twice:
+densely as ``m`` and sparsely as ``parts``. :func:`coefficient` evaluates the
+closed formula for one class, and is the oracle of the stream in the tests.
 
 :func:`cycle_indicator` is the one production route to C_n: memoized, it
 builds each class of n once, from the cached class of n - k that lacks one
@@ -22,7 +28,7 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass, field
 from math import factorial
-from typing import Iterable, Iterator, Tuple
+from typing import Iterable, Iterator, List, Tuple
 
 from .polyring import MAX_DEGREE, SLOT_BITS, MultiPoly, _check_degree
 
@@ -50,52 +56,95 @@ class CycleType:
         object.__setattr__(self, "parts", parts)
 
 
-def enumerate_cycle_types(n: int) -> Iterator[CycleType]:
-    """All cycle types of S_n, in reverse-lexicographic order of their partitions.
+def class_sizes(n: int) -> Iterator[Tuple[Tuple[Tuple[int, int], ...], int]]:
+    """(parts, n!/z) for every class of S_n, in reverse-lexicographic order.
 
-    The successor of a partition in this order (Knuth, TAOCP 4A, 7.2.1.4)
-    strips its 1s, lowers one copy of the smallest part k > 1, and refills
-    the freed amount with parts k-1 and one smaller remainder. The step runs
-    on stacks of distinct parts and their multiplicities, largest first; the
-    classes it yields are not revalidated.
+    ``parts`` is the class as pairs (i, m_i) with m_i > 0, largest part
+    first, and z = prod_i i^m_i * m_i! its centralizer order. The successor
+    of a partition in this order (Knuth, TAOCP 4A, 7.2.1.4) strips its 1s,
+    lowers one copy of the smallest part k > 1, and refills the freed amount
+    with parts k-1 and one smaller remainder. The step runs on a stack of
+    the pairs (i, m_i), largest part first, and carries two more stacks
+    beside it: the prefix products of the weights i^m_i * m_i! and the
+    prefix sums of i * m_i. A class then costs a few multiplications and one
+    division of n!; n! and the weights are computed once per call.
+
+    Each class is checked before it is yielded, with ``ArithmeticError``: its
+    part sum must be n and its size n!/z an integer.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    ks = [n]  # distinct parts, largest first
-    cs = [1]  # their multiplicities
-    dense = [0] * n
-    dense[n - 1] = 1
-    new, put = object.__new__, object.__setattr__
+    order = factorial(n)
+    weight = [()]  # weight[i][x] = i^x * x!
+    for i in range(1, n + 1):
+        row = [1]
+        for x in range(1, n // i + 1):
+            row.append(row[-1] * i * x)
+        weight.append(row)
+    parts = [(n, 1)]
+    dens = [1, n]  # dens[j]: product of the weights of the first j pairs
+    sums = [0, n]  # sums[j]: sum of i * m_i over the first j pairs
     while True:
-        ct = new(CycleType)
-        put(ct, "n", n)
-        put(ct, "m", tuple(dense))
-        put(ct, "parts", tuple(zip(ks, cs)))
-        yield ct
-        if ks[-1] == 1:
-            ks.pop()
-            freed = cs.pop()
-            dense[0] = 0
-            if not ks:
+        if sums[-1] != n:
+            raise ArithmeticError(f"{tuple(parts)} is not a cycle type of S_{n}")
+        size, rem = divmod(order, dens[-1])
+        if rem:
+            raise ArithmeticError(
+                f"non-integral cycle-indicator coefficient for {tuple(parts)}"
+            )
+        yield tuple(parts), size
+        k, x = parts[-1]
+        if k == 1:
+            parts.pop()
+            dens.pop()
+            sums.pop()
+            if not parts:
                 return
+            freed = x
+            k, x = parts[-1]
         else:
             freed = 0
-        k = ks[-1]
-        if cs[-1] == 1:
-            ks.pop()
-            cs.pop()
+        if x == 1:
+            parts.pop()
+            dens.pop()
+            sums.pop()
         else:
-            cs[-1] -= 1
-        dense[k - 1] -= 1
-        # every slot below k is empty now
+            x -= 1
+            parts[-1] = (k, x)
+            dens[-1] = dens[-2] * weight[k][x]
+            sums[-1] = sums[-2] + k * x
+        # every part below k is gone now
         q, s = divmod(freed + k, k - 1)
-        ks.append(k - 1)
-        cs.append(q)
-        dense[k - 2] = q
+        parts.append((k - 1, q))
+        dens.append(dens[-1] * weight[k - 1][q])
+        sums.append(sums[-1] + (k - 1) * q)
         if s:
-            ks.append(s)
-            cs.append(1)
-            dense[s - 1] = 1
+            parts.append((s, 1))
+            dens.append(dens[-1] * weight[s][1])
+            sums.append(sums[-1] + s)
+
+
+def multiplicity_vector(n: int, parts: Iterable[Tuple[int, int]]) -> List[int]:
+    """The dense (m_1, ..., m_n) of a class of S_n given by its pairs (i, m_i)."""
+    m = [0] * n
+    for i, x in parts:
+        m[i - 1] = x
+    return m
+
+
+def enumerate_cycle_types(n: int) -> Iterator[CycleType]:
+    """All cycle types of S_n, in the order of :func:`class_sizes`.
+
+    The classes come from the step of :func:`class_sizes` and are not
+    revalidated by ``CycleType``.
+    """
+    new, put = object.__new__, object.__setattr__
+    for parts, _ in class_sizes(n):
+        ct = new(CycleType)
+        put(ct, "n", n)
+        put(ct, "m", tuple(multiplicity_vector(n, parts)))
+        put(ct, "parts", parts)
+        yield ct
 
 
 def partition_count(n: int) -> int:

@@ -7,12 +7,14 @@ from cyclopadic import congruences
 from cyclopadic.cli import (
     CHECKER_TABLE,
     MAX_CYCLE_INDEX_TERMS,
+    MAX_MEIXNER_DEGREE,
     MAX_SCALAR_SIZE,
     SweepSpec,
     UsageError,
     build_all_tasks,
     main,
 )
+from cyclopadic.padic import is_prime
 
 pytestmark = pytest.mark.filterwarnings("ignore")
 
@@ -331,3 +333,34 @@ class TestCheckerTable:
     def test_trials_are_not_bounded(self):
         spec = SweepSpec("junod-lemma", [3], trials=100 * MAX_SCALAR_SIZE)
         assert len(build_all_tasks(spec)) == 1
+
+    def test_meixner_degree_ceiling(self, tmp_path, capsys):
+        start = time.monotonic()
+        code, text = run(tmp_path, "verify", "corollary2", "--primes", "3",
+                         "--n-max", "300", "--degree-cap", "900")
+        assert time.monotonic() - start < 1.0
+        assert code == 2 and text == ""
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == (
+            "error: corollary2 reaches np = 900, over the limit of "
+            f"{MAX_MEIXNER_DEGREE}\n"
+        )
+
+    @pytest.mark.parametrize("checker", ["corollary2", "meixner-qstar-q"])
+    def test_meixner_degree_boundary(self, checker):
+        top = MAX_MEIXNER_DEGREE // 5  # the largest n with 5n under the ceiling
+        spec = SweepSpec(checker, [5], n_max=top, degree_cap=10**6)
+        assert len(build_all_tasks(spec)) == top
+        spec.n_max = top + 1
+        with pytest.raises(UsageError, match=f"{checker} reaches np = {5 * top + 5}, "
+                           f"over the limit of {MAX_MEIXNER_DEGREE}"):
+            build_all_tasks(spec)
+
+    def test_meixner_qp_is_sized_by_p(self):
+        # it builds Q_p in one task at n = 0: the primes on either side of
+        # the ceiling are admitted and refused
+        below = max(p for p in range(2, MAX_MEIXNER_DEGREE + 1) if is_prime(p))
+        above = next(p for p in range(MAX_MEIXNER_DEGREE + 1, 10**4) if is_prime(p))
+        assert len(build_all_tasks(SweepSpec("meixner-qp", [below]))) == 1
+        with pytest.raises(UsageError, match=f"meixner-qp reaches p = {above},"):
+            build_all_tasks(SweepSpec("meixner-qp", [above]))

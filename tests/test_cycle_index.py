@@ -9,10 +9,12 @@ import pytest
 from cyclopadic import cycle_index
 from cyclopadic.cycle_index import (
     CycleType,
+    class_sizes,
     coefficient,
     coefficient_raw,
     cycle_indicator,
     enumerate_cycle_types,
+    multiplicity_vector,
     partition_count,
 )
 from cyclopadic.polyring import MultiPoly, UniPoly, substitute_univariate
@@ -176,6 +178,35 @@ class TestCoefficient:
         for ct in enumerate_cycle_types(n):
             assert coefficient(ct) == tally[ct.m]
         assert len(tally) == partition_count(n)
+
+
+class TestClassSizes:
+    @pytest.mark.parametrize("n", range(1, 41))
+    def test_matches_closed_form_over_recursive_oracle(self, n):
+        expected = []
+        for parts in partitions_desc(n):
+            ct = CycleType(n, multiplicities(n, parts))
+            expected.append((ct.parts, coefficient(ct)))
+        stream = list(class_sizes(n))
+        assert stream == expected
+        assert len(stream) == partition_count(n)
+        assert sum(c for _, c in stream) == math.factorial(n)
+
+    def test_multiplicity_vector(self):
+        assert multiplicity_vector(6, ((4, 1), (1, 2))) == [2, 0, 0, 1, 0, 0]
+        for parts, _ in class_sizes(7):
+            assert CycleType(7, tuple(multiplicity_vector(7, parts))).parts == parts
+
+    def test_n_below_one_rejected(self):
+        with pytest.raises(ValueError):
+            next(class_sizes(0))
+
+    @pytest.mark.parametrize("n", [2, 6, 13])
+    def test_off_by_one_factorial_is_refused(self, n, monkeypatch):
+        # (n! + 1) / n is no integer, so the first class, (n), is refused
+        monkeypatch.setattr(cycle_index, "factorial", lambda k: math.factorial(k) + 1)
+        with pytest.raises(ArithmeticError, match=rf"non-integral .* \(\({n}, 1\),\)"):
+            next(class_sizes(n))
 
 
 class TestIndicatorRoutes:

@@ -17,6 +17,7 @@ from cyclopadic.meixner import (
 )
 from cyclopadic.padic import PadicContext
 from cyclopadic.polyring import UniPoly
+from cyclopadic.reports import Mutation
 
 X = UniPoly.x()
 
@@ -66,7 +67,8 @@ class TestConstruction:
     def test_integrality_check_survives_optimize(self):
         # under `python -O` an assert would vanish: 1/2 would truncate to 0,
         # a packed degree slot would carry into the X_1 slot, and a floored
-        # cycle-indicator quotient would go unnoticed
+        # cycle-indicator quotient or a class size n!/z that is no integer
+        # would go unnoticed
         cases = [
             (
                 "from fractions import Fraction\n"
@@ -87,6 +89,14 @@ class TestConstruction:
                 "cycle_index._indicator_cache[7] = MultiPoly(terms, _raw=True)\n"
                 "cycle_index.cycle_indicator(8)\n",
                 "ArithmeticError: non-integral cycle-indicator coefficient in C_8",
+            ),
+            (
+                "import math\n"
+                "from cyclopadic import cycle_index\n"
+                "cycle_index.factorial = lambda k: math.factorial(k) + 1\n"
+                "list(cycle_index.class_sizes(6))\n",
+                "ArithmeticError: non-integral cycle-indicator coefficient for "
+                "((6, 1),)",
             ),
         ]
         src = os.path.dirname(os.path.dirname(cyclopadic.__file__))
@@ -139,3 +149,37 @@ class TestCongruences:
         rep_p = check_junod_qp(ctx)
         assert rep_np.passed and rep_p.passed
         assert rep_np.params["modulus"] % rep_p.params["modulus"] == 0
+
+
+# (checker, arguments before ctx, degree of the mutated polynomial) at p;
+# at n = p the modulus np of corollary2 and meixner-qstar-q is p^2
+MEIXNER_CHECKS = [
+    (check_corollary2, lambda p: (p,), lambda p: p * p),
+    (check_junod_qstar_q, lambda p: (p,), lambda p: p * p),
+    (check_junod_qp, lambda p: (), lambda p: p),
+]
+
+
+class TestMutationTwoSided:
+    @pytest.mark.parametrize("p", [3, 5])
+    @pytest.mark.parametrize("check,args,degree", MEIXNER_CHECKS)
+    def test_boundary_delta(self, check, args, degree, p):
+        ctx = PadicContext(p)
+        clean = check(*args(p), ctx)
+        assert clean.passed
+        modulus = clean.params["modulus"]
+        req = ctx.vp(modulus)
+        assert req == (1 if check is check_junod_qp else 2)
+        # corollary2 compares the mutated Q_np with two right-hand sides, so
+        # the tapped degree is flagged once in each form
+        forms = ["qp-power", "closed-form"] if check is check_corollary2 else [None]
+        for index in (0, 1, degree(p)):
+            # a multiple of p^req is no fault at any degree
+            assert check(*args(p), ctx, Mutation(index, p**req)).passed
+            assert check(*args(p), ctx, Mutation(index, -(p**req))).passed
+            report = check(*args(p), ctx, Mutation(index, p ** (req - 1)))
+            assert [v["instance"].get("form") for v in report.violations] == forms
+            for v in report.violations:
+                assert v["instance"]["degree"] == index
+                assert v["required_modulus"] == modulus
+                assert (v["observed_vp"], v["required_vp"]) == (req - 1, req)
