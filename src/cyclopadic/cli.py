@@ -11,7 +11,7 @@ Two subcommands:
 all``, the p = 2 handling and the size guard all read it. The guard runs
 before any task is built. It refuses a grid in which a checker sized by p(N)
 reaches an N with more than 100,000 cycle types, in which a Meixner checker
-builds a polynomial of degree over 100, or in which another checker's largest
+builds a polynomial of degree over 200, or in which another checker's largest
 n passes 1000 (junod-lemma's trial count is not bounded).
 
 Exit codes: 0 all checks passed, 1 at least one violation, 2 usage error,
@@ -41,10 +41,11 @@ from .padic import PadicContext, is_prime
 from .reports import Mutation
 
 # `compute cycle-index N` refuses N whose C_N has more terms than this (C_N has
-# p(N) terms); p(45) = 89,134 is the largest admitted, and C_45 takes a few
-# seconds and about 150 MB with the pure-Python kernel. `verify` refuses a grid
-# in which a checker sized by p(N) would reach such an N. The tests and the
-# benchmark grids reach at most N = 39 (p(39) = 31,185).
+# p(N) terms); p(45) = 89,134 is the largest admitted. On a 2-core VM C_45 is
+# built in 0.3 s and 99 MB, and `compute cycle-index 45` takes 1.6 s and 190 MB
+# with its JSON. `verify` refuses a grid in which a checker sized by p(N) would
+# reach such an N. The tests and the benchmark grids reach at most N = 39
+# (p(39) = 31,185).
 MAX_CYCLE_INDEX_TERMS = 100_000
 
 # `verify` refuses a grid in which another checker's largest n (or m) is over
@@ -57,10 +58,11 @@ MAX_SCALAR_SIZE = 1000
 
 # `verify` refuses a grid in which a Meixner checker builds a Q_d of degree d
 # over this: corollary2 and meixner-qstar-q build degree np, meixner-qp degree
-# p. Q_d comes from an exact rational series whose cost grows about as d^3, and
-# whose cache may grow to almost twice the largest degree asked for: on a 2-core
-# VM Q_100 takes 2 s and Q_198 14 s. The acceptance module reaches np = 66.
-MAX_MEIXNER_DEGREE = 100
+# p. The Meixner cache grows one degree at a time, to the largest degree asked
+# for; on a 2-core VM Q_0..Q_200 take 0.45 s, Q_0..Q_300 2.0 s and Q_0..Q_400
+# 5.4 s. `verify corollary2 --primes 3,5,7,11,13,17,19 --n-max 1000
+# --degree-cap 200` takes 0.7 to 1.3 s. The acceptance module reaches np = 125.
+MAX_MEIXNER_DEGREE = 200
 
 
 @dataclass

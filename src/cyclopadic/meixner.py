@@ -1,111 +1,73 @@
 """Meixner polynomials Q_n and the auxiliary Q_n*, with their congruences.
 
-Q_n is defined only through its exponential generating function
-(1+t^2)^(-1/2) * exp(X arctan t); the truncated exact-rational series is
-therefore the source of truth here. Q_n* drops the (1+t^2)^(-1/2) factor and
-also arises by substituting x_i = 0 (even i), x_i = (-1)^((i-1)/2) X (odd i)
-into the cycle indicator C_n; both routes are implemented and cross-checked.
+Q_n is defined through its exponential generating function
+(1+t^2)^(-1/2) * exp(X arctan t), and Q_n* through exp(X arctan t) alone. Both
+are built here from those EGFs over Z[X] (see :mod:`.series`), one degree at a
+time, into one cache that ``meixner_q`` and ``meixner_qstar`` both read.
 
-Recurrence fast paths (derived from the EGF differential relation
-(1+t^2) F' = (X - t) F) are provided for benchmarks; tests pin them
-coefficient-for-coefficient to the series route.
+The three-term recurrences below come from the differential relations of the
+EGFs, (1+t^2) F' = (X - t) F for Q and (1+t^2) F' = X F for Q*; they share no
+code with the EGF route. The tests hold the two routes equal, together with a
+rational-series oracle and the substitution of the arctan images into the
+cycle indicator C_n.
 """
 from __future__ import annotations
 
 import threading
-from fractions import Fraction
 from math import factorial
 from typing import List, Optional
 
 from .congruences import compare_polys
-from .cycle_index import cycle_indicator
 from .padic import PadicContext
-from .polyring import UniPoly, substitute_univariate
+from .polyring import UniPoly
 from .reports import CongruenceReport, Mutation
-from .series import (
-    series_arctan,
-    series_exp,
-    series_inv_sqrt,
-    series_mul,
-    series_one_plus_t2,
-)
-
-
-def _to_unipoly(qcoeffs, scale: int) -> UniPoly:
-    out = []
-    for c in qcoeffs:
-        v = Fraction(c) * scale
-        if v.denominator != 1:
-            raise ArithmeticError("Meixner series produced a non-integer")
-        out.append(int(v))
-    return UniPoly(out)
-
+from .series import series_exp, series_mul
 
 _lock = threading.Lock()
-_q_cache: List[UniPoly] = []
+# EGF coefficients, index = degree in t, of X arctan t, of (1+t^2)^(-1/2), of
+# Q* = exp(X arctan t) and of Q = (1+t^2)^(-1/2) Q*; all four have one length
+_x_arctan: List[UniPoly] = []
+_inv_sqrt: List[UniPoly] = []
 _qstar_cache: List[UniPoly] = []
+_q_cache: List[UniPoly] = []
 
 
-def _extend_series_caches(n: int) -> None:
-    global _q_cache, _qstar_cache
-    if len(_q_cache) > n:
-        return
-    # recompute the whole prefix, growing geometrically to amortize extensions
-    trunc = max(n, 2 * (len(_q_cache) - 1), 8)
-    x_arctan = series_arctan(trunc).scaled_by_x()
-    g = series_exp(x_arctan)
-    f = series_mul(series_inv_sqrt(series_one_plus_t2(trunc)), g)
-    _qstar_cache = [_to_unipoly(g[k], factorial(k)) for k in range(trunc + 1)]
-    _q_cache = [_to_unipoly(f[k], factorial(k)) for k in range(trunc + 1)]
+def _extend_caches(n: int) -> None:
+    """Append the degrees up to n that the caches lack."""
+    for k in range(len(_x_arctan), n + 1):
+        if k % 2:
+            # X arctan t = sum_j (-1)^j X t^(2j+1) / (2j+1): a_k = (-1)^j (k-1)! X
+            _x_arctan.append(UniPoly((0, (-1) ** (k // 2) * factorial(k - 1))))
+            _inv_sqrt.append(UniPoly())
+        else:
+            _x_arctan.append(UniPoly())
+            # (1+t^2)^(-1/2): b_0 = 1, b_2j = (-1)^j ((2j-1)!!)^2 = -(2j-1)^2 b_2j-2
+            b = -(k - 1) ** 2 * _inv_sqrt[k - 2] if k else UniPoly.constant(1)
+            _inv_sqrt.append(b)
+    series_exp(_x_arctan, _qstar_cache)
+    series_mul(_inv_sqrt, _qstar_cache, _q_cache)
 
 
 def meixner_q(n: int) -> UniPoly:
-    """Q_n from the truncated EGF (exact rationals, integrality checked)."""
+    """Q_n from the EGF (1+t^2)^(-1/2) exp(X arctan t)."""
     if n < 0:
         raise ValueError("n must be >= 0")
     with _lock:
-        _extend_series_caches(n)
+        _extend_caches(n)
         return _q_cache[n]
 
 
-# above this, substituting into C_n is slower than the series (C_n has p(n)
-# terms, ~5.6k at n=30); the two routes are pinned equal below the crossover
-_QSTAR_SUBSTITUTION_MAX = 30
-
-
 def meixner_qstar(n: int) -> UniPoly:
-    """Q_n* by substituting the arctan images into the cycle indicator C_n.
-
-    Falls back to the (definitional) EGF series route above the crossover
-    where the partition count makes C_n too large to be worth building.
-    """
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    if n == 0:
-        return UniPoly.constant(1)
-    if n > _QSTAR_SUBSTITUTION_MAX:
-        return meixner_qstar_series(n)
-    x = UniPoly.x()
-    images = {}
-    for i in range(1, n + 1):
-        if i % 2 == 0:
-            images[i] = UniPoly()
-        else:
-            images[i] = (-1) ** ((i - 1) // 2) * x
-    return substitute_univariate(cycle_indicator(n), images)
-
-
-def meixner_qstar_series(n: int) -> UniPoly:
-    """Q_n* from the truncated EGF exp(X arctan t) (cross-route oracle)."""
+    """Q_n* from the EGF exp(X arctan t)."""
     if n < 0:
         raise ValueError("n must be >= 0")
     with _lock:
-        _extend_series_caches(n)
+        _extend_caches(n)
         return _qstar_cache[n]
 
 
 def meixner_q_recurrence(nmax: int) -> List[UniPoly]:
-    """Q_0..Q_nmax via Q_{m+1} = X Q_m - m^2 Q_{m-1} (validated fast path)."""
+    """Q_0..Q_nmax via Q_{m+1} = X Q_m - m^2 Q_{m-1}."""
     x = UniPoly.x()
     qs = [UniPoly.constant(1)]
     if nmax >= 1:
@@ -116,7 +78,7 @@ def meixner_q_recurrence(nmax: int) -> List[UniPoly]:
 
 
 def meixner_qstar_recurrence(nmax: int) -> List[UniPoly]:
-    """Q*_0..Q*_nmax via Q*_{m+1} = X Q*_m - m(m-1) Q*_{m-1} (fast path)."""
+    """Q*_0..Q*_nmax via Q*_{m+1} = X Q*_m - m(m-1) Q*_{m-1}."""
     x = UniPoly.x()
     qs = [UniPoly.constant(1)]
     if nmax >= 1:

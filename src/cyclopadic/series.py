@@ -1,155 +1,59 @@
-"""Truncated formal power series with exact rational coefficients.
+"""Exponential generating functions over Z[X], extended one degree at a time.
 
-A :class:`RationalSeries` is a series in t, truncated at an explicit degree N.
-Each t-coefficient is itself a univariate polynomial in X over Q (stored as a
-tuple of Fractions indexed by degree); plain rational series are the special
-case where every coefficient polynomial is constant.
+A series A(t) = sum_k a_k t^k / k! is held as the list [a_0, a_1, ...] of its
+EGF coefficients a_k = k! [t^k] A, each a :class:`UniPoly`. The product and the
+exponential of EGFs are binomial convolutions (Flajolet & Sedgewick, *Analytic
+Combinatorics*, ch. II), so each coefficient is a sum of integer polynomials
+times binomial coefficients: nothing is divided and nothing is truncated.
 
-These series serve as exponential-generating-function oracles; the deliverable
-polynomials elsewhere in the package always have integer coefficients, and any
-non-integrality when extracting them is a hard error.
+Both operations take the list they extend and append only the degrees it
+lacks, so a cache built on them grows to exactly the degree asked for.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
-from typing import Sequence, Tuple
+from math import comb
+from typing import List
 
-QPoly = Tuple[Fraction, ...]  # univariate polynomial over Q, index = degree
+from .polyring import UniPoly
 
-_ZERO: QPoly = ()
-
-
-def _trim(c) -> QPoly:
-    c = list(c)
-    while c and c[-1] == 0:
-        c.pop()
-    return tuple(c)
+Series = List[UniPoly]  # EGF coefficients, index = degree in t
 
 
-def _padd(a: QPoly, b: QPoly) -> QPoly:
-    n = max(len(a), len(b))
-    return _trim(
-        (a[d] if d < len(a) else 0) + (b[d] if d < len(b) else 0)
-        for d in range(n)
-    )
+def _convolution(a: Series, b: Series, m: int, lo: int) -> UniPoly:
+    """sum_{k=lo..m} C(m - lo, k - lo) * a_k * b_{m-k}."""
+    out: list = []
+    for k in range(lo, m + 1):
+        x, y = a[k].coeffs, b[m - k].coeffs
+        if not (x and y):
+            continue
+        if len(out) < len(x) + len(y) - 1:
+            out.extend([0] * (len(x) + len(y) - 1 - len(out)))
+        w = comb(m - lo, k - lo)
+        for i, xi in enumerate(x):
+            if xi:
+                wx = w * xi
+                for j, yj in enumerate(y):
+                    out[i + j] += wx * yj
+    return UniPoly(out)
 
 
-def _pmul(a: QPoly, b: QPoly) -> QPoly:
-    if not a or not b:
-        return _ZERO
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return _trim(out)
+def series_mul(a: Series, b: Series, out: Series) -> Series:
+    """Extend out = A*B through the degrees both a and b have.
 
-
-def _pscale(a: QPoly, s: Fraction) -> QPoly:
-    if not s:
-        return _ZERO
-    return tuple(x * s for x in a)
-
-
-@dataclass(frozen=True)
-class RationalSeries:
-    """Power series in t truncated at degree N, with QPoly coefficients."""
-
-    coeffs: Tuple[QPoly, ...]
-
-    @property
-    def truncation(self) -> int:
-        return len(self.coeffs) - 1
-
-    def __getitem__(self, n: int) -> QPoly:
-        return self.coeffs[n]
-
-    @classmethod
-    def from_rationals(cls, vals: Sequence[Fraction]) -> "RationalSeries":
-        return cls(tuple(_trim((Fraction(v),)) for v in vals))
-
-    @classmethod
-    def zero(cls, trunc: int) -> "RationalSeries":
-        return cls((_ZERO,) * (trunc + 1))
-
-    def scaled_by_x(self) -> "RationalSeries":
-        """Multiply every t-coefficient by the variable X."""
-        return RationalSeries(
-            tuple((Fraction(0),) + c if c else _ZERO for c in self.coeffs)
-        )
-
-
-def series_arctan(trunc: int) -> RationalSeries:
-    """arctan t = sum_{k>=0} (-1)^k t^(2k+1)/(2k+1), truncated."""
-    vals = [Fraction(0)] * (trunc + 1)
-    for k in range(0, (trunc - 1) // 2 + 1 if trunc >= 1 else 0):
-        vals[2 * k + 1] = Fraction((-1) ** k, 2 * k + 1)
-    return RationalSeries.from_rationals(vals)
-
-
-def series_one_plus_t2(trunc: int) -> RationalSeries:
-    vals = [Fraction(0)] * (trunc + 1)
-    vals[0] = Fraction(1)
-    if trunc >= 2:
-        vals[2] = Fraction(1)
-    return RationalSeries.from_rationals(vals)
-
-
-def series_mul(a: RationalSeries, b: RationalSeries) -> RationalSeries:
-    """Product, truncated at min of the two truncation degrees."""
-    n = min(a.truncation, b.truncation)
-    out = []
-    for m in range(n + 1):
-        acc: QPoly = _ZERO
-        for j in range(m + 1):
-            cj, dk = a.coeffs[j], b.coeffs[m - j]
-            if cj and dk:
-                acc = _padd(acc, _pmul(cj, dk))
-        out.append(acc)
-    return RationalSeries(tuple(out))
-
-
-def series_exp(a: RationalSeries) -> RationalSeries:
-    """exp of a series with zero constant term.
-
-    Uses the ODE E' = A'E: n*e_n = sum_{k=1..n} k*a_k*e_{n-k}.
+    c_m = sum_{k=0..m} C(m, k) a_k b_{m-k}.
     """
-    if a.coeffs[0]:
+    for m in range(len(out), min(len(a), len(b))):
+        out.append(_convolution(a, b, m, 0))
+    return out
+
+
+def series_exp(a: Series, out: Series) -> Series:
+    """Extend out = exp(A) through the degrees a has; A needs a_0 = 0.
+
+    From exp(A)' = A' exp(A): g_0 = 1, g_m = sum_{k=1..m} C(m-1, k-1) a_k g_{m-k}.
+    """
+    if a and not a[0].is_zero():
         raise ValueError("series_exp requires zero constant term")
-    n = a.truncation
-    e: list = [(Fraction(1),)]
-    for m in range(1, n + 1):
-        acc: QPoly = _ZERO
-        for k in range(1, m + 1):
-            ak = a.coeffs[k]
-            if ak and e[m - k]:
-                acc = _padd(acc, _pscale(_pmul(ak, e[m - k]), Fraction(k)))
-        e.append(_pscale(acc, Fraction(1, m)))
-    return RationalSeries(tuple(e))
-
-
-def series_pow_rational(s: RationalSeries, a: Fraction) -> RationalSeries:
-    """s^a for a series with constant term 1 and rational exponent a.
-
-    Uses s*f' = a*s'*f: n*f_n = sum_{j=1..n} (a*j - (n-j)) * s_j * f_{n-j}.
-    """
-    if s.coeffs[0] != (Fraction(1),):
-        raise ValueError("series_pow_rational requires constant term 1")
-    n = s.truncation
-    f: list = [(Fraction(1),)]
-    for m in range(1, n + 1):
-        acc: QPoly = _ZERO
-        for j in range(1, m + 1):
-            sj = s.coeffs[j]
-            if sj and f[m - j]:
-                w = a * j - (m - j)
-                if w:
-                    acc = _padd(acc, _pscale(_pmul(sj, f[m - j]), Fraction(w)))
-        f.append(_pscale(acc, Fraction(1, m)))
-    return RationalSeries(tuple(f))
-
-
-def series_inv_sqrt(s: RationalSeries) -> RationalSeries:
-    """s^(-1/2) for a series with constant term 1."""
-    return series_pow_rational(s, Fraction(-1, 2))
+    for m in range(len(out), len(a)):
+        out.append(_convolution(a, out, m, 1) if m else UniPoly.constant(1))
+    return out

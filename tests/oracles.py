@@ -1,4 +1,4 @@
-"""Independent construction routes for the cycle indicator C_n (test oracles).
+"""Independent construction routes for C_n and the Meixner polynomials (test oracles).
 
 The package builds C_n one term per cycle type (``cycle_indicator``); the
 routes here share none of that code and are compared against it:
@@ -11,12 +11,24 @@ routes here share none of that code and are compared against it:
   diagonal (small m only).
 * :func:`cycle_indicator_via_egf` -- truncated exponential generating
   function over exact rationals.
+
+The package builds Q_n and Q_n* by binomial convolution of integer EGF
+coefficients (``cyclopadic.meixner``); two routes here are compared with it:
+
+* :func:`meixner_by_rational_series` -- the literal EGFs
+  (1+t^2)^(-1/2) exp(X arctan t) and exp(X arctan t), as power series
+  truncated at t^n whose t-coefficients are polynomials in X over Q; n! times
+  each coefficient is checked to be integral.
+* :func:`meixner_qstar_by_substitution` -- C_n at x_i = 0 for even i and
+  x_i = (-1)^((i-1)/2) X for odd i.
 """
+from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
+from typing import List, Sequence, Tuple
 
-from cyclopadic.cycle_index import coefficient, enumerate_cycle_types
-from cyclopadic.polyring import MultiPoly
+from cyclopadic.cycle_index import coefficient, cycle_indicator, enumerate_cycle_types
+from cyclopadic.polyring import MultiPoly, UniPoly, substitute_univariate
 
 DETERMINANT_BOUND_DEFAULT = 8
 
@@ -113,3 +125,175 @@ def cycle_indicator_via_egf(n: int) -> MultiPoly:
             raise ArithmeticError("EGF route produced a non-integer")
         terms[exps] = int(val)
     return MultiPoly(terms)
+
+
+QPoly = Tuple[Fraction, ...]  # univariate polynomial over Q, index = degree
+
+_ZERO: QPoly = ()
+
+
+def _trim(c) -> QPoly:
+    c = list(c)
+    while c and c[-1] == 0:
+        c.pop()
+    return tuple(c)
+
+
+def _padd(a: QPoly, b: QPoly) -> QPoly:
+    n = max(len(a), len(b))
+    return _trim(
+        (a[d] if d < len(a) else 0) + (b[d] if d < len(b) else 0)
+        for d in range(n)
+    )
+
+
+def _pmul(a: QPoly, b: QPoly) -> QPoly:
+    if not a or not b:
+        return _ZERO
+    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return _trim(out)
+
+
+def _pscale(a: QPoly, s: Fraction) -> QPoly:
+    if not s:
+        return _ZERO
+    return tuple(x * s for x in a)
+
+
+@dataclass(frozen=True)
+class RationalSeries:
+    """Power series in t truncated at degree N, with QPoly coefficients."""
+
+    coeffs: Tuple[QPoly, ...]
+
+    @property
+    def truncation(self) -> int:
+        return len(self.coeffs) - 1
+
+    def __getitem__(self, n: int) -> QPoly:
+        return self.coeffs[n]
+
+    @classmethod
+    def from_rationals(cls, vals: Sequence[Fraction]) -> "RationalSeries":
+        return cls(tuple(_trim((Fraction(v),)) for v in vals))
+
+    @classmethod
+    def zero(cls, trunc: int) -> "RationalSeries":
+        return cls((_ZERO,) * (trunc + 1))
+
+    def scaled_by_x(self) -> "RationalSeries":
+        """Multiply every t-coefficient by the variable X."""
+        return RationalSeries(
+            tuple((Fraction(0),) + c if c else _ZERO for c in self.coeffs)
+        )
+
+
+def rational_arctan(trunc: int) -> RationalSeries:
+    """arctan t = sum_{k>=0} (-1)^k t^(2k+1)/(2k+1), truncated."""
+    vals = [Fraction(0)] * (trunc + 1)
+    for k in range(0, (trunc - 1) // 2 + 1 if trunc >= 1 else 0):
+        vals[2 * k + 1] = Fraction((-1) ** k, 2 * k + 1)
+    return RationalSeries.from_rationals(vals)
+
+
+def rational_one_plus_t2(trunc: int) -> RationalSeries:
+    vals = [Fraction(0)] * (trunc + 1)
+    vals[0] = Fraction(1)
+    if trunc >= 2:
+        vals[2] = Fraction(1)
+    return RationalSeries.from_rationals(vals)
+
+
+def rational_mul(a: RationalSeries, b: RationalSeries) -> RationalSeries:
+    """Product, truncated at min of the two truncation degrees."""
+    n = min(a.truncation, b.truncation)
+    out = []
+    for m in range(n + 1):
+        acc: QPoly = _ZERO
+        for j in range(m + 1):
+            cj, dk = a.coeffs[j], b.coeffs[m - j]
+            if cj and dk:
+                acc = _padd(acc, _pmul(cj, dk))
+        out.append(acc)
+    return RationalSeries(tuple(out))
+
+
+def rational_exp(a: RationalSeries) -> RationalSeries:
+    """exp of a series with zero constant term.
+
+    Uses the ODE E' = A'E: n*e_n = sum_{k=1..n} k*a_k*e_{n-k}.
+    """
+    if a.coeffs[0]:
+        raise ValueError("rational_exp requires zero constant term")
+    n = a.truncation
+    e: list = [(Fraction(1),)]
+    for m in range(1, n + 1):
+        acc: QPoly = _ZERO
+        for k in range(1, m + 1):
+            ak = a.coeffs[k]
+            if ak and e[m - k]:
+                acc = _padd(acc, _pscale(_pmul(ak, e[m - k]), Fraction(k)))
+        e.append(_pscale(acc, Fraction(1, m)))
+    return RationalSeries(tuple(e))
+
+
+def rational_pow(s: RationalSeries, a: Fraction) -> RationalSeries:
+    """s^a for a series with constant term 1 and rational exponent a.
+
+    Uses s*f' = a*s'*f: n*f_n = sum_{j=1..n} (a*j - (n-j)) * s_j * f_{n-j}.
+    """
+    if s.coeffs[0] != (Fraction(1),):
+        raise ValueError("rational_pow requires constant term 1")
+    n = s.truncation
+    f: list = [(Fraction(1),)]
+    for m in range(1, n + 1):
+        acc: QPoly = _ZERO
+        for j in range(1, m + 1):
+            sj = s.coeffs[j]
+            if sj and f[m - j]:
+                w = a * j - (m - j)
+                if w:
+                    acc = _padd(acc, _pscale(_pmul(sj, f[m - j]), Fraction(w)))
+        f.append(_pscale(acc, Fraction(1, m)))
+    return RationalSeries(tuple(f))
+
+
+def rational_inv_sqrt(s: RationalSeries) -> RationalSeries:
+    """s^(-1/2) for a series with constant term 1."""
+    return rational_pow(s, Fraction(-1, 2))
+
+
+def _to_unipoly(qcoeffs: QPoly, scale: int) -> UniPoly:
+    out = []
+    for c in qcoeffs:
+        v = Fraction(c) * scale
+        if v.denominator != 1:
+            raise ArithmeticError("Meixner series produced a non-integer")
+        out.append(int(v))
+    return UniPoly(out)
+
+
+def meixner_by_rational_series(n: int) -> Tuple[List[UniPoly], List[UniPoly]]:
+    """[Q_0, ..., Q_n] and [Q*_0, ..., Q*_n] from their EGFs over Q."""
+    g = rational_exp(rational_arctan(n).scaled_by_x())
+    f = rational_mul(rational_inv_sqrt(rational_one_plus_t2(n)), g)
+    return (
+        [_to_unipoly(f[k], factorial(k)) for k in range(n + 1)],
+        [_to_unipoly(g[k], factorial(k)) for k in range(n + 1)],
+    )
+
+
+def meixner_qstar_by_substitution(n: int) -> UniPoly:
+    """Q_n* as C_n at x_i = 0 (even i), x_i = (-1)^((i-1)/2) X (odd i)."""
+    if n == 0:
+        return UniPoly.constant(1)
+    x = UniPoly.x()
+    images = {
+        i: UniPoly() if i % 2 == 0 else (-1) ** ((i - 1) // 2) * x
+        for i in range(1, n + 1)
+    }
+    return substitute_univariate(cycle_indicator(n), images)

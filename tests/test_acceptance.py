@@ -20,6 +20,8 @@ from oracles import (
     cycle_indicator_direct,
     cycle_indicator_via_determinant,
     cycle_indicator_via_egf,
+    meixner_by_rational_series,
+    meixner_qstar_by_substitution,
 )
 
 
@@ -183,17 +185,18 @@ def test_criterion_08_cross_route_oracles():
 
 
 def test_criterion_09_meixner_routes():
+    qs, stars = meixner_by_rational_series(24)
     for n in range(0, 25):
-        assert mx.meixner_qstar(n) == mx.meixner_qstar_series(n)
+        assert meixner_qstar_by_substitution(n) == mx.meixner_qstar(n) == stars[n]
         q = mx.meixner_q(n)
-        assert q.degree() == n and q.coeffs[-1] == 1
+        assert q == qs[n] and q.degree() == n and q.coeffs[-1] == 1
     fast_q = mx.meixner_q_recurrence(24)
     fast_star = mx.meixner_qstar_recurrence(24)
     for n in range(0, 25):
         assert fast_q[n].to_json() == mx.meixner_q(n).to_json()
-        assert fast_star[n].to_json() == mx.meixner_qstar_series(n).to_json()
-    _announce(9, "Q* substitution = series; Q integral+monic; fast paths "
-                 "byte-identical, n <= 24")
+        assert fast_star[n].to_json() == mx.meixner_qstar(n).to_json()
+    _announce(9, "Q* substitution = rational series = integer EGF; Q integral+"
+                 "monic; recurrences byte-identical, n <= 24")
 
 
 def test_criterion_10_junod_lemma_property():
@@ -262,3 +265,16 @@ def test_criterion_12_thread_determinism(tmp_path):
     assert main(args + ["--threads", "8", "--out", str(outn)]) == 0
     assert out1.read_bytes() == outn.read_bytes()
     _announce(12, "verify all: 1-thread and 8-thread reports byte-identical")
+
+
+@pytest.mark.parametrize("p,n", [(11, 11), (5, 25), (3, 27)])
+def test_criterion_13_meixner_where_p_divides_n(p, n):
+    # mod np Z_p is mod p Z_p when p does not divide n; where it does, the
+    # paper says more than the mod-p congruence: the modulus is p^(1+vp(n))
+    ctx = PadicContext(p)
+    reports = [mx.check_corollary2(n, ctx), mx.check_junod_qstar_q(n, ctx)]
+    _assert_all_pass(reports)
+    required = 1 + ctx.vp(n)
+    assert all(ctx.vp(r.params["modulus"]) == required for r in reports)
+    _announce(13, f"Q_np = Q_p^n and Q*_np = Q_np (mod {p}^{required}) at "
+                  f"p = {p}, n = {n}", reports)

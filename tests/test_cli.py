@@ -356,6 +356,16 @@ class TestCheckerTable:
                            f"over the limit of {MAX_MEIXNER_DEGREE}"):
             build_all_tasks(spec)
 
+    def test_meixner_grid_where_p_divides_n(self, tmp_path):
+        # reaches p = 11, n = 11 (degree 121) and p = 5, n = 25 (degree 125,
+        # modulus 5^3), where the congruence is stronger than mod p
+        code, text = run(tmp_path, "verify", "corollary2", "--primes", "5,11",
+                         "--n-max", "25", "--degree-cap", "125", "--threads", "1")
+        reports = [json.loads(line) for line in text.splitlines()]
+        assert code == 0 and len(reports) == 36
+        assert {(r["params"]["p"], r["params"]["n"]) for r in reports} >= {
+            (5, 25), (11, 11)}
+
     def test_meixner_qp_is_sized_by_p(self):
         # it builds Q_p in one task at n = 0: the primes on either side of
         # the ceiling are admitted and refused

@@ -1,10 +1,12 @@
 import os
 import subprocess
 import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
 import cyclopadic
+from cyclopadic import meixner as mx
 from cyclopadic.meixner import (
     check_corollary2,
     check_junod_qp,
@@ -13,13 +15,18 @@ from cyclopadic.meixner import (
     meixner_q_recurrence,
     meixner_qstar,
     meixner_qstar_recurrence,
-    meixner_qstar_series,
 )
 from cyclopadic.padic import PadicContext
 from cyclopadic.polyring import UniPoly
 from cyclopadic.reports import Mutation
+from oracles import meixner_by_rational_series, meixner_qstar_by_substitution
 
 X = UniPoly.x()
+
+
+def empty_caches(monkeypatch):
+    for name in ("_x_arctan", "_inv_sqrt", "_qstar_cache", "_q_cache"):
+        monkeypatch.setattr(mx, name, [])
 
 
 class TestConstruction:
@@ -35,9 +42,9 @@ class TestConstruction:
     def test_q3star(self):
         assert meixner_qstar(3) == X**3 - 2 * X
 
-    @pytest.mark.parametrize("n", range(0, 25))
+    @pytest.mark.parametrize("n", range(0, 31))
     def test_qstar_substitution_equals_series(self, n):
-        assert meixner_qstar(n) == meixner_qstar_series(n)
+        assert meixner_qstar_by_substitution(n) == meixner_qstar(n)
 
     @pytest.mark.parametrize("n", range(0, 25))
     def test_monic_and_degree(self, n):
@@ -54,11 +61,40 @@ class TestConstruction:
                     assert c == 0
 
     def test_recurrence_fast_paths_match_series(self):
-        qs = meixner_q_recurrence(24)
-        stars = meixner_qstar_recurrence(24)
-        for n in range(25):
-            assert qs[n] == meixner_q(n)
-            assert stars[n] == meixner_qstar_series(n)
+        assert [meixner_q(n) for n in range(201)] == meixner_q_recurrence(200)
+        stars = meixner_qstar_recurrence(200)
+        assert [meixner_qstar(n) for n in range(201)] == stars
+
+    def test_integer_route_equals_rational_oracle(self):
+        qs, stars = meixner_by_rational_series(66)
+        assert [meixner_q(n) for n in range(67)] == qs
+        assert [meixner_qstar(n) for n in range(67)] == stars
+
+    def test_out_of_order_requests_build_only_what_is_asked(self, monkeypatch):
+        ascending = [(meixner_q(n), meixner_qstar(n)) for n in range(101)]
+        for order in ((100, 5, 66), (5, 66, 3)):
+            empty_caches(monkeypatch)
+            highest = 0
+            for n in order:
+                assert (meixner_q(n), meixner_qstar(n)) == ascending[n]
+                highest = max(highest, n)
+                assert len(mx._q_cache) == len(mx._qstar_cache) == highest + 1
+
+    def test_concurrent_requests_share_one_cache(self, monkeypatch):
+        order = [60, 3, 45, 17, 59, 0, 31, 60] * 4
+        expected = [(meixner_q(n), meixner_qstar(n)) for n in order]
+        empty_caches(monkeypatch)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(8) as pool:
+                futures = [pool.submit(lambda n: (meixner_q(n), meixner_qstar(n)), n)
+                           for n in order]
+                got = [f.result(timeout=60) for f in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        assert got == expected
+        assert len(mx._x_arctan) == len(mx._q_cache) == len(mx._qstar_cache) == 61
 
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
@@ -72,8 +108,8 @@ class TestConstruction:
         cases = [
             (
                 "from fractions import Fraction\n"
-                "from cyclopadic import meixner\n"
-                "meixner._to_unipoly([Fraction(1, 2)], 1)\n",
+                "import oracles\n"
+                "oracles._to_unipoly([Fraction(1, 2)], 1)\n",
                 "ArithmeticError: Meixner series produced a non-integer",
             ),
             (
@@ -100,10 +136,11 @@ class TestConstruction:
             ),
         ]
         src = os.path.dirname(os.path.dirname(cyclopadic.__file__))
+        tests = os.path.dirname(os.path.abspath(__file__))
         for script, expected in cases:
             proc = subprocess.run(
                 [sys.executable, "-O", "-c", script],
-                env=dict(os.environ, PYTHONPATH=src),
+                env=dict(os.environ, PYTHONPATH=os.pathsep.join([src, tests])),
                 capture_output=True, text=True, timeout=60,
             )
             assert expected in proc.stderr
