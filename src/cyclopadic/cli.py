@@ -19,7 +19,10 @@ a refused grid included.
 
 Each task is exact, CPU-bound and independent, so ``verify`` runs up to
 ``--threads`` of them at once (default ``os.cpu_count()``) in worker processes
-forked from the CLI; where the platform cannot fork, or only one worker would
+forked from the CLI. The CLI process only coordinates: it hands each idle
+worker one task index at a time over a pipe, largest task first, and reads the
+worker's pickled report back over another. Every worker has exited before a
+report is written. Where the platform cannot fork, or only one worker would
 run, the tasks run serially in-process. Report emission is ordered by
 parameter sort regardless of completion order, so output is byte-identical
 for any ``--threads`` value.
@@ -205,13 +208,142 @@ def build_all_tasks(spec: SweepSpec):
     return tasks
 
 
-# Tasks are closures, which cannot be pickled: forked workers inherit the
-# running sweep through this list and receive only task indices.
-_sweep: List[Callable[[], tuple]] = []
+class WorkerTraceback(Exception):
+    """The formatted traceback of an exception raised in a worker process."""
 
 
-def _run_index(i: int) -> tuple:
-    return _sweep[i]()
+def _write_all(fd: int, data: bytes) -> None:
+    view = memoryview(data)
+    while view:
+        view = view[os.write(fd, view):]
+
+
+def _read_exactly(fd: int, size: int) -> bytes:
+    """size bytes from fd, or fewer if its writer closed it first."""
+    chunks = []
+    while size:
+        chunk = os.read(fd, min(size, 1 << 20))
+        if not chunk:
+            break
+        chunks.append(chunk)
+        size -= len(chunk)
+    return b"".join(chunks)
+
+
+def _serve(jobs: List[Callable[[], tuple]], keys: list, commands: int,
+           results: int) -> None:
+    """A worker's loop: run the job at each index read from commands, and
+    write a length-prefixed pickle of ``(None, result)`` or ``(exception,
+    traceback)`` to results, until commands reaches end of file."""
+    import pickle
+
+    while head := os.read(commands, 8):
+        i = int.from_bytes(head, "little")
+        try:
+            message = pickle.dumps((None, jobs[i]()))
+        except Exception as exc:
+            import traceback
+
+            tb = traceback.format_exc()
+            try:
+                message = pickle.dumps((exc, tb))
+                pickle.loads(message)
+            except Exception:
+                message = pickle.dumps((RuntimeError(
+                    f"task {keys[i]} raised an exception that cannot be sent "
+                    f"from its worker process:\n{tb}"), tb))
+        _write_all(results, len(message).to_bytes(8, "little") + message)
+
+
+def _run_forked(jobs: List[Callable[[], tuple]], keys: list, workers: int) -> list:
+    """Run every job in ``workers`` processes forked from this one; their
+    results in completion order.
+
+    Each worker inherits ``jobs`` through the fork and reads job indices from
+    its own command pipe, one at a time; this process polls the result pipes
+    and hands the next index, from the last job to the first, to whichever
+    worker sent back a result. It runs no job itself. A worker writes nothing
+    to the standard streams and leaves through ``os._exit``. Every worker is
+    reaped before this returns or raises; on an error the busy ones are
+    terminated first.
+    """
+    import pickle
+    import select
+    import signal
+
+    todo = list(range(len(jobs)))  # popped from the end: a sweep's tasks grow
+    # with n and p, so the large ones go first and the workers finish together
+    pids: List[int] = []
+    commands = {}  # result pipe -> command pipe of each worker
+    busy = {}  # result pipe -> (pid, job index) of each worker at work
+    results = []
+    ready = select.poll()
+
+    def send(fd: int, pid: int) -> None:
+        i = todo.pop()
+        _write_all(commands[fd], i.to_bytes(8, "little"))
+        busy[fd] = pid, i
+
+    # SIGINT is held while workers are forked, so that no KeyboardInterrupt
+    # comes between a fork and the bookkeeping that reaps its worker; the
+    # workers keep it blocked and leave the interrupt to this process
+    mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
+    try:
+        for _ in range(workers):
+            cmd_r, cmd_w = os.pipe()
+            res_r, res_w = os.pipe()
+            pid = os.fork()
+            if pid == 0:  # the worker
+                code = 1
+                try:
+                    for fd in (cmd_w, res_r, *commands, *commands.values()):
+                        os.close(fd)
+                    devnull = os.open(os.devnull, os.O_WRONLY)
+                    os.dup2(devnull, 1)
+                    os.dup2(devnull, 2)
+                    _serve(jobs, keys, cmd_r, res_w)
+                    code = 0
+                finally:
+                    os._exit(code)
+            pids.append(pid)
+            os.close(cmd_r)
+            os.close(res_w)
+            commands[res_r] = cmd_w
+            ready.register(res_r, select.POLLIN)
+            send(res_r, pid)
+        signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+        while busy:
+            for fd, _ in ready.poll():
+                pid, i = busy.pop(fd)
+                size = int.from_bytes(_read_exactly(fd, 8), "little")
+                message = _read_exactly(fd, size)
+                if not size or len(message) < size:
+                    _, status = os.waitpid(pid, 0)
+                    pids.remove(pid)
+                    status = os.waitstatus_to_exitcode(status)
+                    how = (f"exited with status {status}" if status >= 0
+                           else f"was killed by signal {-status}")
+                    raise RuntimeError(f"the worker running task {keys[i]} {how}")
+                exc, value = pickle.loads(message)
+                if exc is not None:
+                    raise exc from WorkerTraceback(value)
+                results.append(value)
+                if todo:
+                    send(fd, pid)
+                else:  # nothing is left for this worker: let it exit now
+                    ready.unregister(fd)
+                    os.close(fd)
+                    os.close(commands.pop(fd))
+    finally:
+        for fd, cmd_w in commands.items():
+            os.close(fd)
+            os.close(cmd_w)
+        for pid, _ in busy.values():  # none unless this raised
+            os.kill(pid, signal.SIGTERM)
+        for pid in pids:
+            os.waitpid(pid, 0)
+        signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+    return results
 
 
 def run_verify(spec: SweepSpec, out) -> int:
@@ -232,31 +364,12 @@ def run_verify(spec: SweepSpec, out) -> int:
             report.advisory = True
         return key, report
 
-    workers = min(spec.threads, len(tasks))
-    fork = None
-    if workers > 1:
-        import multiprocessing
-
-        if "fork" in multiprocessing.get_all_start_methods():
-            fork = multiprocessing.get_context("fork")
-    _sweep[:] = [partial(run_one, t) for t in tasks]
-    try:
-        if fork is None:
-            results = [task() for task in _sweep]
-        else:
-            from concurrent.futures import ProcessPoolExecutor
-
-            # a forked worker flushes the standard streams it inherited when
-            # it exits, so nothing may be pending in them
-            sys.stdout.flush()
-            sys.stderr.flush()
-            # a sweep's tasks grow with n and p, so they are handed out
-            # last-first: the small ones then come at the end, and the
-            # workers finish together whichever of them took the large ones
-            with ProcessPoolExecutor(max_workers=workers, mp_context=fork) as pool:
-                results = list(pool.map(_run_index, reversed(range(len(tasks)))))
-    finally:
-        _sweep.clear()
+    jobs = [partial(run_one, t) for t in tasks]
+    workers = min(spec.threads, len(jobs))
+    if workers > 1 and hasattr(os, "fork"):
+        results = _run_forked(jobs, [t[0] for t in tasks], workers)
+    else:
+        results = [job() for job in jobs]
     results.sort(key=lambda kr: kr[0])
 
     for _, report in results:

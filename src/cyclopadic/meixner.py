@@ -5,11 +5,9 @@ Q_n is defined through its exponential generating function
 are built here from those EGFs over Z[X] (see :mod:`.series`), one degree at a
 time, into one cache that ``meixner_q`` and ``meixner_qstar`` both read.
 
-The three-term recurrences below come from the differential relations of the
-EGFs, (1+t^2) F' = (X - t) F for Q and (1+t^2) F' = X F for Q*; they share no
-code with the EGF route. The tests hold the two routes equal, together with a
-rational-series oracle and the substitution of the arctan images into the
-cycle indicator C_n.
+The tests hold this route equal to independent ones in ``tests/oracles.py``:
+the three-term recurrences, a rational-series oracle and the substitution of
+the arctan images into the cycle indicator C_n.
 """
 from __future__ import annotations
 
@@ -64,28 +62,6 @@ def meixner_qstar(n: int) -> UniPoly:
     with _lock:
         _extend_caches(n)
         return _qstar_cache[n]
-
-
-def meixner_q_recurrence(nmax: int) -> List[UniPoly]:
-    """Q_0..Q_nmax via Q_{m+1} = X Q_m - m^2 Q_{m-1}."""
-    x = UniPoly.x()
-    qs = [UniPoly.constant(1)]
-    if nmax >= 1:
-        qs.append(x)
-    for m in range(1, nmax):
-        qs.append(x * qs[m] - m * m * qs[m - 1])
-    return qs[: nmax + 1]
-
-
-def meixner_qstar_recurrence(nmax: int) -> List[UniPoly]:
-    """Q*_0..Q*_nmax via Q*_{m+1} = X Q*_m - m(m-1) Q*_{m-1}."""
-    x = UniPoly.x()
-    qs = [UniPoly.constant(1)]
-    if nmax >= 1:
-        qs.append(x)
-    for m in range(1, nmax):
-        qs.append(x * qs[m] - m * (m - 1) * qs[m - 1])
-    return qs[: nmax + 1]
 
 
 def _mutate_unipoly(poly: UniPoly, mutation: Optional[Mutation]) -> UniPoly:

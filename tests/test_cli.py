@@ -1,8 +1,14 @@
+import hashlib
 import json
+import os
+import signal
+import subprocess
+import sys
 import time
 
 import pytest
 
+import cyclopadic
 from cyclopadic import congruences
 from cyclopadic.cli import (
     CHECKER_TABLE,
@@ -11,10 +17,12 @@ from cyclopadic.cli import (
     MAX_SCALAR_SIZE,
     SweepSpec,
     UsageError,
+    WorkerTraceback,
     build_all_tasks,
     main,
 )
 from cyclopadic.padic import is_prime
+from cyclopadic.reports import CongruenceReport
 
 pytestmark = pytest.mark.filterwarnings("ignore")
 
@@ -204,6 +212,84 @@ class TestVerify:
             main(["verify", "carlitz-coeff", "--primes", "3", "--n-max", "2",
                   "--threads", threads, "--out", str(tmp_path / "out.txt")])
 
+    def test_worker_death_names_the_task(self, tmp_path, monkeypatch):
+        def dies(n, ctx, mutation):
+            if n == 2:
+                os._exit(3)
+            return CongruenceReport("carlitz-coeff", {"n": n})
+
+        monkeypatch.setattr(congruences, "check_carlitz_coeff", dies)
+        with pytest.raises(RuntimeError, match=r"the worker running task "
+                           r"\('carlitz-coeff', 3, 2, 0\) exited with status 3"):
+            main(["verify", "carlitz-coeff", "--primes", "3", "--n-max", "2",
+                  "--threads", "2", "--out", str(tmp_path / "out.txt")])
+        assert_no_children()
+
+    def test_worker_traceback_is_the_cause(self, tmp_path, monkeypatch):
+        def broken_in_worker(*args):
+            raise ValueError("injected checker fault")
+
+        monkeypatch.setattr(congruences, "check_carlitz_coeff", broken_in_worker)
+        with pytest.raises(ValueError, match="injected checker fault") as info:
+            main(["verify", "carlitz-coeff", "--primes", "3", "--n-max", "2",
+                  "--threads", "2", "--out", str(tmp_path / "out.txt")])
+        cause = info.value.__cause__
+        assert isinstance(cause, WorkerTraceback)
+        assert "Traceback (most recent call last)" in str(cause)
+        assert "broken_in_worker" in str(cause)
+        assert_no_children()
+
+    def test_unpicklable_checker_error(self, tmp_path, monkeypatch):
+        class LocalError(Exception):  # a local class cannot be pickled
+            pass
+
+        def broken_in_worker(*args):
+            raise LocalError("injected checker fault")
+
+        monkeypatch.setattr(congruences, "check_carlitz_coeff", broken_in_worker)
+        with pytest.raises(RuntimeError, match="cannot be sent") as info:
+            main(["verify", "carlitz-coeff", "--primes", "3", "--n-max", "2",
+                  "--threads", "2", "--out", str(tmp_path / "out.txt")])
+        text = str(info.value)
+        assert "Traceback (most recent call last)" in text
+        assert "LocalError: injected checker fault" in text
+        assert_no_children()
+
+    def test_interrupt_terminates_busy_workers(self, tmp_path, monkeypatch):
+        def interrupts(n, ctx, mutation):
+            # n = 2 is handed out first, so the interrupt may come while
+            # the second worker is being forked
+            if n == 2:
+                os.kill(os.getppid(), signal.SIGINT)
+            time.sleep(60)
+
+        monkeypatch.setattr(congruences, "check_carlitz_coeff", interrupts)
+        start = time.monotonic()
+        with pytest.raises(KeyboardInterrupt):
+            main(["verify", "carlitz-coeff", "--primes", "3", "--n-max", "2",
+                  "--threads", "2", "--out", str(tmp_path / "out.txt")])
+        assert time.monotonic() - start < 30
+        assert_no_children()
+
+    def test_report_larger_than_a_pipe_buffer(self, tmp_path, monkeypatch):
+        def many_violations(n, ctx, mutation):
+            report = CongruenceReport("carlitz-coeff", {"p": ctx.p, "n": n})
+            for k in range(20_000):
+                report.add_violation({"k": k}, k * ctx.p, n * ctx.p, 0, 1)
+            return report
+
+        monkeypatch.setattr(congruences, "check_carlitz_coeff", many_violations)
+        outputs = []
+        for threads in ("1", "2"):
+            code, text = run(tmp_path, "verify", "carlitz-coeff", "--primes", "3,5",
+                             "--n-max", "2", "--threads", threads)
+            assert code == 1
+            outputs.append(text)
+        assert outputs[0] == outputs[1] and len(outputs[0]) > 4 * 65536
+        assert all(len(json.loads(line)["violations"]) == 20_000
+                   for line in outputs[0].splitlines())
+        assert_no_children()
+
     @pytest.mark.parametrize("text", ["x:1", "5", "1:y", ":"])
     def test_malformed_mutate_exit2(self, tmp_path, capsys, text):
         code, out = run(tmp_path, "verify", "carlitz-coeff", "--primes", "3",
@@ -251,6 +337,36 @@ class TestVerify:
         assert code == 0
         rs = [json.loads(line)["params"]["r"] for line in text.splitlines()]
         assert rs == [1, 2]
+
+
+def assert_no_children():
+    """No worker process outlives the sweep that forked it."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+# the pinned verify-all grid and the digest of its reports
+VERIFY_ALL = ["verify", "all", "--primes", "3,5,7", "--n-max", "3",
+              "--degree-cap", "24"]
+VERIFY_ALL_SHA256 = "85ff808fc431ce111b00fc730fa335ac96db55a45c78f6d87a64fb998536fad9"
+
+
+@pytest.mark.parametrize("mutate, code", [([], 0), (["--mutate", "0:1"], 1)])
+def test_thread_count_does_not_change_cli_output(mutate, code):
+    # a subprocess, so that the workers inherit the real standard streams
+    src = os.path.dirname(os.path.dirname(cyclopadic.__file__))
+    outputs = set()
+    for threads in ("1", "2", "3", "8"):
+        proc = subprocess.run(
+            [sys.executable, "-m", "cyclopadic.cli", *VERIFY_ALL, *mutate,
+             "--threads", threads],
+            env=dict(os.environ, PYTHONPATH=src), capture_output=True, timeout=120,
+        )
+        assert proc.returncode == code and proc.stderr == b""
+        outputs.add(proc.stdout)
+    assert len(outputs) == 1
+    digest = hashlib.sha256(outputs.pop()).hexdigest()
+    assert (digest == VERIFY_ALL_SHA256) == (not mutate)
 
 
 SMALL_GRID = ["--primes", "3,5", "--n-max", "2", "--degree-cap", "16",

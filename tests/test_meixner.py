@@ -12,14 +12,17 @@ from cyclopadic.meixner import (
     check_junod_qp,
     check_junod_qstar_q,
     meixner_q,
-    meixner_q_recurrence,
     meixner_qstar,
-    meixner_qstar_recurrence,
 )
 from cyclopadic.padic import PadicContext
 from cyclopadic.polyring import UniPoly
 from cyclopadic.reports import Mutation
-from oracles import meixner_by_rational_series, meixner_qstar_by_substitution
+from oracles import (
+    meixner_by_rational_series,
+    meixner_q_recurrence,
+    meixner_qstar_by_substitution,
+    meixner_qstar_recurrence,
+)
 
 X = UniPoly.x()
 
