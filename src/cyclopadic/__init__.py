@@ -10,12 +10,7 @@ from .cycle_index import (
 )
 from .meixner import meixner_q, meixner_qstar
 from .padic import PadicContext, binomial, factorial, is_prime
-from .polyring import (
-    MultiPoly,
-    UniPoly,
-    congruent_mod,
-    substitute_univariate,
-)
+from .polyring import MultiPoly, UniPoly, congruent_mod
 
 __version__ = "0.1.0"
 
@@ -35,5 +30,4 @@ __all__ = [
     "meixner_q",
     "meixner_qstar",
     "partition_count",
-    "substitute_univariate",
 ]

@@ -25,9 +25,9 @@ from .cycle_index import (
     cycle_indicator,
     multiplicity_vector,
 )
-from .padic import PadicContext, binomial
-from .polyring import MultiPoly, Poly, congruence_witnesses
-from .reports import CongruenceReport, Mutation, MutationTap
+from .padic import PadicContext, binomial, factorial
+from .polyring import MultiPoly, Poly, UniPoly, congruence_witnesses
+from .reports import CongruenceReport, Mutation
 
 
 def n_star(n: int) -> int:
@@ -37,15 +37,16 @@ def n_star(n: int) -> int:
     return n // 2 if n % 2 == 0 else n
 
 
-def _mutate_poly(poly: MultiPoly, mutation: Optional[Mutation]) -> MultiPoly:
-    """Perturb one coefficient of poly (by sorted-term index), for fault injection."""
-    if mutation is None:
+def _perturb(poly: Poly, like: Poly, hit: Optional[Tuple[int, int]]) -> Poly:
+    """poly, or for a report's hit (i, delta) poly plus delta at the place of
+    like's i-th coefficient in witness order (the constant term if like is 0)."""
+    if hit is None:
         return poly
-    terms = poly.sorted_terms()
-    if not terms:
-        return poly + MultiPoly.constant(mutation.delta)
-    e, _ = terms[mutation.index % len(terms)]
-    return poly + MultiPoly.monomial(e, mutation.delta)
+    i, delta = hit
+    if isinstance(poly, UniPoly):
+        return poly + UniPoly([0] * i + [delta])
+    terms = like.sorted_terms()
+    return poly + MultiPoly.monomial(terms[i][0] if terms else (), delta)
 
 
 def compare_polys(
@@ -62,7 +63,8 @@ def compare_polys(
     violation per coefficient that differs, tagged with ``form`` if given.
     """
     size = len if isinstance(lhs, MultiPoly) else (lambda u: len(u.coeffs))
-    report.instances += max(size(lhs), size(rhs))
+    longer = lhs if size(lhs) >= size(rhs) else rhs
+    lhs = _perturb(lhs, longer, report.count(size(longer)))
     for place, c, observed, req in congruence_witnesses(lhs, rhs, modulus, ctx):
         if tag:
             place["form"] = tag
@@ -79,12 +81,13 @@ def _coeff_congruence_report(
 ) -> CongruenceReport:
     """c_np(m) = sign^m_p * C(n, m_p) on pure 1/p classes, 0 elsewhere, mod modulus."""
     p = ctx.p
-    report = CongruenceReport(name, {"p": p, "n": n, "modulus": modulus})
+    report = CongruenceReport(
+        name, {"p": p, "n": n, "modulus": modulus}, mutation=mutation
+    )
     req = ctx.vp(modulus)
     q = p**req
-    tap = MutationTap(mutation)
     for parts, c in class_sizes(n * p):
-        c = tap.tap(c)
+        c = report.tap(c)
         # parts are largest first: a pure class is 1^np, or p^m_p with at
         # most a second part 1
         k, mp = parts[0]
@@ -93,7 +96,6 @@ def _coeff_congruence_report(
         else:
             pure = k == p and len(parts) <= 2 and parts[-1][0] in (1, p)
         expected = sign**mp * binomial(n, mp) if pure else 0
-        report.instances += 1
         diff = c - expected
         if diff % q:
             report.add_violation(
@@ -128,21 +130,24 @@ def _poly_congruence_report(
     r: int,
     n: int,
     ctx: PadicContext,
-    modulus: int,
     mutation: Optional[Mutation],
-    cross_check_sign_form: bool,
+    strengthened: bool,
 ) -> CongruenceReport:
+    """Carlitz's form mod p, or the strengthened one mod n*p and its signed
+    variant."""
+    if r < 0 or n < 1:
+        raise ValueError("need r >= 0 and n >= 1")
     p = ctx.p
+    modulus = n_star(n) * p if strengthened else p
     report = CongruenceReport(
-        name, {"p": p, "n": n, "r": r, "modulus": modulus}
+        name, {"p": p, "n": n, "r": r, "modulus": modulus}, mutation=mutation
     )
-    lhs = _mutate_poly(cycle_indicator(r + n * p), mutation)
+    lhs = cycle_indicator(r + n * p)
     cr = cycle_indicator(r)
     x1p = MultiPoly.variable(1) ** p
     xp = MultiPoly.variable(p)
-    rhs = (x1p - xp) ** n * cr
-    compare_polys(report, lhs, rhs, modulus, ctx)
-    if cross_check_sign_form:
+    compare_polys(report, lhs, (x1p - xp) ** n * cr, modulus, ctx)
+    if strengthened:
         rhs2 = (x1p + (-1) ** p * xp) ** n * cr
         compare_polys(report, lhs, rhs2, modulus, ctx, tag="signed")
     return report
@@ -152,28 +157,14 @@ def check_carlitz_poly(
     r: int, n: int, ctx: PadicContext, mutation: Optional[Mutation] = None
 ) -> CongruenceReport:
     """Carlitz: C_{r+np} = (X_1^p - X_p)^n C_r (mod p Z_p[X])."""
-    if r < 0 or n < 1:
-        raise ValueError("need r >= 0 and n >= 1")
-    return _poly_congruence_report(
-        "carlitz-poly", r, n, ctx, ctx.p, mutation, cross_check_sign_form=False
-    )
+    return _poly_congruence_report("carlitz-poly", r, n, ctx, mutation, False)
 
 
 def check_prop_poly(
     r: int, n: int, ctx: PadicContext, mutation: Optional[Mutation] = None
 ) -> CongruenceReport:
     """Strengthened form mod n*p, plus the (X_1^p + (-1)^p X_p)^n variant."""
-    if r < 0 or n < 1:
-        raise ValueError("need r >= 0 and n >= 1")
-    return _poly_congruence_report(
-        "prop-poly",
-        r,
-        n,
-        ctx,
-        n_star(n) * ctx.p,
-        mutation,
-        cross_check_sign_form=True,
-    )
+    return _poly_congruence_report("prop-poly", r, n, ctx, mutation, True)
 
 
 def check_corollary1(
@@ -185,13 +176,13 @@ def check_corollary1(
         raise ValueError("corollary requires 1 <= r <= p-1")
     modulus = n_star(n) * p
     report = CongruenceReport(
-        "corollary1", {"p": p, "n": n, "r": r, "modulus": modulus}
+        "corollary1", {"p": p, "n": n, "r": r, "modulus": modulus},
+        mutation=mutation,
     )
     req = ctx.vp(modulus)
     q = p**req
-    tap = MutationTap(mutation)
     for parts, c in class_sizes(r + n * p):
-        c = tap.tap(c)
+        c = report.tap(c)
         # branch (a) needs m_1 + p*m_p >= np, so the other parts sum to at
         # most r < p: the largest part is p or below p. A largest part above
         # p leaves m_1 < np, and branch (b) is taken whatever m_p is.
@@ -209,7 +200,6 @@ def check_corollary1(
         else:
             expected = 0
             branch = "b"
-        report.instances += 1
         diff = c - expected
         if diff % q:
             report.add_violation(
@@ -241,18 +231,17 @@ def check_remark1(
         raise ValueError("remark requires 1 <= r <= p-1")
     modulus = n_star(n) * p
     report = CongruenceReport(
-        "remark1", {"p": p, "n": n, "r": r, "modulus": modulus}
+        "remark1", {"p": p, "n": n, "r": r, "modulus": modulus},
+        mutation=mutation,
     )
     req = ctx.vp(modulus)
     q = p**req
-    tap = MutationTap(mutation)
     for mp in range(0, n + 1):
         m1 = r + n * p - p * mp
-        lhs = tap.tap(
+        lhs = report.tap(
             coefficient_raw(r + n * p, _two_part_vector(r + n * p, m1, p, mp))
         )
         rhs = coefficient_raw(n * p, _two_part_vector(n * p, m1 - r, p, mp))
-        report.instances += 1
         diff = lhs - rhs
         if diff % q:
             report.add_violation(
@@ -277,12 +266,13 @@ def check_junod_lemma(
 ) -> CongruenceReport:
     """Randomized lemma test: m in pZ, a = b (mod m) implies a^n = b^n (mod mn).
 
-    Instances live in the commutative ring Z[X_1,X_2,X_3]; the seed is
-    recorded so any run is reproducible.
+    Instances live in the commutative ring Z[X_1,X_2,X_3], one per trial; a
+    mutation perturbs the leading term of its a^n. The seed is recorded so
+    any run is reproducible.
     """
     p = ctx.p
     report = CongruenceReport(
-        "junod-lemma", {"p": p, "trials": trials}, seed=seed
+        "junod-lemma", {"p": p, "trials": trials}, seed=seed, mutation=mutation
     )
     rng = random.Random(seed)
     for trial in range(trials):
@@ -292,8 +282,8 @@ def check_junod_lemma(
         n = rng.randint(1, 12)
         beta = alpha + m * gamma
         modulus = m * n
-        lhs = _mutate_poly(alpha**n, mutation if trial == 0 else None)
-        report.instances += 1
+        lhs = alpha**n
+        lhs = _perturb(lhs, lhs, report.count(1))
         bad = congruence_witnesses(lhs, beta**n, modulus, ctx)
         if bad:
             place, c, observed, req = bad[0]
@@ -312,14 +302,12 @@ def check_formula_gamma_ratio(
     as integers, and vp(c_np) = vp(C(n,m_p)).
     """
     p = ctx.p
-    report = CongruenceReport("gamma-ratio", {"p": p, "n": n})
-    tap = MutationTap(mutation)
+    report = CongruenceReport("gamma-ratio", {"p": p, "n": n}, mutation=mutation)
     for mp in range(0, n + 1):
         m1 = n * p - p * mp
-        c = tap.tap(coefficient_raw(n * p, _two_part_vector(n * p, m1, p, mp)))
+        c = report.tap(coefficient_raw(n * p, _two_part_vector(n * p, m1, p, mp)))
         ratio = ctx.morita_gamma_ratio(n * p + 1, m1 + 1)
         expected = (-1) ** (p * mp) * binomial(n, mp) * ratio
-        report.instances += 1
         if c != expected:
             report.add_violation(
                 {"mp": mp, "m1": m1, "kind": "exact-identity"},
@@ -354,45 +342,35 @@ def check_wilson_sharpness(
         raise ValueError("sharpness check requires n in pZ")
     wilson = ctx.wilson_quotient_test()
     report = CongruenceReport(
-        "wilson-sharpness", {"p": p, "n": n, "wilson_prime": wilson}
+        "wilson-sharpness", {"p": p, "n": n, "wilson_prime": wilson},
+        mutation=mutation,
     )
-    tap = MutationTap(mutation)
-    c = tap.tap(coefficient_raw(n * p, _two_part_vector(n * p, n * p - p, p, 1)))
+    c = report.tap(coefficient_raw(n * p, _two_part_vector(n * p, n * p - p, p, 1)))
     d = c - (-1) ** p * n
     v = ctx.vp(d)
     vn = ctx.vp(n)
-    report.instances = 1
-    if wilson:
-        if not v >= vn + 2:
-            report.add_violation(
-                {"mp": 1, "kind": "wilson-prime-bound"}, d, 0, v, vn + 2
-            )
-    else:
-        if v != vn + 1:
-            report.add_violation(
-                {"mp": 1, "kind": "sharpness"}, d, 0, v, vn + 1
-            )
+    if wilson and not v >= vn + 2:
+        report.add_violation({"mp": 1, "kind": "wilson-prime-bound"}, d, 0, v, vn + 2)
+    elif not wilson and v != vn + 1:
+        report.add_violation({"mp": 1, "kind": "sharpness"}, d, 0, v, vn + 1)
     return report
 
 
-# -- sweep wrappers for the scalar p-adic identities -----------------------
+# -- the scalar p-adic identities ------------------------------------------
 
 
 def report_gamma_identity(
     m: int, ctx: PadicContext, mutation: Optional[Mutation] = None
 ) -> CongruenceReport:
     """Exact factorial/Gamma identity (mp)! = (-1)^(pm+1) Gamma_p(pm+1) m! p^m."""
-    from .padic import check_gamma_identity
-
-    report = CongruenceReport("gamma-identity", {"p": ctx.p, "m": m})
-    res = check_gamma_identity(m, ctx)
-    tap = MutationTap(mutation)
-    lhs = tap.tap(res.details["lhs"])
-    report.instances = 1
-    if lhs != res.details["rhs"]:
-        report.add_violation(
-            {"m": m}, lhs - res.details["rhs"], 0, 0, "exact"
-        )
+    if m < 0:
+        raise ValueError("m must be >= 0")
+    p = ctx.p
+    report = CongruenceReport("gamma-identity", {"p": p, "m": m}, mutation=mutation)
+    lhs = report.tap(factorial(m * p))
+    rhs = (-1) ** (p * m + 1) * ctx.morita_gamma(p * m + 1) * factorial(m) * p**m
+    if lhs != rhs:
+        report.add_violation({"m": m}, lhs - rhs, 0, 0, "exact")
     return report
 
 
@@ -401,12 +379,10 @@ def report_gamma_congruence(
 ) -> CongruenceReport:
     """Valuation bound on Gamma_p(pm+1) + 1."""
     p = ctx.p
-    report = CongruenceReport("gamma-congruence", {"p": p, "m": m})
-    tap = MutationTap(mutation)
-    g1 = tap.tap(ctx.morita_gamma(p * m + 1) + 1)
+    report = CongruenceReport("gamma-congruence", {"p": p, "m": m}, mutation=mutation)
+    g1 = report.tap(ctx.morita_gamma(p * m + 1) + 1)
     observed = ctx.vp(g1)
     required = ctx.vp(p * m) - ctx.vp(2)
-    report.instances = 1
     if observed < required:
         report.add_violation({"m": m}, g1, p * m, observed, required)
     return report
@@ -417,13 +393,11 @@ def report_binomial_lift(
 ) -> CongruenceReport:
     """Both binomial lifting congruences for all m in [0, n]."""
     p = ctx.p
-    report = CongruenceReport("binomial-lift", {"p": p, "n": n})
-    tap = MutationTap(mutation)
+    report = CongruenceReport("binomial-lift", {"p": p, "n": n}, mutation=mutation)
     vnp = ctx.vp(n * p)
     for m in range(0, n + 1):
-        diff = tap.tap(binomial(n * p, p * m)) - binomial(n, m)
+        diff = report.tap(binomial(n * p, p * m)) - binomial(n, m)
         second = p * m * binomial(n, m)
-        report.instances += 1
         if ctx.vp(diff) < vnp:
             report.add_violation(
                 {"m": m, "kind": "binom-diff"}, diff, n * p, ctx.vp(diff), vnp

@@ -7,7 +7,6 @@ valuations; no truncated p-adic expansions are ever used.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from typing import Union
 
 INFINITY = math.inf
@@ -53,14 +52,6 @@ def is_prime(n: int) -> bool:
         else:
             return False
     return True
-
-
-@dataclass(frozen=True)
-class CheckResult:
-    """Outcome of a single identity/congruence check, with its witness data."""
-
-    passed: bool
-    details: dict = field(default_factory=dict)
 
 
 class PadicContext:
@@ -118,14 +109,6 @@ class PadicContext:
                 prod *= j
         return -prod if n % 2 else prod
 
-    def morita_gamma_range(self, nmax: int):
-        """Yield (n, morita_gamma(n)) for n = 1..nmax with a running product."""
-        prod = 1
-        for n in range(1, nmax + 1):
-            yield n, (-prod if n % 2 else prod)
-            if n % self.p:
-                prod *= n
-
     def morita_gamma_ratio(self, a: int, b: int) -> int:
         """Exact integer value of morita_gamma(a) / morita_gamma(b), a >= b >= 1.
 
@@ -148,65 +131,3 @@ class PadicContext:
         for j in range(2, self.p):
             f = f * j % p2
         return f == p2 - 1
-
-
-@dataclass(frozen=True)
-class ValuedInt:
-    """An integer together with its p-adic valuation."""
-
-    value: int
-    vp: Valuation
-
-    @classmethod
-    def of(cls, value: int, ctx: PadicContext) -> "ValuedInt":
-        return cls(value, ctx.vp(value))
-
-
-def check_gamma_identity(m: int, ctx: PadicContext) -> CheckResult:
-    """Exact integer identity (mp)! = (-1)^(pm+1) * Gamma_p(pm+1) * m! * p^m."""
-    if m < 0:
-        raise ValueError("m must be >= 0")
-    p = ctx.p
-    lhs = factorial(m * p)
-    rhs = (-1) ** (p * m + 1) * ctx.morita_gamma(p * m + 1) * factorial(m) * p**m
-    return CheckResult(
-        passed=(lhs == rhs),
-        details={"p": p, "m": m, "lhs": lhs, "rhs": rhs},
-    )
-
-
-def check_gamma_congruence(m: int, ctx: PadicContext) -> CheckResult:
-    """Valuation bound vp(Gamma_p(pm+1) + 1) >= vp(pm) - vp(2).
-
-    For odd p the bound is vp(pm), since 2 is a p-adic unit.
-    """
-    p = ctx.p
-    g = ctx.morita_gamma(p * m + 1)
-    observed = ctx.vp(g + 1)
-    required = ctx.vp(p * m) - ctx.vp(2)
-    return CheckResult(
-        passed=(observed >= required),
-        details={"p": p, "m": m, "observed_vp": observed, "required_vp": required},
-    )
-
-
-def check_binomial_lift(n: int, m: int, ctx: PadicContext) -> CheckResult:
-    """Both congruences C(np,pm) = C(n,m) (mod np Z_p) and pm*C(n,m) in np Z_p."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    p = ctx.p
-    vnp = ctx.vp(n * p)
-    diff = binomial(n * p, p * m) - binomial(n, m)
-    v1 = ctx.vp(diff)
-    v2 = ctx.vp(p * m * binomial(n, m))
-    return CheckResult(
-        passed=(v1 >= vnp and v2 >= vnp),
-        details={
-            "p": p,
-            "n": n,
-            "m": m,
-            "required_vp": vnp,
-            "vp_binom_diff": v1,
-            "vp_pm_binom": v2,
-        },
-    )

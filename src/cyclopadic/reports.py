@@ -3,39 +3,34 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Optional, Tuple
 
 
 @dataclass(frozen=True)
 class Mutation:
-    """Test-harness fault injection: perturb the index-th compared value by delta.
+    """Test-harness fault injection: add delta to the left-hand value of the
+    index-th (0-based) compared instance of each report.
 
-    Checkers count the instances (coefficients) they compare; when the counter
-    reaches ``index`` the observed left-hand value is offset by ``delta``, which
-    a sound checker must then report as a violation.
+    Each report counts its instances in report order and perturbs the one
+    named (``CongruenceReport.tap`` and ``count``); an index at or past its
+    instances injects nothing. A polynomial compare's instances are the
+    longer operand's coefficients in witness order (graded revlex for
+    MultiPolys, degree for UniPolys); junod-lemma's are its trials, each
+    perturbed at the leading term of its a^n. A sound checker flags a delta
+    that breaks the congruence and passes a multiple of the modulus.
     """
 
     index: int
     delta: int
 
+    def __post_init__(self):
+        if self.index < 0:
+            raise ValueError(f"negative mutation index {self.index}")
+
     @classmethod
     def parse(cls, text: str) -> "Mutation":
         idx, _, delta = text.partition(":")
         return cls(int(idx), int(delta))
-
-
-class MutationTap:
-    """Applies a Mutation to a running stream of compared values."""
-
-    def __init__(self, mutation: Optional[Mutation]):
-        self.mutation = mutation
-        self.counter = 0
-
-    def tap(self, value: int) -> int:
-        if self.mutation is not None and self.counter == self.mutation.index:
-            value += self.mutation.delta
-        self.counter += 1
-        return value
 
 
 def _jsonable(x):
@@ -57,10 +52,32 @@ class CongruenceReport:
     seed: Optional[int] = None
     elapsed_ms: Optional[int] = None
     advisory: bool = False  # True for non-asserted sweeps (the p=2 experiments)
+    # the fault to inject; not part of the serialized report
+    mutation: Optional[Mutation] = field(default=None, repr=False, compare=False)
 
     @property
     def passed(self) -> bool:
         return not self.violations
+
+    def tap(self, value: int) -> int:
+        """Count one compared instance; its left-hand value, plus the
+        mutation's delta if the mutation names this instance."""
+        i = self.instances
+        self.instances = i + 1
+        m = self.mutation
+        if m is None or m.index != i:
+            return value
+        return value + m.delta
+
+    def count(self, k: int) -> Optional[Tuple[int, int]]:
+        """Count k compared instances; (i, delta) if the mutation names the
+        i-th of them, else None."""
+        start = self.instances
+        self.instances = start + k
+        m = self.mutation
+        if m is None or not start <= m.index < start + k:
+            return None
+        return m.index - start, m.delta
 
     def add_violation(
         self,

@@ -24,13 +24,22 @@ coefficients (``cyclopadic.meixner``); three routes here are compared with it:
 * :func:`meixner_q_recurrence`, :func:`meixner_qstar_recurrence` -- the
   three-term recurrences, from the differential relations of the EGFs,
   (1+t^2) F' = (X - t) F for Q and (1+t^2) F' = X F for Q*.
+
+The scalar p-adic identities have standalone routes too:
+:func:`check_gamma_congruence` and :func:`check_binomial_lift` decide one
+instance and return a :class:`CheckResult` with its witness data, apart from
+the package's sweeps (``report_gamma_congruence``, ``report_binomial_lift``);
+:func:`morita_gamma_range` yields Morita Gamma by a running product, against
+``PadicContext.morita_gamma``; :class:`ValuedInt` pairs an integer with its
+valuation.
 """
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import factorial
 from typing import List, Sequence, Tuple
 
 from cyclopadic.cycle_index import coefficient, cycle_indicator, enumerate_cycle_types
+from cyclopadic.padic import PadicContext, Valuation, binomial
 from cyclopadic.polyring import MultiPoly, UniPoly, substitute_univariate
 
 DETERMINANT_BOUND_DEFAULT = 8
@@ -322,3 +331,72 @@ def meixner_qstar_recurrence(nmax: int) -> List[UniPoly]:
     for m in range(1, nmax):
         qs.append(x * qs[m] - m * (m - 1) * qs[m - 1])
     return qs[: nmax + 1]
+
+
+# -- the scalar p-adic identities ------------------------------------------
+
+
+@dataclass(frozen=True)
+class CheckResult:
+    """Outcome of a single identity/congruence check, with its witness data."""
+
+    passed: bool
+    details: dict = field(default_factory=dict)
+
+
+@dataclass(frozen=True)
+class ValuedInt:
+    """An integer together with its p-adic valuation."""
+
+    value: int
+    vp: Valuation
+
+    @classmethod
+    def of(cls, value: int, ctx: PadicContext) -> "ValuedInt":
+        return cls(value, ctx.vp(value))
+
+
+def morita_gamma_range(ctx: PadicContext, nmax: int):
+    """Yield (n, Gamma_p(n)) for n = 1..nmax with a running product."""
+    prod = 1
+    for n in range(1, nmax + 1):
+        yield n, (-prod if n % 2 else prod)
+        if n % ctx.p:
+            prod *= n
+
+
+def check_gamma_congruence(m: int, ctx: PadicContext) -> CheckResult:
+    """Valuation bound vp(Gamma_p(pm+1) + 1) >= vp(pm) - vp(2).
+
+    For odd p the bound is vp(pm), since 2 is a p-adic unit.
+    """
+    p = ctx.p
+    g = ctx.morita_gamma(p * m + 1)
+    observed = ctx.vp(g + 1)
+    required = ctx.vp(p * m) - ctx.vp(2)
+    return CheckResult(
+        passed=(observed >= required),
+        details={"p": p, "m": m, "observed_vp": observed, "required_vp": required},
+    )
+
+
+def check_binomial_lift(n: int, m: int, ctx: PadicContext) -> CheckResult:
+    """Both congruences C(np,pm) = C(n,m) (mod np Z_p) and pm*C(n,m) in np Z_p."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    p = ctx.p
+    vnp = ctx.vp(n * p)
+    diff = binomial(n * p, p * m) - binomial(n, m)
+    v1 = ctx.vp(diff)
+    v2 = ctx.vp(p * m * binomial(n, m))
+    return CheckResult(
+        passed=(v1 >= vnp and v2 >= vnp),
+        details={
+            "p": p,
+            "n": n,
+            "m": m,
+            "required_vp": vnp,
+            "vp_binom_diff": v1,
+            "vp_pm_binom": v2,
+        },
+    )

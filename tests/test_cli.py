@@ -290,10 +290,11 @@ class TestVerify:
                    for line in outputs[0].splitlines())
         assert_no_children()
 
-    @pytest.mark.parametrize("text", ["x:1", "5", "1:y", ":"])
+    @pytest.mark.parametrize("text", ["x:1", "5", "1:y", ":", "-1:1"])
     def test_malformed_mutate_exit2(self, tmp_path, capsys, text):
+        # one argument, so that argparse does not read "-1:1" as a flag
         code, out = run(tmp_path, "verify", "carlitz-coeff", "--primes", "3",
-                        "--mutate", text)
+                        f"--mutate={text}")
         assert code == 2 and out == ""
         assert capsys.readouterr().err == f"error: malformed --mutate {text!r}\n"
 

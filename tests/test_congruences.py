@@ -1,6 +1,7 @@
 import pytest
 
 from cyclopadic import congruences as cg
+from cyclopadic.cli import CHECKER_TABLE, SweepSpec, build_all_tasks
 from cyclopadic.cycle_index import coefficient_raw, enumerate_cycle_types
 from cyclopadic.padic import PadicContext
 from cyclopadic.reports import CongruenceReport, Mutation
@@ -205,6 +206,12 @@ class TestMutationDetection:
             report = cg.check_junod_lemma(50, 0, ctx, Mutation(0, 1))
             assert [v["instance"]["trial"] for v in report.violations] == [0]
 
+    def test_negative_index_refused(self):
+        with pytest.raises(ValueError):
+            Mutation(-1, 1)
+        with pytest.raises(ValueError):
+            Mutation.parse("-1:1")
+
     def test_every_scalar_checker_catches_perturbation(self, ctx3):
         mut = Mutation(0, 1)
         assert not cg.report_gamma_identity(2, ctx3, mut).passed
@@ -264,6 +271,117 @@ class TestCoeffMutationTwoSided:
             assert v["instance"] == {"m1": r + n * p - p * mp, "mp": mp}
             assert v["required_modulus"] == modulus
             assert (v["observed_vp"], v["required_vp"]) == (req - 1, req)
+
+
+class TestScalarMutationTwoSided:
+    @pytest.mark.parametrize("p", [3, 5])
+    def test_gamma_ratio_flags_every_nonzero_delta(self, p):
+        ctx = PadicContext(p)
+        n = p
+        clean = cg.check_formula_gamma_ratio(n, ctx)
+        assert clean.passed and clean.instances == n + 1
+        for mp in (0, 1, n):
+            for delta in (1, -1, p**3, -(p**5)):
+                report = cg.check_formula_gamma_ratio(n, ctx, Mutation(mp, delta))
+                assert len(report.violations) == 1
+                v = report.violations[0]
+                assert v["instance"] == {"mp": mp, "m1": n * p - p * mp,
+                                         "kind": "exact-identity"}
+                assert v["difference"] == str(delta)
+                assert (v["observed_vp"], v["required_vp"]) == (ctx.vp(delta), "exact")
+
+    @pytest.mark.parametrize("p", [3, 5])
+    def test_gamma_identity_flags_every_nonzero_delta(self, p):
+        ctx = PadicContext(p)
+        for m in (0, 1, p):
+            assert cg.report_gamma_identity(m, ctx).instances == 1
+            for delta in (1, -1, p**3, -(p**5)):
+                report = cg.report_gamma_identity(m, ctx, Mutation(0, delta))
+                assert len(report.violations) == 1
+                v = report.violations[0]
+                assert v["instance"] == {"m": m} and v["difference"] == str(delta)
+
+    @pytest.mark.parametrize("p", [3, 5])
+    def test_gamma_congruence_boundary_delta(self, p):
+        ctx = PadicContext(p)
+        m = p
+        clean = cg.report_gamma_congruence(m, ctx)
+        assert clean.passed and clean.instances == 1
+        req = ctx.vp(p * m)
+        assert req == 2
+        assert cg.report_gamma_congruence(m, ctx, Mutation(0, p**req)).passed
+        assert cg.report_gamma_congruence(m, ctx, Mutation(0, -(p**req))).passed
+        report = cg.report_gamma_congruence(m, ctx, Mutation(0, p ** (req - 1)))
+        assert len(report.violations) == 1
+        v = report.violations[0]
+        assert v["instance"] == {"m": m} and v["required_modulus"] == p * m
+        assert (v["observed_vp"], v["required_vp"]) == (req - 1, req)
+
+    @pytest.mark.parametrize("p", [3, 5])
+    def test_binomial_lift_boundary_delta(self, p):
+        ctx = PadicContext(p)
+        n = p
+        clean = cg.report_binomial_lift(n, ctx)
+        assert clean.passed and clean.instances == n + 1
+        req = ctx.vp(n * p)
+        assert req == 2
+        for m in (0, 1, n):
+            assert cg.report_binomial_lift(n, ctx, Mutation(m, p**req)).passed
+            assert cg.report_binomial_lift(n, ctx, Mutation(m, -(p**req))).passed
+            report = cg.report_binomial_lift(n, ctx, Mutation(m, p ** (req - 1)))
+            assert len(report.violations) == 1
+            v = report.violations[0]
+            assert v["instance"] == {"m": m, "kind": "binom-diff"}
+            assert v["required_modulus"] == n * p
+            assert (v["observed_vp"], v["required_vp"]) == (req - 1, req)
+
+    # 3 is not a Wilson prime: vp(D) = vp(n) + 1 exactly; 5 is one:
+    # vp(D) >= vp(n) + 2
+    @pytest.mark.parametrize("p, kind, req", [(3, "sharpness", 2),
+                                              (5, "wilson-prime-bound", 3)])
+    def test_wilson_sharpness_boundary_delta(self, p, kind, req):
+        ctx = PadicContext(p)
+        n = p
+        clean = cg.check_wilson_sharpness(n, ctx)
+        assert clean.passed and clean.instances == 1
+        # the sharpness condition is an equality, kept by a delta of
+        # valuation above req; the Wilson-prime bound is also kept by p^req
+        keep = [p ** (req + 1), -(p ** (req + 1))]
+        if kind == "wilson-prime-bound":
+            keep += [p**req, -(p**req)]
+        for delta in keep:
+            assert cg.check_wilson_sharpness(n, ctx, Mutation(0, delta)).passed
+        report = cg.check_wilson_sharpness(n, ctx, Mutation(0, p ** (req - 1)))
+        assert len(report.violations) == 1
+        v = report.violations[0]
+        assert v["instance"] == {"mp": 1, "kind": kind}
+        assert (v["observed_vp"], v["required_vp"]) == (req - 1, req)
+
+    def test_junod_lemma_at_a_later_trial(self, ctx3, ctx5):
+        # m <= 20p and n <= 12 keep the required valuation vp(m*n) below 10
+        for ctx in (ctx3, ctx5):
+            for trial in (7, 49):
+                keep = Mutation(trial, ctx.p**10)
+                assert cg.check_junod_lemma(50, 0, ctx, keep).passed
+                report = cg.check_junod_lemma(50, 0, ctx, Mutation(trial, 1))
+                assert [v["instance"]["trial"] for v in report.violations] == [trial]
+                assert report.violations[0]["observed_vp"] == 0
+
+
+@pytest.mark.parametrize("checker", [row.name for row in CHECKER_TABLE])
+def test_index_past_the_instances_injects_nothing(checker):
+    spec = SweepSpec(checker, [3, 5], n_max=2, degree_cap=12, trials=20)
+    tasks = build_all_tasks(spec)
+    assert tasks
+    for _, thunk, _ in tasks:
+        fn, args = thunk.func, thunk.args[:-1]
+        clean = fn(*args, None)
+        assert clean.passed and clean.instances > 0
+        for index in (clean.instances, clean.instances + 1000):
+            mutated = fn(*args, Mutation(index, 1))
+            assert mutated.to_json_obj() == clean.to_json_obj()
+        # the last instance is still reached
+        assert not fn(*args, Mutation(clean.instances - 1, 1)).passed
 
 
 class TestReportShape:

@@ -210,16 +210,22 @@ class TestMutationTwoSided:
         modulus = clean.params["modulus"]
         req = ctx.vp(modulus)
         assert req == (1 if check is check_junod_qp else 2)
-        # corollary2 compares the mutated Q_np with two right-hand sides, so
-        # the tapped degree is flagged once in each form
+        # each compare counts the degree + 1 coefficients of the mutated
+        # polynomial; corollary2 compares it with two right-hand sides, so
+        # index i is degree i of "qp-power" and index i + degree + 1 is
+        # degree i of "closed-form"
+        size = degree(p) + 1
         forms = ["qp-power", "closed-form"] if check is check_corollary2 else [None]
-        for index in (0, 1, degree(p)):
-            # a multiple of p^req is no fault at any degree
-            assert check(*args(p), ctx, Mutation(index, p**req)).passed
-            assert check(*args(p), ctx, Mutation(index, -(p**req))).passed
-            report = check(*args(p), ctx, Mutation(index, p ** (req - 1)))
-            assert [v["instance"].get("form") for v in report.violations] == forms
-            for v in report.violations:
-                assert v["instance"]["degree"] == index
+        assert clean.instances == size * len(forms)
+        for k, form in enumerate(forms):
+            for deg in (0, 1, degree(p)):
+                index = k * size + deg
+                # a multiple of p^req is no fault at any degree
+                assert check(*args(p), ctx, Mutation(index, p**req)).passed
+                assert check(*args(p), ctx, Mutation(index, -(p**req))).passed
+                report = check(*args(p), ctx, Mutation(index, p ** (req - 1)))
+                assert [v["instance"].get("form") for v in report.violations] == [form]
+                v = report.violations[0]
+                assert v["instance"]["degree"] == deg
                 assert v["required_modulus"] == modulus
                 assert (v["observed_vp"], v["required_vp"]) == (req - 1, req)
