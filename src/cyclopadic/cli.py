@@ -15,7 +15,8 @@ builds a polynomial of degree over 200, or in which another checker's largest
 n passes 1000 (junod-lemma's trial count is not bounded).
 
 Exit codes: 0 all checks passed, 1 at least one violation, 2 usage error,
-a refused grid included.
+a refused grid and a negative --n-max, --degree-cap, --threads or --trials
+included.
 
 Each task is exact, CPU-bound and independent, so ``verify`` runs up to
 ``--threads`` of them at once (default ``os.cpu_count()``) in worker processes
@@ -476,6 +477,12 @@ def main(argv=None) -> int:
     try:
         if args.command == "compute":
             return run_compute(args, out)
+
+        for flag in ("n_max", "degree_cap", "threads", "trials"):
+            value = getattr(args, flag)
+            if value is not None and value < 0:
+                flag = flag.replace("_", "-")
+                raise UsageError(f"--{flag} must be >= 0, got {value}")
 
         r_range = None
         if args.r_range:

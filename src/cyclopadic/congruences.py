@@ -7,12 +7,15 @@ violations carry enough witness data to be actionable without a rerun.
 Coefficient-level checkers recompute coefficients from the closed formula
 rather than reading them out of the constructed polynomial, so the
 coefficient checks and the polynomial builder fail independently.
-carlitz-coeff, prop-coeff and corollary1 read every class of their degree
-from one stream, ``cycle_index.class_sizes``: its pairs (i, m_i), largest
-part first, and its size n!/z, each checked for part sum and integrality.
-They read m_1, m_p and whether a class has only parts 1 and p from the
-pairs, and build the dense multiplicity vector only for a witness (and for
-the few classes of corollary1's branch (a)).
+carlitz-coeff, prop-coeff and corollary1 are one walk over the classes of
+r + np from ``cycle_index.class_sizes``, the coefficient form of
+C_{r+np} = (X_1^p + sign X_p)^n C_r: a class with m_1 + p*m_p >= np has
+c = sign^m_p C(n, m_p) c_r(m_1 + p*m_p - np, m_2, .., m_r), every other class
+c = 0. At r = 0 that is the Proposition (c_0 = 1 on the pure 1/p classes),
+at 1 <= r <= p-1 Corollary 1. The walk reads m_1 and m_p from the pairs
+(i, m_i), largest part first, and passes the class of r to
+``cycle_index.class_size`` as pairs; it builds the dense multiplicity vector
+only for a witness. The other checkers name single classes by their pairs.
 """
 from __future__ import annotations
 
@@ -20,8 +23,8 @@ import random
 from typing import Optional, Tuple
 
 from .cycle_index import (
+    class_size,
     class_sizes,
-    coefficient_raw,
     cycle_indicator,
     multiplicity_vector,
 )
@@ -65,45 +68,61 @@ def compare_polys(
     size = len if isinstance(lhs, MultiPoly) else (lambda u: len(u.coeffs))
     longer = lhs if size(lhs) >= size(rhs) else rhs
     lhs = _perturb(lhs, longer, report.count(size(longer)))
-    for place, c, observed, req in congruence_witnesses(lhs, rhs, modulus, ctx):
+    for place, c, req in congruence_witnesses(lhs, rhs, modulus, ctx):
         if tag:
             place["form"] = tag
-        report.add_violation(place, c, modulus, observed, req)
+        report.add_violation(place, c, modulus, ctx, req)
 
 
-def _coeff_congruence_report(
+def _class_walk(
     name: str,
+    r: int,
     n: int,
     ctx: PadicContext,
     modulus: int,
     sign: int,
+    branches: tuple,
     mutation: Optional[Mutation],
 ) -> CongruenceReport:
-    """c_np(m) = sign^m_p * C(n, m_p) on pure 1/p classes, 0 elsewhere, mod modulus."""
+    """Every class of r + np against its expected coefficient, mod modulus.
+
+    A class with m_1 + p*m_p >= np takes the first branch label and expects
+    sign^m_p * C(n, m_p) * c_r(m_1 + p*m_p - np, m_2, .., m_r); any other
+    class takes the second and expects 0.
+    """
     p = ctx.p
-    report = CongruenceReport(
-        name, {"p": p, "n": n, "modulus": modulus}, mutation=mutation
-    )
+    params = {"p": p, "n": n, "modulus": modulus}
+    if r:
+        params["r"] = r
+    report = CongruenceReport(name, params, mutation=mutation)
     req = ctx.vp(modulus)
     q = p**req
-    for parts, c in class_sizes(n * p):
+    a, b = branches
+    for parts, c in class_sizes(r + n * p):
         c = report.tap(c)
-        # parts are largest first: a pure class is 1^np, or p^m_p with at
-        # most a second part 1
+        # the first branch leaves the parts other than 1 and p a sum of at
+        # most r < p, so it needs a largest part k <= p; k = p has m_p <= n
         k, mp = parts[0]
-        if k == 1:
-            pure, mp = True, 0
-        else:
-            pure = k == p and len(parts) <= 2 and parts[-1][0] in (1, p)
-        expected = sign**mp * binomial(n, mp) if pure else 0
+        expected = 0
+        if k <= p:
+            if k < p:
+                mp = 0
+            i, m1 = parts[-1]
+            if i != 1:
+                m1 = 0
+            if m1 >= p * (n - mp):
+                rest = [(i, x) for i, x in parts if 1 < i < p]
+                cr = class_size(r, [(1, m1 + p * (mp - n)), *rest])
+                expected = sign**mp * binomial(n, mp) * cr
         diff = c - expected
         if diff % q:
+            # the first branch expects a nonzero value: C(n, m_p), c_r > 0
             report.add_violation(
-                {"cycle_type": multiplicity_vector(n * p, parts),
-                 "branch": 1 if pure else 2},
+                {"cycle_type": multiplicity_vector(r + n * p, parts),
+                 "branch": a if expected else b},
                 diff,
                 modulus,
-                ctx.vp(diff),
+                ctx,
                 req,
             )
     return report
@@ -113,15 +132,15 @@ def check_carlitz_coeff(
     n: int, ctx: PadicContext, mutation: Optional[Mutation] = None
 ) -> CongruenceReport:
     """Carlitz's coefficient congruence mod p over all cycle types of np."""
-    return _coeff_congruence_report("carlitz-coeff", n, ctx, ctx.p, -1, mutation)
+    return _class_walk("carlitz-coeff", 0, n, ctx, ctx.p, -1, (1, 2), mutation)
 
 
 def check_prop_coeff(
     n: int, ctx: PadicContext, mutation: Optional[Mutation] = None
 ) -> CongruenceReport:
     """Strengthened coefficient congruences mod n*p over all cycle types of np."""
-    return _coeff_congruence_report(
-        "prop-coeff", n, ctx, n_star(n) * ctx.p, (-1) ** ctx.p, mutation
+    return _class_walk(
+        "prop-coeff", 0, n, ctx, n_star(n) * ctx.p, (-1) ** ctx.p, (1, 2), mutation
     )
 
 
@@ -171,55 +190,12 @@ def check_corollary1(
     r: int, n: int, ctx: PadicContext, mutation: Optional[Mutation] = None
 ) -> CongruenceReport:
     """Both branches of the corollary over all cycle types of r+np, mod n*p."""
-    p = ctx.p
-    if not 1 <= r <= p - 1:
+    if not 1 <= r <= ctx.p - 1:
         raise ValueError("corollary requires 1 <= r <= p-1")
-    modulus = n_star(n) * p
-    report = CongruenceReport(
-        "corollary1", {"p": p, "n": n, "r": r, "modulus": modulus},
-        mutation=mutation,
+    return _class_walk(
+        "corollary1", r, n, ctx, n_star(n) * ctx.p, (-1) ** ctx.p, ("a", "b"),
+        mutation,
     )
-    req = ctx.vp(modulus)
-    q = p**req
-    for parts, c in class_sizes(r + n * p):
-        c = report.tap(c)
-        # branch (a) needs m_1 + p*m_p >= np, so the other parts sum to at
-        # most r < p: the largest part is p or below p. A largest part above
-        # p leaves m_1 < np, and branch (b) is taken whatever m_p is.
-        k, mp = parts[0]
-        if k != p:
-            mp = 0
-        i, m1 = parts[-1]
-        if i != 1:
-            m1 = 0
-        if mp <= n and m1 >= p * (n - mp):
-            m = multiplicity_vector(r + n * p, parts)
-            cr = coefficient_raw(r, (m1 + p * mp - n * p, *m[1:r]))
-            expected = (-1) ** (p * mp) * binomial(n, mp) * cr
-            branch = "a"
-        else:
-            expected = 0
-            branch = "b"
-        diff = c - expected
-        if diff % q:
-            report.add_violation(
-                {"cycle_type": multiplicity_vector(r + n * p, parts),
-                 "branch": branch},
-                diff,
-                modulus,
-                ctx.vp(diff),
-                req,
-            )
-    return report
-
-
-def _two_part_vector(total: int, m1: int, p: int, mp: int) -> Tuple[int, ...]:
-    m = [0] * total
-    if m1:
-        m[0] = m1
-    if mp:
-        m[p - 1] = mp
-    return tuple(m)
 
 
 def check_remark1(
@@ -238,15 +214,11 @@ def check_remark1(
     q = p**req
     for mp in range(0, n + 1):
         m1 = r + n * p - p * mp
-        lhs = report.tap(
-            coefficient_raw(r + n * p, _two_part_vector(r + n * p, m1, p, mp))
-        )
-        rhs = coefficient_raw(n * p, _two_part_vector(n * p, m1 - r, p, mp))
+        lhs = report.tap(class_size(r + n * p, ((p, mp), (1, m1))))
+        rhs = class_size(n * p, ((p, mp), (1, m1 - r)))
         diff = lhs - rhs
         if diff % q:
-            report.add_violation(
-                {"m1": m1, "mp": mp}, diff, modulus, ctx.vp(diff), req
-            )
+            report.add_violation({"m1": m1, "mp": mp}, diff, modulus, ctx, req)
     return report
 
 
@@ -286,9 +258,9 @@ def check_junod_lemma(
         lhs = _perturb(lhs, lhs, report.count(1))
         bad = congruence_witnesses(lhs, beta**n, modulus, ctx)
         if bad:
-            place, c, observed, req = bad[0]
+            place, c, req = bad[0]
             report.add_violation(
-                dict(place, trial=trial, m=m, n=n), c, modulus, observed, req
+                dict(place, trial=trial, m=m, n=n), c, modulus, ctx, req
             )
     return report
 
@@ -305,7 +277,7 @@ def check_formula_gamma_ratio(
     report = CongruenceReport("gamma-ratio", {"p": p, "n": n}, mutation=mutation)
     for mp in range(0, n + 1):
         m1 = n * p - p * mp
-        c = report.tap(coefficient_raw(n * p, _two_part_vector(n * p, m1, p, mp)))
+        c = report.tap(class_size(n * p, ((p, mp), (1, m1))))
         ratio = ctx.morita_gamma_ratio(n * p + 1, m1 + 1)
         expected = (-1) ** (p * mp) * binomial(n, mp) * ratio
         if c != expected:
@@ -313,7 +285,7 @@ def check_formula_gamma_ratio(
                 {"mp": mp, "m1": m1, "kind": "exact-identity"},
                 c - expected,
                 0,
-                ctx.vp(c - expected),
+                ctx,
                 "exact",
             )
         elif ctx.vp(c) != ctx.vp(binomial(n, mp)):
@@ -321,7 +293,7 @@ def check_formula_gamma_ratio(
                 {"mp": mp, "m1": m1, "kind": "valuation"},
                 c,
                 0,
-                ctx.vp(c),
+                ctx,
                 ctx.vp(binomial(n, mp)),
             )
     return report
@@ -345,14 +317,14 @@ def check_wilson_sharpness(
         "wilson-sharpness", {"p": p, "n": n, "wilson_prime": wilson},
         mutation=mutation,
     )
-    c = report.tap(coefficient_raw(n * p, _two_part_vector(n * p, n * p - p, p, 1)))
+    c = report.tap(class_size(n * p, ((p, 1), (1, n * p - p))))
     d = c - (-1) ** p * n
     v = ctx.vp(d)
     vn = ctx.vp(n)
     if wilson and not v >= vn + 2:
-        report.add_violation({"mp": 1, "kind": "wilson-prime-bound"}, d, 0, v, vn + 2)
+        report.add_violation({"mp": 1, "kind": "wilson-prime-bound"}, d, 0, ctx, vn + 2)
     elif not wilson and v != vn + 1:
-        report.add_violation({"mp": 1, "kind": "sharpness"}, d, 0, v, vn + 1)
+        report.add_violation({"mp": 1, "kind": "sharpness"}, d, 0, ctx, vn + 1)
     return report
 
 
@@ -370,7 +342,7 @@ def report_gamma_identity(
     lhs = report.tap(factorial(m * p))
     rhs = (-1) ** (p * m + 1) * ctx.morita_gamma(p * m + 1) * factorial(m) * p**m
     if lhs != rhs:
-        report.add_violation({"m": m}, lhs - rhs, 0, 0, "exact")
+        report.add_violation({"m": m}, lhs - rhs, 0, ctx, "exact")
     return report
 
 
@@ -381,10 +353,9 @@ def report_gamma_congruence(
     p = ctx.p
     report = CongruenceReport("gamma-congruence", {"p": p, "m": m}, mutation=mutation)
     g1 = report.tap(ctx.morita_gamma(p * m + 1) + 1)
-    observed = ctx.vp(g1)
     required = ctx.vp(p * m) - ctx.vp(2)
-    if observed < required:
-        report.add_violation({"m": m}, g1, p * m, observed, required)
+    if ctx.vp(g1) < required:
+        report.add_violation({"m": m}, g1, p * m, ctx, required)
     return report
 
 
@@ -398,12 +369,7 @@ def report_binomial_lift(
     for m in range(0, n + 1):
         diff = report.tap(binomial(n * p, p * m)) - binomial(n, m)
         second = p * m * binomial(n, m)
-        if ctx.vp(diff) < vnp:
-            report.add_violation(
-                {"m": m, "kind": "binom-diff"}, diff, n * p, ctx.vp(diff), vnp
-            )
-        if ctx.vp(second) < vnp:
-            report.add_violation(
-                {"m": m, "kind": "pm-binom"}, second, n * p, ctx.vp(second), vnp
-            )
+        for kind, value in (("binom-diff", diff), ("pm-binom", second)):
+            if ctx.vp(value) < vnp:
+                report.add_violation({"m": m, "kind": kind}, value, n * p, ctx, vnp)
     return report

@@ -14,8 +14,12 @@ Every class is checked with ``ArithmeticError``, which survives ``python -O``:
 its part sum must be n, and n!/z must be an integer. The coefficient
 checkers read this stream. :func:`enumerate_cycle_types` is a view of it that
 wraps each class as a :class:`CycleType`, which holds the class twice:
-densely as ``m`` and sparsely as ``parts``. :func:`coefficient` evaluates the
-closed formula for one class, and is the oracle of the stream in the tests.
+densely as ``m`` and sparsely as ``parts``.
+
+:func:`class_size` is the one closed-form routine: n!/z for a class given by
+its pairs (i, m_i), in any order. The checkers call it for the single classes
+they name, and :func:`coefficient` calls it on the ``parts`` of a
+``CycleType``; the tests hold the stream to it.
 
 :func:`cycle_indicator` is the one production route to C_n: memoized, it
 builds each class of n once, from the cached class of n - k that lacks one
@@ -168,8 +172,9 @@ def partition_count(n: int) -> int:
     return p[n]
 
 
-def _closed_form(n: int, parts: Iterable[Tuple[int, int]]) -> int:
-    """n! / prod i^m_i * m_i! over the pairs (i, m_i); 0 if they are no class of n."""
+def class_size(n: int, parts: Iterable[Tuple[int, int]]) -> int:
+    """n! / prod i^m_i * m_i! over the distinct pairs (i, m_i), in any order;
+    0 if they are no class of n. Integrality is checked."""
     denom = 1
     total = 0
     for i, x in parts:
@@ -187,19 +192,10 @@ def _closed_form(n: int, parts: Iterable[Tuple[int, int]]) -> int:
 
 def coefficient(ct: CycleType) -> int:
     """n! / prod_i i^m_i * m_i!, exact, from ``ct.parts``; integrality is checked."""
-    c = _closed_form(ct.n, ct.parts)
+    c = class_size(ct.n, ct.parts)
     if not c:
         raise ArithmeticError(f"{ct} is not a cycle type of S_{ct.n}")
     return c
-
-
-def coefficient_raw(n: int, m: Tuple[int, ...]) -> int:
-    """Coefficient for a multiplicity vector without constructing a CycleType.
-
-    Returns 0 when the vector is not a valid cycle type of n (infeasible
-    class, e.g. negative or mismatched total).
-    """
-    return _closed_form(n, [(i, x) for i, x in enumerate(m, start=1) if x])
 
 
 _cache_lock = threading.Lock()

@@ -562,8 +562,8 @@ Poly = Union[MultiPoly, UniPoly, int]
 
 
 def congruence_witnesses(a: Poly, b: Poly, m: int, ctx: PadicContext) -> list:
-    """(place, difference, observed vp, required vp) for each coefficient at
-    which a and b differ mod m*Z_p, in ``nondivisible_terms`` order; place is
+    """(place, difference, required vp) for each coefficient at which a and b
+    differ mod m*Z_p, in ``nondivisible_terms`` order; place is
     ``{"exponents": [...]}`` for MultiPolys and ``{"degree": d}`` for UniPolys.
     """
     if m == 0:
@@ -582,7 +582,7 @@ def congruence_witnesses(a: Poly, b: Poly, m: int, ctx: PadicContext) -> list:
         raise TypeError("a congruence needs two polynomials of the same kind")
     uni = isinstance(a, UniPoly)
     return [
-        ({"degree": w} if uni else {"exponents": list(w)}, c, ctx.vp(c), req)
+        ({"degree": w} if uni else {"exponents": list(w)}, c, req)
         for w, c in (a - b).nondivisible_terms(ctx.p**req)
     ]
 
@@ -597,5 +597,5 @@ def congruent_mod(a: Poly, b: Poly, m: int, ctx: PadicContext):
     bad = congruence_witnesses(a, b, m, ctx)
     if not bad:
         return True, None
-    place, c, observed, req = bad[0]
-    return False, dict(place, difference=c, observed_vp=observed, required_vp=req)
+    place, c, req = bad[0]
+    return False, dict(place, difference=c, observed_vp=ctx.vp(c), required_vp=req)

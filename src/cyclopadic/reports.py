@@ -84,15 +84,17 @@ class CongruenceReport:
         instance: dict,
         difference: int,
         required_modulus: int,
-        observed_vp,
+        ctx,
         required_vp,
     ) -> None:
+        """Record one violation at instance; its observed valuation is
+        ``ctx.vp(difference)`` ("inf" for 0), computed here."""
         self.violations.append(
             {
                 "instance": instance,
                 "difference": str(difference),
                 "required_modulus": required_modulus,
-                "observed_vp": _jsonable(observed_vp),
+                "observed_vp": _jsonable(ctx.vp(difference)),
                 "required_vp": _jsonable(required_vp),
             }
         )

@@ -275,7 +275,7 @@ class TestVerify:
         def many_violations(n, ctx, mutation):
             report = CongruenceReport("carlitz-coeff", {"p": ctx.p, "n": n})
             for k in range(20_000):
-                report.add_violation({"k": k}, k * ctx.p, n * ctx.p, 0, 1)
+                report.add_violation({"k": k}, k * ctx.p, n * ctx.p, ctx, 1)
             return report
 
         monkeypatch.setattr(congruences, "check_carlitz_coeff", many_violations)
@@ -297,6 +297,15 @@ class TestVerify:
                         f"--mutate={text}")
         assert code == 2 and out == ""
         assert capsys.readouterr().err == f"error: malformed --mutate {text!r}\n"
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--trials", -5), ("--n-max", -2), ("--degree-cap", -1), ("--threads", -3),
+    ])
+    def test_negative_grid_input_exit2(self, capsys, flag, value):
+        # one argument, so that argparse does not read the value as a flag
+        code = main(["verify", "junod-lemma", "--primes", "3", f"{flag}={value}"])
+        assert code == 2
+        assert capsys.readouterr() == ("", f"error: {flag} must be >= 0, got {value}\n")
 
     def test_unwritable_out_exit2(self, tmp_path, capsys):
         path = tmp_path / "missing" / "x"

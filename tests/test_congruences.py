@@ -1,8 +1,15 @@
+import math
+
 import pytest
 
 from cyclopadic import congruences as cg
 from cyclopadic.cli import CHECKER_TABLE, SweepSpec, build_all_tasks
-from cyclopadic.cycle_index import coefficient_raw, enumerate_cycle_types
+from cyclopadic.cycle_index import (
+    CycleType,
+    class_size,
+    coefficient,
+    enumerate_cycle_types,
+)
 from cyclopadic.padic import PadicContext
 from cyclopadic.reports import CongruenceReport, Mutation
 
@@ -36,9 +43,9 @@ class TestNStar:
 class TestCarlitz:
     def test_coeff_hand_values_p3_n1(self, ctx3):
         # the three cycle types of S_3: checked by hand in both branches
-        assert coefficient_raw(3, (0, 0, 1)) == 2  # 2 = -C(1,1) mod 3
-        assert coefficient_raw(3, (1, 1, 0)) == 3  # else branch, 0 mod 3
-        assert coefficient_raw(3, (3, 0, 0)) == 1  # (-1)^0 C(1,0)
+        assert class_size(3, ((3, 1),)) == 2  # 2 = -C(1,1) mod 3
+        assert class_size(3, ((2, 1), (1, 1))) == 3  # else branch, 0 mod 3
+        assert class_size(3, ((1, 3),)) == 1  # (-1)^0 C(1,0)
         assert cg.check_carlitz_coeff(1, ctx3).passed
 
     @pytest.mark.parametrize("n", range(1, 6))
@@ -71,7 +78,7 @@ class TestProposition:
 
     def test_coeff_sign_example_p5_n5(self, ctx5):
         # class m_5=1, m_1=20: c = -5 = (-1)^5 C(5,1) (mod 25)
-        c = coefficient_raw(25, cg._two_part_vector(25, 20, 5, 1))
+        c = class_size(25, ((5, 1), (1, 20)))
         assert (c + 5) % 25 == 0
         assert cg.check_prop_coeff(5, ctx5).passed
 
@@ -102,9 +109,9 @@ class TestProposition:
 
 class TestCorollary1:
     def test_hand_values_p3_n1_r1(self, ctx3):
-        assert coefficient_raw(4, (4, 0, 0, 0)) == 1
-        assert coefficient_raw(4, (1, 0, 1, 0)) == 8  # = -1 mod 3
-        assert coefficient_raw(4, (0, 2, 0, 0)) == 3  # branch (b), 0 mod 3
+        assert class_size(4, ((1, 4),)) == 1
+        assert class_size(4, ((3, 1), (1, 1))) == 8  # = -1 mod 3
+        assert class_size(4, ((2, 2),)) == 3  # branch (b), 0 mod 3
         assert cg.check_corollary1(1, 1, ctx3).passed
 
     @pytest.mark.parametrize("p,r,n", [(3, 1, 2), (3, 2, 3), (5, 1, 1), (5, 4, 2)])
@@ -128,8 +135,8 @@ class TestRemark1:
         assert cg.check_remark1(r, n, PadicContext(p)).passed
 
     def test_example_p3_n2_r1(self, ctx3):
-        lhs = coefficient_raw(7, cg._two_part_vector(7, 4, 3, 1))
-        rhs = coefficient_raw(6, cg._two_part_vector(6, 3, 3, 1))
+        lhs = class_size(7, ((3, 1), (1, 4)))
+        rhs = class_size(6, ((3, 1), (1, 3)))
         assert (lhs - rhs) % 3 == 0
         assert cg.check_remark1(1, 2, ctx3).passed
 
@@ -158,7 +165,7 @@ class TestJunodLemma:
 class TestGammaRatio:
     def test_hand_example_p3_n2(self, ctx3):
         # c_6(3,0,1) = 40 = (-1)^3 * C(2,1) * (-20)
-        assert coefficient_raw(6, (3, 0, 1, 0, 0, 0)) == 40
+        assert class_size(6, ((3, 1), (1, 3))) == 40
         assert ctx3.morita_gamma_ratio(7, 4) == -20
         assert cg.check_formula_gamma_ratio(2, ctx3).passed
 
@@ -170,7 +177,7 @@ class TestGammaRatio:
 class TestWilsonSharpness:
     def test_p3_exact(self, ctx3):
         # c_9(6,0,1,...) = 168; D = 171 = 9*19 has vp exactly 2
-        assert coefficient_raw(9, cg._two_part_vector(9, 6, 3, 1)) == 168
+        assert class_size(9, ((3, 1), (1, 6))) == 168
         report = cg.check_wilson_sharpness(3, ctx3)
         assert report.passed and not report.params["wilson_prime"]
 
@@ -273,6 +280,46 @@ class TestCoeffMutationTwoSided:
             assert (v["observed_vp"], v["required_vp"]) == (req - 1, req)
 
 
+# (checker, sign, branch labels) of the one class walk: carlitz-coeff and
+# prop-coeff at r = 0, corollary1 at 1 <= r <= p-1
+CLASS_WALKS = [
+    (cg.check_carlitz_coeff, lambda p: -1, (1, 2)),
+    (cg.check_prop_coeff, lambda p: (-1) ** p, (1, 2)),
+    (cg.check_corollary1, lambda p: (-1) ** p, ("a", "b")),
+]
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+@pytest.mark.parametrize("check, sign, branches", CLASS_WALKS,
+                         ids=["carlitz-coeff", "prop-coeff", "corollary1"])
+def test_class_walk_expects_every_class_of_the_cycle_type_route(
+    check, sign, branches, p
+):
+    # every grid point with r + np <= 12: a delta of 1 at class i is flagged
+    # there alone, with the branch and the expected value that the
+    # CycleType route gives that class
+    ctx = PadicContext(p)
+    for r in range(1, p) if check is cg.check_corollary1 else (0,):
+        for n in range(1, (12 - r) // p + 1):
+            args = (r, n) if r else (n,)
+            for i, ct in enumerate(enumerate_cycle_types(r + n * p)):
+                report = check(*args, ctx, Mutation(i, 1))
+                assert len(report.violations) == 1
+                v = report.violations[0]
+                m1, mp = ct.m[0], ct.m[p - 1]
+                first = m1 + p * mp >= n * p
+                expected = 0
+                if first:
+                    rest = (m1 + p * mp - n * p, *ct.m[1:r])
+                    cr = coefficient(CycleType(r, rest)) if r else 1
+                    expected = sign(p) ** mp * math.comb(n, mp) * cr
+                assert v["instance"] == {
+                    "cycle_type": list(ct.m),
+                    "branch": branches[0] if first else branches[1],
+                }
+                assert v["difference"] == str(coefficient(ct) + 1 - expected)
+
+
 class TestScalarMutationTwoSided:
     @pytest.mark.parametrize("p", [3, 5])
     def test_gamma_ratio_flags_every_nonzero_delta(self, p):
@@ -300,6 +347,7 @@ class TestScalarMutationTwoSided:
                 assert len(report.violations) == 1
                 v = report.violations[0]
                 assert v["instance"] == {"m": m} and v["difference"] == str(delta)
+                assert (v["observed_vp"], v["required_vp"]) == (ctx.vp(delta), "exact")
 
     @pytest.mark.parametrize("p", [3, 5])
     def test_gamma_congruence_boundary_delta(self, p):
@@ -408,6 +456,6 @@ class TestReportShape:
 
     def test_report_is_dataclass_roundtrippable(self):
         r = CongruenceReport("x", {"p": 3})
-        r.add_violation({"i": 1}, -3, 9, 1, 2)
+        r.add_violation({"i": 1}, -3, 9, PadicContext(3), 2)
         assert not r.passed
         assert r.to_json_obj()["violations"][0]["difference"] == "-3"
