@@ -16,7 +16,8 @@ n passes 1000 (junod-lemma's trial count is not bounded).
 
 Exit codes: 0 all checks passed, 1 at least one violation, 2 usage error,
 a refused grid and a negative --n-max, --degree-cap, --threads or --trials
-included.
+included. ``--out`` is opened only after every usage check has passed, so a
+usage error leaves an existing file as it was.
 
 Each task is exact, CPU-bound and independent, so ``verify`` runs up to
 ``--threads`` of them at once (default ``os.cpu_count()``) in worker processes
@@ -34,6 +35,7 @@ import argparse
 import os
 import sys
 import time
+from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import partial
 from types import ModuleType
@@ -49,7 +51,13 @@ from .reports import Mutation
 # built in 0.3 s and 99 MB, and `compute cycle-index 45` takes 1.6 s and 190 MB
 # with its JSON. `verify` refuses a grid in which a checker sized by p(N) would
 # reach such an N. The tests and the benchmark grids reach at most N = 39
-# (p(39) = 31,185).
+# (p(39) = 31,185). For the polynomial checkers, which build C_N, the limit
+# is that cost. For carlitz-coeff, prop-coeff and corollary1 it is
+# conservative: their walk visits only the classes that a valuation bound does
+# not clear and counts the rest. prop-coeff at p = n = 11 (p(121) ~ 2e9)
+# takes about 10 ms on a 2-core VM. corollary1's visited classes grow like
+# p(r): 504 of them at p = n = 11, r = 10. A limit on N measured for those
+# walks would replace p(N) for them.
 MAX_CYCLE_INDEX_TERMS = 100_000
 
 # `verify` refuses a grid in which another checker's largest n (or m) is over
@@ -190,7 +198,16 @@ def _check_sizes(spec: SweepSpec) -> None:
 
 
 def build_all_tasks(spec: SweepSpec):
-    """(sort key, thunk, advisory) per task, sorted; a refused grid builds none."""
+    """(sort key, thunk, advisory) per task, sorted.
+
+    A grid with an entry of ``primes`` that is not prime, with p = 2 but not
+    ``allow_p2``, or over a size limit builds none: ``UsageError``.
+    """
+    for p in spec.primes:
+        if not is_prime(p):
+            raise UsageError(f"--primes entries must be prime, got {p}")
+        if p == 2 and not spec.allow_p2:
+            raise UsageError("p=2 sweeps require --allow-p2")
     _check_sizes(spec)
     tasks = []
     for row in _rows(spec):
@@ -347,13 +364,8 @@ def _run_forked(jobs: List[Callable[[], tuple]], keys: list, workers: int) -> li
     return results
 
 
-def run_verify(spec: SweepSpec, out) -> int:
-    for p in spec.primes:
-        if not is_prime(p):
-            raise UsageError(f"--primes entries must be prime, got {p}")
-        if p == 2 and not spec.allow_p2:
-            raise UsageError("p=2 sweeps require --allow-p2")
-    tasks = build_all_tasks(spec)
+def run_verify(spec: SweepSpec, tasks: list, out) -> int:
+    """Run the tasks ``build_all_tasks(spec)`` built and write their reports."""
 
     def run_one(entry):
         key, fn, advisory = entry
@@ -391,7 +403,8 @@ def _parse_cycle_type(n: int, text: str) -> CycleType:
         raise UsageError(str(exc))
 
 
-def run_compute(args, out) -> int:
+def run_compute(args) -> str:
+    """The text that ``compute`` prints."""
     obj = args.object
     n = args.n
     if n < 0:
@@ -404,21 +417,18 @@ def run_compute(args, out) -> int:
                 f"{MAX_CYCLE_INDEX_TERMS}"
             )
         poly = cycle_indicator(n)
-        out.write((poly.to_json() if args.format == "json" else repr(poly)) + "\n")
     elif obj == "coeff":
         if args.cycle_type is None:
             raise UsageError("coeff requires a cycle type, e.g. 1,1,0")
         ct = _parse_cycle_type(n, args.cycle_type)
-        out.write(str(coefficient(ct)) + "\n")
+        return str(coefficient(ct)) + "\n"
     elif obj == "meixner-q":
         poly = mx.meixner_q(n)
-        out.write((poly.to_json() if args.format == "json" else repr(poly)) + "\n")
     elif obj == "meixner-qstar":
         poly = mx.meixner_qstar(n)
-        out.write((poly.to_json() if args.format == "json" else repr(poly)) + "\n")
     else:
         raise UsageError(f"unknown object {obj!r}")
-    return 0
+    return (poly.to_json() if args.format == "json" else repr(poly)) + "\n"
 
 
 def _default_threads() -> int:
@@ -463,20 +473,27 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _output(path: Optional[str]):
+    """The stream that ``--out`` names, or stdout, as a context that closes
+    only a file. Opened only once every usage check has passed, so that a
+    usage error leaves the file as it was."""
+    if not path:
+        return nullcontext(sys.stdout)
+    try:
+        return open(path, "w")
+    except OSError as exc:
+        raise UsageError(f"cannot write {path}: {exc.strerror or exc}")
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    out = sys.stdout
-    if args.out:
-        try:
-            out = open(args.out, "w")
-        except OSError as exc:
-            print(f"error: cannot write {args.out}: {exc.strerror or exc}",
-                  file=sys.stderr)
-            return 2
     try:
         if args.command == "compute":
-            return run_compute(args, out)
+            text = run_compute(args)
+            with _output(args.out) as out:
+                out.write(text)
+            return 0
 
         for flag in ("n_max", "degree_cap", "threads", "trials"):
             value = getattr(args, flag)
@@ -515,13 +532,12 @@ def main(argv=None) -> int:
             trials=args.trials,
             mutation=mutation,
         )
-        return run_verify(spec, out)
+        tasks = build_all_tasks(spec)
+        with _output(args.out) as out:
+            return run_verify(spec, tasks, out)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    finally:
-        if args.out:
-            out.close()
 
 
 if __name__ == "__main__":

@@ -16,6 +16,13 @@ at 1 <= r <= p-1 Corollary 1. The walk reads m_1 and m_p from the pairs
 (i, m_i), largest part first, and passes the class of r to
 ``cycle_index.class_size`` as pairs; it builds the dense multiplicity vector
 only for a witness. The other checkers name single classes by their pairs.
+
+The walk visits only the classes that a valuation bound does not clear: it
+counts the rest as instances, each proved to expect 0 and to have a size
+divisible by p^vp(modulus) (see ``_class_walk``). Where p | n that leaves
+the n + 1 pure 1/p classes of prop-coeff, out of p(np). A subtree that
+holds the ``--mutate`` index is visited, so every report, clean or
+mutated, is the one a visit of all p(N) classes gives.
 """
 from __future__ import annotations
 
@@ -84,11 +91,21 @@ def _class_walk(
     branches: tuple,
     mutation: Optional[Mutation],
 ) -> CongruenceReport:
-    """Every class of r + np against its expected coefficient, mod modulus.
+    """Every class of N = r + np against its expected coefficient, mod modulus.
 
     A class with m_1 + p*m_p >= np takes the first branch label and expects
     sign^m_p * C(n, m_p) * c_r(m_1 + p*m_p - np, m_2, .., m_r); any other
     class takes the second and expects 0.
+
+    The walk counts the classes below a node of ``class_sizes`` (pairs pi of
+    parts >= k and a rest R to fill with parts below k), without visiting
+    them, when it proves that each expects 0 and has a size divisible by
+    p^req. ``report.skip`` refuses a node that holds the mutation index,
+    and the walk goes down into it. A class below is pi plus a class rho of
+    R, so z = z_pi * z_rho, and its size N!/z is N!/(z_pi * R!) times the
+    integer R!/z_rho: its vp is at least vp(N!) - vp(z_pi) - vp(R!), which
+    at R = 0 is exact. Its parts other than 1 and p sum to at least those of
+    pi; past r, the class takes the second branch.
     """
     p = ctx.p
     params = {"p": p, "n": n, "modulus": modulus}
@@ -98,7 +115,18 @@ def _class_walk(
     req = ctx.vp(modulus)
     q = p**req
     a, b = branches
-    for parts, c in class_sizes(r + n * p):
+    vfact = [0]  # vfact[m] = vp(m!)
+    for m in range(1, r + n * p + 1):
+        vfact.append(vfact[-1] + ctx.vp(m))
+
+    def clears(pairs, z, rest, count):
+        return (
+            sum(i * x for i, x in pairs if i != 1 and i != p) > r
+            and vfact[-1] - ctx.vp(z) - vfact[rest] >= req
+            and report.skip(count)
+        )
+
+    for parts, c in class_sizes(r + n * p, clears):
         c = report.tap(c)
         # the first branch leaves the parts other than 1 and p a sum of at
         # most r < p, so it needs a largest part k <= p; k = p has m_p <= n

@@ -11,10 +11,18 @@ yields each class as those ``parts`` with its size n!/z. Beside the pairs it
 keeps the prefix products of the weights i^m_i * m_i! and the prefix sums of
 i * m_i, so a class costs a few multiplications and one division of n!.
 Every class is checked with ``ArithmeticError``, which survives ``python -O``:
-its part sum must be n, and n!/z must be an integer. The coefficient
-checkers read this stream. :func:`enumerate_cycle_types` is a view of it that
-wraps each class as a :class:`CycleType`, which holds the class twice:
-densely as ``m`` and sparsely as ``parts``.
+its part sum must be n, and n!/z must be an integer.
+:func:`enumerate_cycle_types` is a view of the full stream that wraps each
+class as a :class:`CycleType`, which holds the class twice: densely as ``m``
+and sparsely as ``parts``.
+
+The coefficient checkers read the stream with a ``prune`` predicate. Each
+refill of the step starts at a node, a prefix of pairs and a rest to fill
+with smaller parts; the classes below a node are consecutive in the stream.
+A node the predicate clears is counted, from :func:`partition_table`, and
+not visited. A stream that runs to its end checks, again with
+``ArithmeticError``, that the classes it yielded and counted are p(n) by
+Euler's recurrence (:func:`partition_count`).
 
 :func:`class_size` is the one closed-form routine: n!/z for a class given by
 its pairs (i, m_i), in any order. The checkers call it for the single classes
@@ -31,8 +39,9 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, field
+from itertools import accumulate
 from math import factorial
-from typing import Iterable, Iterator, List, Tuple
+from typing import Callable, Iterable, Iterator, List, Optional, Tuple
 
 from .polyring import MAX_DEGREE, SLOT_BITS, MultiPoly, _check_degree
 
@@ -60,21 +69,40 @@ class CycleType:
         object.__setattr__(self, "parts", parts)
 
 
-def class_sizes(n: int) -> Iterator[Tuple[Tuple[Tuple[int, int], ...], int]]:
+Prune = Callable[[List[Tuple[int, int]], int, int, int], bool]
+
+
+def class_sizes(
+    n: int, prune: Optional[Prune] = None
+) -> Iterator[Tuple[Tuple[Tuple[int, int], ...], int]]:
     """(parts, n!/z) for every class of S_n, in reverse-lexicographic order.
 
     ``parts`` is the class as pairs (i, m_i) with m_i > 0, largest part
     first, and z = prod_i i^m_i * m_i! its centralizer order. The successor
     of a partition in this order (Knuth, TAOCP 4A, 7.2.1.4) strips its 1s,
     lowers one copy of the smallest part k > 1, and refills the freed amount
-    with parts k-1 and one smaller remainder. The step runs on a stack of
-    the pairs (i, m_i), largest part first, and carries two more stacks
-    beside it: the prefix products of the weights i^m_i * m_i! and the
-    prefix sums of i * m_i. A class then costs a few multiplications and one
-    division of n!; n! and the weights are computed once per call.
+    greedily with parts below k: parts k-1, then one smaller remainder. The
+    step runs on a stack of the pairs (i, m_i), largest part first, and
+    carries two more stacks beside it: the prefix products of the weights
+    i^m_i * m_i! and the prefix sums of i * m_i. A class then costs a few
+    multiplications and one division of n!; n! and the weights are computed
+    once per call.
+
+    Each fill starts at a node: the pairs fixed so far, whose parts are all
+    at least k, and a rest to fill with parts below k. The classes below the
+    node are the pairs plus a partition of the rest into parts below k, and
+    they come one after another in this order. With ``prune``, each node
+    is first offered to ``prune(pairs, z, rest, count)``: z is the product
+    of the pairs' weights and count the number of classes below, read from
+    :func:`partition_table`. If it returns True, those classes are counted
+    and not yielded, and the step goes on as if the last of them, the pairs
+    plus 1^rest, had been yielded. ``pairs`` is the step's own stack: read
+    it during the call only.
 
     Each class is checked before it is yielded, with ``ArithmeticError``: its
-    part sum must be n and its size n!/z an integer.
+    part sum must be n and its size n!/z an integer. A stream that runs to
+    its end raises ``ArithmeticError`` unless its classes yielded plus
+    counted are p(n) by :func:`partition_count`.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -85,29 +113,46 @@ def class_sizes(n: int) -> Iterator[Tuple[Tuple[Tuple[int, int], ...], int]]:
         for x in range(1, n // i + 1):
             row.append(row[-1] * i * x)
         weight.append(row)
-    parts = [(n, 1)]
-    dens = [1, n]  # dens[j]: product of the weights of the first j pairs
-    sums = [0, n]  # sums[j]: sum of i * m_i over the first j pairs
+    below = partition_table(n) if prune is not None else None
+    parts: List[Tuple[int, int]] = []
+    dens = [1]  # dens[j]: product of the weights of the first j pairs
+    sums = [0]  # sums[j]: sum of i * m_i over the first j pairs
+    yielded = counted = 0
+    rest, k = n, n + 1
     while True:
-        if sums[-1] != n:
-            raise ArithmeticError(f"{tuple(parts)} is not a cycle type of S_{n}")
-        size, rem = divmod(order, dens[-1])
-        if rem:
-            raise ArithmeticError(
-                f"non-integral cycle-indicator coefficient for {tuple(parts)}"
-            )
-        yield tuple(parts), size
-        k, x = parts[-1]
-        if k == 1:
-            parts.pop()
+        while True:
+            if prune is not None:
+                count = below[rest][k - 1]
+                if prune(parts, dens[-1], rest, count):
+                    counted += count
+                    break
+            if not rest:
+                if sums[-1] != n:
+                    raise ArithmeticError(
+                        f"{tuple(parts)} is not a cycle type of S_{n}"
+                    )
+                size, rem = divmod(order, dens[-1])
+                if rem:
+                    raise ArithmeticError(
+                        f"non-integral cycle-indicator coefficient for {tuple(parts)}"
+                    )
+                yielded += 1
+                yield tuple(parts), size
+                break
+            k = min(k - 1, rest)
+            x, rest = divmod(rest, k)
+            parts.append((k, x))
+            dens.append(dens[-1] * weight[k][x])
+            sums.append(sums[-1] + k * x)
+        # the successor of parts plus 1^rest
+        if parts and parts[-1][0] == 1:
+            rest += parts.pop()[1]
             dens.pop()
             sums.pop()
-            if not parts:
-                return
-            freed = x
-            k, x = parts[-1]
-        else:
-            freed = 0
+        if not parts:
+            break
+        k, x = parts[-1]
+        rest += k
         if x == 1:
             parts.pop()
             dens.pop()
@@ -117,15 +162,26 @@ def class_sizes(n: int) -> Iterator[Tuple[Tuple[Tuple[int, int], ...], int]]:
             parts[-1] = (k, x)
             dens[-1] = dens[-2] * weight[k][x]
             sums[-1] = sums[-2] + k * x
-        # every part below k is gone now
-        q, s = divmod(freed + k, k - 1)
-        parts.append((k - 1, q))
-        dens.append(dens[-1] * weight[k - 1][q])
-        sums.append(sums[-1] + (k - 1) * q)
-        if s:
-            parts.append((s, 1))
-            dens.append(dens[-1] * weight[s][1])
-            sums.append(sums[-1] + s)
+    if yielded + counted != partition_count(n):
+        raise ArithmeticError(
+            f"{yielded} classes of S_{n} yielded and {counted} counted, "
+            f"not p({n}) = {partition_count(n)}"
+        )
+
+
+def partition_table(n: int) -> List[List[int]]:
+    """t[m][j] = the number of partitions of m into parts <= j, 0 <= m, j <= n.
+
+    A partition of m into parts <= j has no part j, or is one part j more
+    than a partition of m - j into parts <= j: t[m][j] = t[m][j-1] +
+    t[m-j][j]. Parts past m add nothing: t[m][j] = t[m][m] for j > m.
+    """
+    t = [[1] * (n + 1)]
+    for m in range(1, n + 1):
+        row = list(accumulate((t[m - j][j] for j in range(1, m + 1)), initial=0))
+        row += [row[-1]] * (n - m)
+        t.append(row)
+    return t
 
 
 def multiplicity_vector(n: int, parts: Iterable[Tuple[int, int]]) -> List[int]:

@@ -13,10 +13,12 @@ class Mutation:
 
     Each report counts its instances in report order and perturbs the one
     named (``CongruenceReport.tap`` and ``count``); an index at or past its
-    instances injects nothing. A polynomial compare's instances are the
-    longer operand's coefficients in witness order (graded revlex for
-    MultiPolys, degree for UniPolys); junod-lemma's are its trials, each
-    perturbed at the leading term of its a^n. A sound checker flags a delta
+    instances injects nothing. Instances that hold without a comparison are
+    counted by ``skip``, which refuses a run of them that holds the index,
+    so that the instance is compared instead. A polynomial compare's
+    instances are the longer operand's coefficients in witness order (graded
+    revlex for MultiPolys, degree for UniPolys); junod-lemma's are its
+    trials, each perturbed at the leading term of its a^n. A sound checker flags a delta
     that breaks the congruence and passes a multiple of the modulus.
     """
 
@@ -78,6 +80,16 @@ class CongruenceReport:
         if m is None or not start <= m.index < start + k:
             return None
         return m.index - start, m.delta
+
+    def skip(self, k: int) -> bool:
+        """Count k instances that hold without a comparison, unless the
+        mutation names one of them; True if they were counted."""
+        start = self.instances
+        m = self.mutation
+        if m is not None and start <= m.index < start + k:
+            return False
+        self.instances = start + k
+        return True
 
     def add_violation(
         self,

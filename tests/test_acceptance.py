@@ -13,7 +13,12 @@ import pytest
 from cyclopadic import congruences as cg
 from cyclopadic import meixner as mx
 from cyclopadic.cli import main
-from cyclopadic.cycle_index import coefficient, cycle_indicator, enumerate_cycle_types
+from cyclopadic.cycle_index import (
+    coefficient,
+    cycle_indicator,
+    enumerate_cycle_types,
+    partition_count,
+)
 from cyclopadic.padic import PadicContext, is_prime
 from cyclopadic.polyring import UniPoly, substitute_univariate
 from oracles import (
@@ -280,3 +285,22 @@ def test_criterion_13_meixner_where_p_divides_n(p, n):
     assert all(ctx.vp(r.params["modulus"]) == required for r in reports)
     _announce(13, f"Q_np = Q_p^n and Q*_np = Q_np (mod {p}^{required}) at "
                   f"p = {p}, n = {n}", reports)
+
+
+@pytest.mark.parametrize("p,n", [(7, 7), (11, 11), (5, 25), (3, 27)])
+def test_criterion_14_coefficients_where_p_divides_n(p, n):
+    # beyond the CLI's p(N) guard: the walk counts the classes that the
+    # valuation bound clears, so instances are still all p(N) classes
+    ctx = PadicContext(p)
+    reports = [cg.check_prop_coeff(n, ctx), cg.check_carlitz_coeff(n, ctx)]
+    if (p, n) == (7, 7):
+        reports += [cg.check_corollary1(r, n, ctx) for r in range(1, 7)]
+    elif (p, n) == (11, 11):
+        reports.append(cg.check_corollary1(10, n, ctx))
+    _assert_all_pass(reports)
+    for report in reports:
+        assert report.instances == partition_count(report.params.get("r", 0) + n * p)
+    required = 1 + ctx.vp(n)
+    assert ctx.vp(reports[0].params["modulus"]) == required
+    _announce(14, f"coefficient congruences mod {p}^{required} over all "
+                  f"p(N) classes at p = {p}, n = {n}", reports)

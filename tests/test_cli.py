@@ -29,7 +29,11 @@ pytestmark = pytest.mark.filterwarnings("ignore")
 
 def run(tmp_path, *argv):
     out = tmp_path / "out.txt"
+    before = out.read_text() if out.exists() else None
     code = main(list(argv) + ["--out", str(out)])
+    if code == 2:  # a usage error leaves --out as it was, or absent
+        assert (out.read_text() if out.exists() else None) == before
+        return code, ""
     return code, out.read_text()
 
 
@@ -312,6 +316,22 @@ class TestVerify:
         code = main(["verify", "carlitz-coeff", "--primes", "3", "--out", str(path)])
         assert code == 2
         assert f"error: cannot write {path}: " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["verify", "junod-lemma", "--primes", "4"],
+        ["verify", "junod-lemma", "--primes", "3", "--n-max=-2"],
+        ["verify", "prop-coeff", "--primes", "3", "--mutate", "x"],
+        ["verify", "prop-coeff", "--primes", "11", "--n-max", "5",
+         "--degree-cap", "55"],
+        ["compute", "cycle-index", "120"],
+    ], ids=["not-prime", "negative-n-max", "bad-mutate", "refused-grid",
+            "compute-guard"])
+    def test_usage_error_leaves_out_untouched(self, tmp_path, capsys, argv):
+        path = tmp_path / "F"
+        path.write_text("kept\n")
+        assert main(argv + ["--out", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert path.read_text() == "kept\n"
 
     def test_rerun_is_byte_identical(self, tmp_path):
         args = ["verify", "junod-lemma", "--primes", "3", "--seed", "7",

@@ -3,12 +3,16 @@ import math
 import pytest
 
 from cyclopadic import congruences as cg
+from cyclopadic import cycle_index as ci
 from cyclopadic.cli import CHECKER_TABLE, SweepSpec, build_all_tasks
 from cyclopadic.cycle_index import (
     CycleType,
     class_size,
+    class_sizes,
     coefficient,
     enumerate_cycle_types,
+    multiplicity_vector,
+    partition_count,
 )
 from cyclopadic.padic import PadicContext
 from cyclopadic.reports import CongruenceReport, Mutation
@@ -287,11 +291,29 @@ CLASS_WALKS = [
     (cg.check_prop_coeff, lambda p: (-1) ** p, (1, 2)),
     (cg.check_corollary1, lambda p: (-1) ** p, ("a", "b")),
 ]
+WALK_IDS = ["carlitz-coeff", "prop-coeff", "corollary1"]
+
+
+def walk_points(check, p, top):
+    """(r, n, arguments before ctx) of every grid point with r + np <= top."""
+    for r in range(1, p) if check is cg.check_corollary1 else (0,):
+        for n in range(1, (top - r) // p + 1):
+            yield r, n, ((r, n) if r else (n,))
+
+
+def expected_by_cycle_type(m, p, n, r, sign):
+    """(first branch?, expected coefficient) of the class m of r + np, by the
+    CycleType route."""
+    m1, mp = m[0], m[p - 1]
+    if m1 + p * mp < n * p:
+        return False, 0
+    rest = (m1 + p * mp - n * p, *m[1:r])
+    cr = coefficient(CycleType(r, rest)) if r else 1
+    return True, sign(p) ** mp * math.comb(n, mp) * cr
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])
-@pytest.mark.parametrize("check, sign, branches", CLASS_WALKS,
-                         ids=["carlitz-coeff", "prop-coeff", "corollary1"])
+@pytest.mark.parametrize("check, sign, branches", CLASS_WALKS, ids=WALK_IDS)
 def test_class_walk_expects_every_class_of_the_cycle_type_route(
     check, sign, branches, p
 ):
@@ -299,25 +321,153 @@ def test_class_walk_expects_every_class_of_the_cycle_type_route(
     # there alone, with the branch and the expected value that the
     # CycleType route gives that class
     ctx = PadicContext(p)
-    for r in range(1, p) if check is cg.check_corollary1 else (0,):
-        for n in range(1, (12 - r) // p + 1):
+    for r, n, args in walk_points(check, p, 12):
+        for i, ct in enumerate(enumerate_cycle_types(r + n * p)):
+            report = check(*args, ctx, Mutation(i, 1))
+            assert len(report.violations) == 1
+            v = report.violations[0]
+            first, expected = expected_by_cycle_type(ct.m, p, n, r, sign)
+            assert v["instance"] == {
+                "cycle_type": list(ct.m),
+                "branch": branches[0] if first else branches[1],
+            }
+            assert v["difference"] == str(coefficient(ct) + 1 - expected)
+
+
+@pytest.fixture
+def visited(monkeypatch):
+    """The classes that the class walks' stream yields, in order."""
+    seen = []
+
+    def recording(n, prune=None):
+        for item in class_sizes(n, prune):
+            seen.append(item[0])
+            yield item
+
+    monkeypatch.setattr(cg, "class_sizes", recording)
+    return seen
+
+
+class TestPrunedWalk:
+    @pytest.mark.parametrize("p", [2, 3, 5, 7])
+    @pytest.mark.parametrize("check", [c for c, _, _ in CLASS_WALKS], ids=WALK_IDS)
+    def test_every_class_not_visited_expects_0_and_clears_the_modulus(
+        self, check, p, visited
+    ):
+        # the lemma, against the full stream at every point with r + np <= 30
+        ctx = PadicContext(p)
+        for r, n, args in walk_points(check, p, 30):
+            visited.clear()
+            report = check(*args, ctx)
+            assert report.passed
+            req = ctx.vp(report.params["modulus"])
+            seen = set(visited)
+            assert len(seen) == len(visited)
+            skipped = 0
+            for parts, c in class_sizes(r + n * p):
+                if parts not in seen:
+                    skipped += 1
+                    m = dict(parts)
+                    assert m.get(1, 0) + p * m.get(p, 0) < n * p
+                    assert ctx.vp(c) >= req
+            assert len(seen) + skipped == report.instances
+            assert report.instances == partition_count(r + n * p)
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7])
+    @pytest.mark.parametrize("check, sign, branches", CLASS_WALKS, ids=WALK_IDS)
+    def test_a_modulus_too_strong_is_refuted_as_by_the_full_stream(
+        self, check, sign, branches, p, monkeypatch
+    ):
+        # a claim the classes do not all meet: with the modulus times p and
+        # p^2 the walk must flag what a walk over the full stream flags, so
+        # the bound clears no class whose vp falls short
+        ctx = PadicContext(p)
+        refuted = 0
+        for r, n, args in walk_points(check, p, 24):
+            modulus = check(*args, ctx).params["modulus"]
+            for stronger in (modulus * p, modulus * p * p):
+                def walk():
+                    return cg._class_walk(check.__name__, r, n, ctx, stronger,
+                                          sign(p), branches, None)
+
+                pruned = walk()
+                with monkeypatch.context() as m:
+                    m.setattr(cg, "class_sizes", lambda N, prune=None: class_sizes(N))
+                    full = walk()
+                assert pruned.to_json_obj() == full.to_json_obj()
+                refuted += len(full.violations)
+        assert refuted
+
+    def test_instances_are_p_of_N(self):
+        # every point with np <= 60: prop-coeff and carlitz-coeff at each
+        # prime up to 59, corollary1 at each r for p <= 13
+        for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59):
+            ctx = PadicContext(p)
+            for n in range(1, 60 // p + 1):
+                total = partition_count(n * p)
+                assert cg.check_prop_coeff(n, ctx).instances == total
+                assert cg.check_carlitz_coeff(n, ctx).instances == total
+                if p <= 13:
+                    for r in range(1, p):
+                        report = cg.check_corollary1(r, n, ctx)
+                        assert report.instances == partition_count(r + n * p)
+
+    def test_prop_coeff_visits_the_pure_classes_alone(self, visited):
+        # where p | n every class outside {1, p} is cleared by the bound
+        for p, n in ((3, 9), (5, 5), (7, 7)):
+            visited.clear()
+            report = cg.check_prop_coeff(n, PadicContext(p))
+            assert report.passed
+            pure = [tuple((i, x) for i, x in ((p, mp), (1, n * p - p * mp)) if x)
+                    for mp in range(n, -1, -1)]
+            assert visited == pure
+
+    @pytest.mark.parametrize("n", [12, 13])
+    @pytest.mark.parametrize("check, sign, branches", CLASS_WALKS, ids=WALK_IDS)
+    def test_mutation_in_a_pruned_subtree_is_found(self, check, sign, branches, n):
+        # the violation at each index is that of the unpruned stream's class
+        # there; an index past the classes injects nothing
+        p = 3
+        ctx = PadicContext(p)
+        for r in (1, 2) if check is cg.check_corollary1 else (0,):
             args = (r, n) if r else (n,)
-            for i, ct in enumerate(enumerate_cycle_types(r + n * p)):
-                report = check(*args, ctx, Mutation(i, 1))
-                assert len(report.violations) == 1
-                v = report.violations[0]
-                m1, mp = ct.m[0], ct.m[p - 1]
-                first = m1 + p * mp >= n * p
-                expected = 0
-                if first:
-                    rest = (m1 + p * mp - n * p, *ct.m[1:r])
-                    cr = coefficient(CycleType(r, rest)) if r else 1
-                    expected = sign(p) ** mp * math.comb(n, mp) * cr
-                assert v["instance"] == {
-                    "cycle_type": list(ct.m),
-                    "branch": branches[0] if first else branches[1],
-                }
-                assert v["difference"] == str(coefficient(ct) + 1 - expected)
+            clean = check(*args, ctx)
+            modulus = clean.params["modulus"]
+            req = ctx.vp(modulus)
+            stream = list(class_sizes(r + n * p))
+            total = len(stream)
+            assert clean.passed and clean.instances == total
+            for index in (0, 1, total // 3, total // 2, total - 1, 20000, total):
+                report = check(*args, ctx, Mutation(index, 1))
+                assert report.instances == total
+                if index >= total:  # p(36) = 17,977 is below 20,000
+                    assert report.to_json_obj() == clean.to_json_obj()
+                    continue
+                parts, c = stream[index]
+                m = multiplicity_vector(r + n * p, parts)
+                first, expected = expected_by_cycle_type(m, p, n, r, sign)
+                diff = c + 1 - expected
+                assert report.violations == [{
+                    "instance": {"cycle_type": m,
+                                 "branch": branches[0] if first else branches[1]},
+                    "difference": str(diff),
+                    "required_modulus": modulus,
+                    "observed_vp": ctx.vp(diff),
+                    "required_vp": req,
+                }]
+                assert check(*args, ctx, Mutation(index, p**req)).passed
+
+    @pytest.mark.parametrize("check", [c for c, _, _ in CLASS_WALKS], ids=WALK_IDS)
+    def test_miscounting_table_is_refused(self, check, monkeypatch):
+        table = ci.partition_table
+
+        def off_by_one(n):
+            return [[count + 1 for count in row] for row in table(n)]
+
+        monkeypatch.setattr(ci, "partition_table", off_by_one)
+        args = (1, 3) if check is cg.check_corollary1 else (3,)
+        with pytest.raises(ArithmeticError, match="counted"):
+            check(*args, PadicContext(3))
 
 
 class TestScalarMutationTwoSided:
