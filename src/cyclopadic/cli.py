@@ -20,14 +20,15 @@ included. ``--out`` is opened only after every usage check has passed, so a
 usage error leaves an existing file as it was.
 
 Each task is exact, CPU-bound and independent, so ``verify`` runs up to
-``--threads`` of them at once (default ``os.cpu_count()``) in worker processes
-forked from the CLI. The CLI process only coordinates: it hands each idle
-worker one task index at a time over a pipe, largest task first, and reads the
-worker's pickled report back over another. Every worker has exited before a
-report is written. Where the platform cannot fork, or only one worker would
-run, the tasks run serially in-process. Report emission is ordered by
-parameter sort regardless of completion order, so output is byte-identical
-for any ``--threads`` value.
+``--threads`` of them at once in worker processes forked from the CLI. The
+default is ``os.cpu_count()``, or 1 for a grid whose checkers all cost less
+than forking a worker (see ``_default_threads``). The CLI process only
+coordinates: it hands each idle worker one task index at a time over a pipe,
+largest task first, and reads the worker's pickled report back over another.
+Every worker has exited before a report is written. Where the platform cannot
+fork, or only one worker would run, the tasks run serially in-process. Report
+emission is ordered by parameter sort regardless of completion order, so
+output is byte-identical for any ``--threads`` value.
 """
 from __future__ import annotations
 
@@ -108,12 +109,15 @@ class Checker(NamedTuple):
     size: str  # its largest instance: "p(N)" at N = r + np, degree "np" or
     # "p", or n, m or trials
     p2: str = "advisory"  # at p = 2: "advisory", "asserted", or "odd" (no task)
+    forks: bool = True  # False: even its largest admitted grid runs no
+    # slower in-process, so without --threads it does (see _default_threads)
 
 
 # One row per checker, in report order (tasks sort by checker name first).
 CHECKER_TABLE = [
     Checker("binomial-lift", cg, "report_binomial_lift", "n", "n", "n", "asserted"),
-    Checker("carlitz-coeff", cg, "check_carlitz_coeff", "np", "n", "p(N)"),
+    Checker("carlitz-coeff", cg, "check_carlitz_coeff", "np", "n", "p(N)",
+            forks=False),
     Checker("carlitz-poly", cg, "check_carlitz_poly", "rnp0", "r n", "p(N)"),
     Checker("corollary1", cg, "check_corollary1", "rnp1", "r n", "p(N)"),
     Checker("corollary2", mx, "check_corollary2", "np", "n", "np", "odd"),
@@ -124,7 +128,7 @@ CHECKER_TABLE = [
             "asserted"),
     Checker("meixner-qp", mx, "check_junod_qp", "once", "", "p", "odd"),
     Checker("meixner-qstar-q", mx, "check_junod_qstar_q", "np", "n", "np", "odd"),
-    Checker("prop-coeff", cg, "check_prop_coeff", "np", "n", "p(N)"),
+    Checker("prop-coeff", cg, "check_prop_coeff", "np", "n", "p(N)", forks=False),
     Checker("prop-poly", cg, "check_prop_poly", "rnp0", "r n", "p(N)"),
     Checker("remark1", cg, "check_remark1", "rnp1", "r n", "n"),
     Checker("wilson-sharpness", cg, "check_wilson_sharpness", "pn", "n", "n", "odd"),
@@ -431,7 +435,19 @@ def run_compute(args) -> str:
     return (poly.to_json() if args.format == "json" else repr(poly)) + "\n"
 
 
-def _default_threads() -> int:
+def _default_threads(checker: str = "all") -> int:
+    """The number of workers when ``--threads`` is not given.
+
+    1 for a grid of carlitz-coeff or prop-coeff, whose walk visits so few
+    classes that forking costs more than it saves: on a 2-core VM their
+    largest grid the size guard admits (every prime to 43, np <= 45, 47
+    tasks) takes 30 to 35 ms in-process and no less with 2 workers, and the
+    25 tasks of ``--primes 3,5,7 --n-max 13`` take 15 ms in-process against
+    20 to 30 ms with 2 workers, most of it the fork and the pipes. Otherwise
+    ``os.cpu_count()``.
+    """
+    if not any(row.forks for row in CHECKER_TABLE if checker in (row.name, "all")):
+        return 1
     return os.cpu_count() or 1
 
 
@@ -459,8 +475,8 @@ def build_parser() -> argparse.ArgumentParser:
     pv.add_argument("--degree-cap", type=int, default=24)
     pv.add_argument("--seed", type=int, default=0)
     pv.add_argument("--threads", type=int, default=None, metavar="K",
-                    help="tasks run at once, in worker processes "
-                    "(default: the number of CPUs)")
+                    help="tasks run at once, in worker processes (default: "
+                    "the number of CPUs; 1 for carlitz-coeff and prop-coeff)")
     pv.add_argument("--format", choices=["json", "text"], default="json")
     pv.add_argument("--out", default=None)
     pv.add_argument("--allow-p2", action="store_true")
@@ -525,7 +541,7 @@ def main(argv=None) -> int:
             r_range=r_range,
             degree_cap=args.degree_cap,
             seed=args.seed,
-            threads=args.threads if args.threads else _default_threads(),
+            threads=args.threads or _default_threads(args.checker),
             fmt=args.format,
             allow_p2=args.allow_p2,
             timing=args.timing,

@@ -9,7 +9,7 @@ import time
 import pytest
 
 import cyclopadic
-from cyclopadic import congruences
+from cyclopadic import cli, congruences
 from cyclopadic.cli import (
     CHECKER_TABLE,
     MAX_CYCLE_INDEX_TERMS,
@@ -293,6 +293,33 @@ class TestVerify:
         assert all(len(json.loads(line)["violations"]) == 20_000
                    for line in outputs[0].splitlines())
         assert_no_children()
+
+    @pytest.mark.parametrize("checker, forks", [
+        ("carlitz-coeff", False), ("prop-coeff", False),
+        ("corollary1", True), ("all", True),
+    ])
+    def test_default_threads_fork_only_where_it_pays(
+        self, tmp_path, monkeypatch, checker, forks
+    ):
+        pids = set()
+
+        def records_pid(check):
+            def checked(n, ctx, mutation):
+                pids.add(os.getpid())
+                return check(n, ctx, mutation)
+            return checked
+
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        for name in ("check_carlitz_coeff", "check_prop_coeff"):
+            monkeypatch.setattr(congruences, name,
+                                records_pid(getattr(congruences, name)))
+        assert cli._default_threads(checker) == (2 if forks else 1)
+        if not forks:
+            code, text = run(tmp_path, "verify", checker, "--primes", "3,5",
+                             "--n-max", "3")
+            assert code == 0 and len(text.splitlines()) == 6
+            assert pids == {os.getpid()}
+            assert_no_children()
 
     @pytest.mark.parametrize("text", ["x:1", "5", "1:y", ":", "-1:1"])
     def test_malformed_mutate_exit2(self, tmp_path, capsys, text):
