@@ -16,15 +16,20 @@ n passes 1000 (junod-lemma's trial count is not bounded).
 
 Exit codes: 0 all checks passed, 1 at least one violation, 2 usage error,
 a refused grid and a negative --n-max, --degree-cap, --threads or --trials
-included. ``--out`` is opened only after every usage check has passed, so a
-usage error leaves an existing file as it was.
+included, 3 internal error: an exception raised by a checker, in this
+process or in a worker, or a worker that died, with the traceback on
+stderr. A reader that closes stdout early ends the run quietly with 141,
+the status of a process that SIGPIPE ends. ``--out`` is opened only after
+every usage check has passed, so a usage error leaves an existing file as
+it was.
 
 Each task is exact, CPU-bound and independent, so ``verify`` runs up to
 ``--threads`` of them at once in worker processes forked from the CLI. The
 default is ``os.cpu_count()``, or 1 for a grid whose checkers all cost less
 than forking a worker (see ``_default_threads``). The CLI process only
-coordinates: it hands each idle worker one task index at a time over a pipe,
-largest task first, and reads the worker's pickled report back over another.
+coordinates: it keeps two task indices queued in each worker's pipe, largest
+task first, and reads the worker's pickled reports back over another.
+junod-lemma's trials run as slices, each at every prime (see ``_jobs``).
 Every worker has exited before a report is written. Where the platform cannot
 fork, or only one worker would run, the tasks run serially in-process. Report
 emission is ordered by parameter sort regardless of completion order, so
@@ -65,8 +70,8 @@ MAX_CYCLE_INDEX_TERMS = 100_000
 # this. binomial-lift, gamma-ratio and remark1 grow about as n^2.5: at n = 1000
 # one instance takes 0.3 to 11 s for p = 3 to 7 on a 2-core VM, like C_45
 # above. The acceptance module lifts binomials to n = 200, and the CLI tests
-# stay under 500. junod-lemma's trials are not bounded: they are one task
-# whose memory does not grow with them, and 1000 of them take 0.2 s.
+# stay under 500. junod-lemma's trials are not bounded: their memory does not
+# grow with them, and on a 2-core VM 1000 of them take 0.26 s at one prime.
 MAX_SCALAR_SIZE = 1000
 
 # `verify` refuses a grid in which a Meixner checker builds a Q_d of degree d
@@ -111,6 +116,9 @@ class Checker(NamedTuple):
     p2: str = "advisory"  # at p = 2: "advisory", "asserted", or "odd" (no task)
     forks: bool = True  # False: even its largest admitted grid runs no
     # slower in-process, so without --threads it does (see _default_threads)
+    slices: str = ""  # a function of (start, stop, trials, seed, ctxs,
+    # mutation) that runs a slice of the trials at all the row's primes at
+    # once, one report per prime; the row then runs as trial slices (_jobs)
 
 
 # One row per checker, in report order (tasks sort by checker name first).
@@ -125,7 +133,7 @@ CHECKER_TABLE = [
     Checker("gamma-identity", cg, "report_gamma_identity", "n", "n", "m", "asserted"),
     Checker("gamma-ratio", cg, "check_formula_gamma_ratio", "n", "n", "n", "asserted"),
     Checker("junod-lemma", cg, "check_junod_lemma", "once", "trials seed", "trials",
-            "asserted"),
+            "asserted", slices="junod_lemma_trials"),
     Checker("meixner-qp", mx, "check_junod_qp", "once", "", "p", "odd"),
     Checker("meixner-qstar-q", mx, "check_junod_qstar_q", "np", "n", "np", "odd"),
     Checker("prop-coeff", cg, "check_prop_coeff", "np", "n", "p(N)", forks=False),
@@ -230,6 +238,56 @@ def build_all_tasks(spec: SweepSpec):
     return tasks
 
 
+def _run_job(spec: SweepSpec, keys: list, part: int, thunk: Callable) -> list:
+    """(key, part, report) for each report of a job: thunk() returns one
+    report, or a list of them for the tasks of ``keys`` in order. ``keys``
+    holds (key, advisory) pairs; with --timing every report gets the job's
+    time."""
+    start = time.monotonic()
+    reports = thunk()
+    elapsed = int((time.monotonic() - start) * 1000)
+    if not isinstance(reports, list):
+        reports = [reports]
+    for (_, advisory), report in zip(keys, reports):
+        if spec.timing:
+            report.elapsed_ms = elapsed
+        if advisory:
+            report.advisory = True
+    return [(key, part, report) for (key, _), report in zip(keys, reports)]
+
+
+def _jobs(spec: SweepSpec, tasks: list, slices: int) -> Tuple[list, list]:
+    """The jobs that run the tasks, and a label for each.
+
+    A task is one job, but the tasks of a row with a ``slices`` function,
+    one per prime, become up to ``slices`` jobs of consecutive trials, each
+    run at every prime. A slice of trials start..stop-1 gets the mutation
+    shifted by start, or none; its part number orders its reports for
+    ``CongruenceReport.extend``. The slices go last, so that the pool, which
+    hands out jobs from the last, starts the largest ones first.
+    """
+    rows = {row.name: row for row in CHECKER_TABLE}
+    jobs, labels, shared = [], [], {}
+    for key, thunk, advisory in tasks:
+        row = rows[key[0]]
+        if row.slices:
+            shared.setdefault(row, []).append((key, advisory))
+        else:
+            jobs.append(partial(_run_job, spec, [(key, advisory)], 0, thunk))
+            labels.append(key)
+    for row, keys in shared.items():
+        fn = getattr(row.module, row.slices)
+        ctxs = [PadicContext(key[1]) for key, _ in keys]
+        trials, count = spec.trials, max(1, min(slices, spec.trials))
+        for part in range(count):
+            start, stop = trials * part // count, trials * (part + 1) // count
+            mutation = spec.mutation and spec.mutation.shifted(start, stop)
+            thunk = partial(fn, start, stop, trials, spec.seed, ctxs, mutation)
+            jobs.append(partial(_run_job, spec, keys, part, thunk))
+            labels.append((row.name, f"trials {start}..{stop - 1}"))
+    return jobs, labels
+
+
 class WorkerTraceback(Exception):
     """The formatted traceback of an exception raised in a worker process."""
 
@@ -282,29 +340,34 @@ def _run_forked(jobs: List[Callable[[], tuple]], keys: list, workers: int) -> li
     results in completion order.
 
     Each worker inherits ``jobs`` through the fork and reads job indices from
-    its own command pipe, one at a time; this process polls the result pipes
-    and hands the next index, from the last job to the first, to whichever
-    worker sent back a result. It runs no job itself. A worker writes nothing
-    to the standard streams and leaves through ``os._exit``. Every worker is
-    reaped before this returns or raises; on an error the busy ones are
-    terminated first.
+    its own command pipe. This process keeps two indices queued in each
+    worker's pipe, so that a worker starts its next job without waiting for
+    this process to be scheduled: it polls the result pipes and sends the
+    next index, from the last job to the first, to whichever worker sent back
+    a result. It runs no job itself. A worker writes nothing to the standard
+    streams and leaves through ``os._exit``. Every worker is reaped before
+    this returns or raises; on an error the busy ones are terminated first.
     """
     import pickle
     import select
     import signal
+    from collections import deque
 
     todo = list(range(len(jobs)))  # popped from the end: a sweep's tasks grow
     # with n and p, so the large ones go first and the workers finish together
     pids: List[int] = []
     commands = {}  # result pipe -> command pipe of each worker
-    busy = {}  # result pipe -> (pid, job index) of each worker at work
+    busy = {}  # result pipe -> (pid, job indices queued, the running first)
     results = []
     ready = select.poll()
 
-    def send(fd: int, pid: int) -> None:
+    def send(fd: int) -> None:
         i = todo.pop()
-        _write_all(commands[fd], i.to_bytes(8, "little"))
-        busy[fd] = pid, i
+        busy[fd][1].append(i)
+        try:
+            _write_all(commands[fd], i.to_bytes(8, "little"))
+        except BrokenPipeError:  # the worker died; its result pipe says how
+            pass
 
     # SIGINT is held while workers are forked, so that no KeyboardInterrupt
     # comes between a fork and the bookkeeping that reaps its worker; the
@@ -332,27 +395,34 @@ def _run_forked(jobs: List[Callable[[], tuple]], keys: list, workers: int) -> li
             os.close(res_w)
             commands[res_r] = cmd_w
             ready.register(res_r, select.POLLIN)
-            send(res_r, pid)
+            busy[res_r] = pid, deque()
+            send(res_r)
         signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+        for fd in list(busy)[:len(todo)]:  # the second index of each
+            send(fd)
         while busy:
             for fd, _ in ready.poll():
-                pid, i = busy.pop(fd)
+                pid, queued = busy[fd]
                 size = int.from_bytes(_read_exactly(fd, 8), "little")
                 message = _read_exactly(fd, size)
                 if not size or len(message) < size:
+                    del busy[fd]
                     _, status = os.waitpid(pid, 0)
                     pids.remove(pid)
                     status = os.waitstatus_to_exitcode(status)
                     how = (f"exited with status {status}" if status >= 0
                            else f"was killed by signal {-status}")
-                    raise RuntimeError(f"the worker running task {keys[i]} {how}")
+                    raise RuntimeError(
+                        f"the worker running task {keys[queued[0]]} {how}")
                 exc, value = pickle.loads(message)
                 if exc is not None:
                     raise exc from WorkerTraceback(value)
                 results.append(value)
+                queued.popleft()
                 if todo:
-                    send(fd, pid)
-                else:  # nothing is left for this worker: let it exit now
+                    send(fd)
+                elif not queued:  # nothing is left for this worker: let it exit
+                    del busy[fd]
                     ready.unregister(fd)
                     os.close(fd)
                     os.close(commands.pop(fd))
@@ -368,30 +438,43 @@ def _run_forked(jobs: List[Callable[[], tuple]], keys: list, workers: int) -> li
     return results
 
 
+class OutputClosed(Exception):
+    """The reader of the output closed it before the end."""
+
+
+def _emit(out, lines) -> None:
+    try:
+        out.writelines(lines)
+        out.flush()
+    except BrokenPipeError:
+        raise OutputClosed from None
+
+
 def run_verify(spec: SweepSpec, tasks: list, out) -> int:
-    """Run the tasks ``build_all_tasks(spec)`` built and write their reports."""
+    """Run the tasks ``build_all_tasks(spec)`` built and write their reports.
 
-    def run_one(entry):
-        key, fn, advisory = entry
-        start = time.monotonic()
-        report = fn()
-        if spec.timing:
-            report.elapsed_ms = int((time.monotonic() - start) * 1000)
-        if advisory:
-            report.advisory = True
-        return key, report
-
-    jobs = [partial(run_one, t) for t in tasks]
+    A run that forks cuts trial-sliced rows into two slices per worker, so
+    that the largest jobs spread over the workers; a serial run takes one.
+    """
+    forks = spec.threads > 1 and hasattr(os, "fork")
+    jobs, labels = _jobs(spec, tasks, 2 * spec.threads if forks else 1)
     workers = min(spec.threads, len(jobs))
-    if workers > 1 and hasattr(os, "fork"):
-        results = _run_forked(jobs, [t[0] for t in tasks], workers)
+    if forks and workers > 1:
+        results = _run_forked(jobs, labels, workers)
     else:
         results = [job() for job in jobs]
-    results.sort(key=lambda kr: kr[0])
+    parts = sorted((item for result in results for item in result),
+                   key=lambda item: item[:2])
+    reports: list = []
+    for key, _, report in parts:
+        if reports and reports[-1][0] == key:
+            reports[-1][1].extend(report)
+        else:
+            reports.append((key, report))
 
-    for _, report in results:
-        out.write((report.to_json() if spec.fmt == "json" else report.to_text()) + "\n")
-    return int(any(r.violations and not r.advisory for _, r in results))
+    _emit(out, ((report.to_json() if spec.fmt == "json" else report.to_text()) + "\n"
+                for _, report in reports))
+    return int(any(r.violations and not r.advisory for _, r in reports))
 
 
 def _parse_cycle_type(n: int, text: str) -> CycleType:
@@ -508,7 +591,7 @@ def main(argv=None) -> int:
         if args.command == "compute":
             text = run_compute(args)
             with _output(args.out) as out:
-                out.write(text)
+                _emit(out, [text])
             return 0
 
         for flag in ("n_max", "degree_cap", "threads", "trials"):
@@ -554,6 +637,20 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except OutputClosed:
+        # the reader left, as `verify all | head -1` does: stop quietly, with
+        # the status a shell gives a process that SIGPIPE ends, and send what
+        # is still buffered for stdout nowhere, so that exit does not fail
+        try:
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        except (OSError, ValueError):
+            pass
+        return 141  # 128 + SIGPIPE
+    except Exception:
+        import traceback
+
+        traceback.print_exc()
+        return 3
 
 
 if __name__ == "__main__":

@@ -66,19 +66,28 @@ def compare_polys(
     modulus: int,
     ctx: PadicContext,
     tag: str = "",
-) -> None:
+    clean: Optional[list] = None,
+) -> Optional[list]:
     """Compare two MultiPolys or two UniPolys coefficientwise mod modulus*Z_p.
 
     Counts the longer operand's coefficients as instances and adds one
     violation per coefficient that differs, tagged with ``form`` if given.
+    ``clean``, what an earlier call on the same lhs, rhs and modulus
+    returned, is taken for the witnesses unless the mutation lands here.
+    Returns the witnesses of the unperturbed operands, or None if the
+    mutation landed here.
     """
     size = len if isinstance(lhs, MultiPoly) else (lambda u: len(u.coeffs))
     longer = lhs if size(lhs) >= size(rhs) else rhs
-    lhs = _perturb(lhs, longer, report.count(size(longer)))
-    for place, c, req in congruence_witnesses(lhs, rhs, modulus, ctx):
-        if tag:
-            place["form"] = tag
-        report.add_violation(place, c, modulus, ctx, req)
+    hit = report.count(size(longer))
+    if hit is None and clean is not None:
+        bad = clean
+    else:
+        bad = congruence_witnesses(_perturb(lhs, longer, hit), rhs, modulus, ctx)
+    for place, c, req in bad:
+        report.add_violation(dict(place, form=tag) if tag else place, c, modulus,
+                             ctx, req)
+    return None if hit else bad
 
 
 def _class_walk(
@@ -193,10 +202,14 @@ def _poly_congruence_report(
     cr = cycle_indicator(r)
     x1p = MultiPoly.variable(1) ** p
     xp = MultiPoly.variable(p)
-    compare_polys(report, lhs, (x1p - xp) ** n * cr, modulus, ctx)
+    rhs = (x1p - xp) ** n * cr
+    clean = compare_polys(report, lhs, rhs, modulus, ctx)
     if strengthened:
-        rhs2 = (x1p + (-1) ** p * xp) ** n * cr
-        compare_polys(report, lhs, rhs2, modulus, ctx, tag="signed")
+        if p % 2:  # X_1^p + (-1)^p X_p is X_1^p - X_p: the same compare again
+            compare_polys(report, lhs, rhs, modulus, ctx, tag="signed", clean=clean)
+        else:
+            rhs2 = (x1p + xp) ** n * cr
+            compare_polys(report, lhs, rhs2, modulus, ctx, tag="signed")
     return report
 
 
@@ -250,12 +263,64 @@ def check_remark1(
     return report
 
 
-def _random_poly(rng: random.Random) -> MultiPoly:
+def _random_terms(rng: random.Random) -> dict:
     terms = {}
     for _ in range(rng.randint(1, 3)):
         e = tuple(rng.randint(0, 2) for _ in range(rng.randint(1, 3)))
         terms[e] = terms.get(e, 0) + rng.randint(-5, 5)
-    return MultiPoly(terms)
+    return terms
+
+
+def _junod_draws(rng: random.Random) -> tuple:
+    """One trial's draws, the same at every p: the terms of a and gamma, the
+    k of m = p*k and the exponent n. Replaying a slice's earlier trials and
+    running its own both draw through here, so the stream cannot drift."""
+    alpha, gamma = _random_terms(rng), _random_terms(rng)
+    return alpha, gamma, rng.randint(1, 20), rng.randint(1, 12)
+
+
+def junod_lemma_trials(
+    start: int,
+    stop: int,
+    trials: int,
+    seed: int,
+    ctxs: list,
+    mutation: Optional[Mutation] = None,
+) -> list:
+    """Trials start..stop-1 of the randomized lemma test of ``trials``, at
+    every prime of ctxs: one report per prime, in the order of ctxs.
+
+    A trial draws a, gamma, k and n once, builds a^n once, and at each p
+    compares a^n with b^n for b = a + m*gamma, m = p*k, mod m*n. The seed's
+    stream is first advanced through the draws of trials 0..start-1, building
+    no polynomial. Each report counts its trials from 0, so ``mutation``
+    names a trial of this slice, start + its index; violations name the trial
+    by its number in the whole run. The reports of consecutive slices, joined
+    by ``CongruenceReport.extend``, are the reports of the trials they cover.
+    """
+    rng = random.Random(seed)
+    for _ in range(start):
+        _junod_draws(rng)
+    reports = [
+        CongruenceReport("junod-lemma", {"p": ctx.p, "trials": trials}, seed=seed,
+                         mutation=mutation)
+        for ctx in ctxs
+    ]
+    for trial in range(start, stop):
+        alpha_terms, gamma_terms, k, n = _junod_draws(rng)
+        alpha, gamma = MultiPoly(alpha_terms), MultiPoly(gamma_terms)
+        power = alpha**n
+        for ctx, report in zip(ctxs, reports):
+            m = ctx.p * k
+            modulus = m * n
+            lhs = _perturb(power, power, report.count(1))
+            bad = congruence_witnesses(lhs, (alpha + m * gamma) ** n, modulus, ctx)
+            if bad:
+                place, c, req = bad[0]
+                report.add_violation(
+                    dict(place, trial=trial, m=m, n=n), c, modulus, ctx, req
+                )
+    return reports
 
 
 def check_junod_lemma(
@@ -268,29 +333,10 @@ def check_junod_lemma(
 
     Instances live in the commutative ring Z[X_1,X_2,X_3], one per trial; a
     mutation perturbs the leading term of its a^n. The seed is recorded so
-    any run is reproducible.
+    any run is reproducible. ``junod_lemma_trials`` runs a slice of the
+    trials at several primes at once.
     """
-    p = ctx.p
-    report = CongruenceReport(
-        "junod-lemma", {"p": p, "trials": trials}, seed=seed, mutation=mutation
-    )
-    rng = random.Random(seed)
-    for trial in range(trials):
-        alpha = _random_poly(rng)
-        gamma = _random_poly(rng)
-        m = p * rng.randint(1, 20)
-        n = rng.randint(1, 12)
-        beta = alpha + m * gamma
-        modulus = m * n
-        lhs = alpha**n
-        lhs = _perturb(lhs, lhs, report.count(1))
-        bad = congruence_witnesses(lhs, beta**n, modulus, ctx)
-        if bad:
-            place, c, req = bad[0]
-            report.add_violation(
-                dict(place, trial=trial, m=m, n=n), c, modulus, ctx, req
-            )
-    return report
+    return junod_lemma_trials(0, trials, trials, seed, [ctx], mutation)[0]
 
 
 def check_formula_gamma_ratio(

@@ -24,8 +24,9 @@ Two representations:
   indexed by degree.
 
 Coefficientwise congruence mod m*Z_p is decided by
-:func:`congruence_witnesses`, on top of the ``nondivisible_terms`` of the
-difference; :func:`congruent_mod` and the checkers' reports both read it.
+:func:`congruence_witnesses`, which reads the two operands' coefficients and
+builds no difference; :func:`congruent_mod` and the checkers' reports both
+read it.
 """
 from __future__ import annotations
 
@@ -281,15 +282,6 @@ class MultiPoly:
             (_unpack(k), self.terms[k]) for k in sorted(self.terms, key=_grevlex)
         ]
 
-    def nondivisible_terms(self, q: int) -> list:
-        """The terms whose coefficient q does not divide, as sorted_terms() does.
-
-        Only those terms are sorted and unpacked, so a congruent difference
-        costs one remainder per term.
-        """
-        bad = [k for k, c in self.terms.items() if c % q]
-        return [(_unpack(k), self.terms[k]) for k in sorted(bad, key=_grevlex)]
-
     def __len__(self) -> int:
         return len(self.terms)
 
@@ -442,10 +434,6 @@ class UniPoly:
     def __getitem__(self, d: int) -> int:
         return self.coeffs[d] if 0 <= d < len(self.coeffs) else 0
 
-    def nondivisible_terms(self, q: int) -> list:
-        """(degree, coeff) pairs whose coefficient q does not divide, lowest first."""
-        return [(d, c) for d, c in enumerate(self.coeffs) if c % q]
-
     def __eq__(self, other) -> bool:
         if isinstance(other, int):
             other = UniPoly.constant(other)
@@ -563,27 +551,43 @@ Poly = Union[MultiPoly, UniPoly, int]
 
 def congruence_witnesses(a: Poly, b: Poly, m: int, ctx: PadicContext) -> list:
     """(place, difference, required vp) for each coefficient at which a and b
-    differ mod m*Z_p, in ``nondivisible_terms`` order; place is
-    ``{"exponents": [...]}`` for MultiPolys and ``{"degree": d}`` for UniPolys.
+    differ mod m*Z_p; place is ``{"exponents": [...]}`` for MultiPolys, in
+    descending graded revlex order, and ``{"degree": d}`` for UniPolys,
+    lowest degree first.
+
+    a - b is not built. For MultiPolys the longer operand's coefficients are
+    scanned for a remainder mod p^vp(m), which decides every key the shorter
+    operand lacks; the shorter operand's keys are then decided by their
+    exact difference. Where the shorter operand is small, as for C_N against
+    a product of few terms, that costs one remainder per term of the longer.
     """
     if m == 0:
         raise ValueError("modulus m must be nonzero")
     req = ctx.vp(m)
+    q = ctx.p**req
 
     if isinstance(a, int):
         a = MultiPoly.constant(a)
     if isinstance(b, int):
         b = UniPoly.constant(b) if isinstance(a, UniPoly) else MultiPoly.constant(b)
 
-    if not (
-        isinstance(a, UniPoly) and isinstance(b, UniPoly)
-        or isinstance(a, MultiPoly) and isinstance(b, MultiPoly)
-    ):
+    if isinstance(a, UniPoly) and isinstance(b, UniPoly):
+        top = max(len(a.coeffs), len(b.coeffs))
+        return [({"degree": d}, c, req) for d in range(top) if (c := a[d] - b[d]) % q]
+    if not (isinstance(a, MultiPoly) and isinstance(b, MultiPoly)):
         raise TypeError("a congruence needs two polynomials of the same kind")
-    uni = isinstance(a, UniPoly)
+    at, bt = a.terms, b.terms
+    longer, shorter = (at, bt) if len(at) >= len(bt) else (bt, at)
+    bad = {k for k, c in longer.items() if c % q}
+    get_a, get_b = at.get, bt.get
+    for k in shorter:
+        if (get_a(k, 0) - get_b(k, 0)) % q:
+            bad.add(k)
+        else:
+            bad.discard(k)
     return [
-        ({"degree": w} if uni else {"exponents": list(w)}, c, req)
-        for w, c in (a - b).nondivisible_terms(ctx.p**req)
+        ({"exponents": list(_unpack(k))}, get_a(k, 0) - get_b(k, 0), req)
+        for k in sorted(bad, key=_grevlex)
     ]
 
 

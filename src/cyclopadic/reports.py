@@ -34,6 +34,13 @@ class Mutation:
         idx, _, delta = text.partition(":")
         return cls(int(idx), int(delta))
 
+    def shifted(self, start: int, stop: int) -> Optional["Mutation"]:
+        """This mutation for a report that counts instances start..stop-1
+        of a longer run from 0, or None if the index is not among them."""
+        if not start <= self.index < stop:
+            return None
+        return Mutation(self.index - start, self.delta)
+
 
 def _jsonable(x):
     if isinstance(x, float):  # only infinities reach here (vp of 0)
@@ -90,6 +97,14 @@ class CongruenceReport:
             return False
         self.instances = start + k
         return True
+
+    def extend(self, later: "CongruenceReport") -> None:
+        """Append the report of the instances that follow this report's: its
+        instances and violations, and its elapsed_ms if both are timed."""
+        self.instances += later.instances
+        self.violations.extend(later.violations)
+        if self.elapsed_ms is not None and later.elapsed_ms is not None:
+            self.elapsed_ms += later.elapsed_ms
 
     def add_violation(
         self,

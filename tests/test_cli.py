@@ -195,55 +195,84 @@ class TestVerify:
             assert len(outputs) == 1
 
     @pytest.mark.parametrize("threads", ["1", "2"])
-    def test_checker_error_propagates(self, tmp_path, monkeypatch, threads):
+    def test_checker_error_propagates(self, tmp_path, capsys, monkeypatch, threads):
         def broken(*args):
             raise RuntimeError("injected checker fault")
 
         monkeypatch.setattr(congruences, "check_carlitz_coeff", broken)
-        with pytest.raises(RuntimeError, match="injected checker fault"):
-            main(["verify", "carlitz-coeff", "--primes", "3", "--n-max", "2",
-                  "--threads", threads, "--out", str(tmp_path / "out.txt")])
+        code = main(["verify", "carlitz-coeff", "--primes", "3", "--n-max", "2",
+                     "--threads", threads, "--out", str(tmp_path / "out.txt")])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "Traceback (most recent call last)" in err
+        assert err.endswith("RuntimeError: injected checker fault\n")
+        assert_no_children()
 
     @pytest.mark.parametrize("threads", ["1", "2"])
     def test_checker_value_error_is_not_a_usage_error(
-        self, tmp_path, monkeypatch, threads
+        self, tmp_path, capsys, monkeypatch, threads
     ):
         def broken(*args):
             raise ValueError("injected checker fault")
 
         monkeypatch.setattr(congruences, "check_carlitz_coeff", broken)
-        with pytest.raises(ValueError, match="injected checker fault"):
-            main(["verify", "carlitz-coeff", "--primes", "3", "--n-max", "2",
-                  "--threads", threads, "--out", str(tmp_path / "out.txt")])
+        code = main(["verify", "carlitz-coeff", "--primes", "3", "--n-max", "2",
+                     "--threads", threads, "--out", str(tmp_path / "out.txt")])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.endswith("ValueError: injected checker fault\n")
+        assert "error: " not in err
 
-    def test_worker_death_names_the_task(self, tmp_path, monkeypatch):
+    def test_worker_death_names_the_task(self, tmp_path, capsys, monkeypatch):
         def dies(n, ctx, mutation):
             if n == 2:
                 os._exit(3)
             return CongruenceReport("carlitz-coeff", {"n": n})
 
         monkeypatch.setattr(congruences, "check_carlitz_coeff", dies)
-        with pytest.raises(RuntimeError, match=r"the worker running task "
-                           r"\('carlitz-coeff', 3, 2, 0\) exited with status 3"):
-            main(["verify", "carlitz-coeff", "--primes", "3", "--n-max", "2",
-                  "--threads", "2", "--out", str(tmp_path / "out.txt")])
+        code = main(["verify", "carlitz-coeff", "--primes", "3", "--n-max", "2",
+                     "--threads", "2", "--out", str(tmp_path / "out.txt")])
+        assert code == 3
+        assert capsys.readouterr().err.endswith(
+            "RuntimeError: the worker running task ('carlitz-coeff', 3, 2, 0) "
+            "exited with status 3\n")
         assert_no_children()
 
-    def test_worker_traceback_is_the_cause(self, tmp_path, monkeypatch):
+    def test_worker_death_names_the_trial_slice(self, tmp_path, capsys, monkeypatch):
+        trials = congruences.junod_lemma_trials
+
+        def dies(start, stop, *args):
+            if start:
+                os._exit(3)
+            return trials(start, stop, *args)
+
+        monkeypatch.setattr(congruences, "junod_lemma_trials", dies)
+        code = main(["verify", "junod-lemma", "--primes", "3,5", "--trials", "8",
+                     "--threads", "2", "--out", str(tmp_path / "out.txt")])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "RuntimeError: the worker running task ('junod-lemma', 'trials " in err
+        assert err.endswith("exited with status 3\n")
+        assert_no_children()
+
+    def test_worker_traceback_is_the_cause(self, tmp_path, capsys, monkeypatch):
         def broken_in_worker(*args):
             raise ValueError("injected checker fault")
 
         monkeypatch.setattr(congruences, "check_carlitz_coeff", broken_in_worker)
-        with pytest.raises(ValueError, match="injected checker fault") as info:
-            main(["verify", "carlitz-coeff", "--primes", "3", "--n-max", "2",
-                  "--threads", "2", "--out", str(tmp_path / "out.txt")])
-        cause = info.value.__cause__
-        assert isinstance(cause, WorkerTraceback)
-        assert "Traceback (most recent call last)" in str(cause)
-        assert "broken_in_worker" in str(cause)
+        code = main(["verify", "carlitz-coeff", "--primes", "3", "--n-max", "2",
+                     "--threads", "2", "--out", str(tmp_path / "out.txt")])
+        assert code == 3
+        # the worker's traceback is printed as the cause of the exception
+        cause, _, effect = capsys.readouterr().err.partition(
+            "The above exception was the direct cause of the following exception")
+        assert cause.startswith(f"{WorkerTraceback.__module__}.WorkerTraceback: "
+                                "Traceback (most recent call last)")
+        assert "broken_in_worker" in cause
+        assert effect.endswith("ValueError: injected checker fault\n")
         assert_no_children()
 
-    def test_unpicklable_checker_error(self, tmp_path, monkeypatch):
+    def test_unpicklable_checker_error(self, tmp_path, capsys, monkeypatch):
         class LocalError(Exception):  # a local class cannot be pickled
             pass
 
@@ -251,11 +280,12 @@ class TestVerify:
             raise LocalError("injected checker fault")
 
         monkeypatch.setattr(congruences, "check_carlitz_coeff", broken_in_worker)
-        with pytest.raises(RuntimeError, match="cannot be sent") as info:
-            main(["verify", "carlitz-coeff", "--primes", "3", "--n-max", "2",
-                  "--threads", "2", "--out", str(tmp_path / "out.txt")])
-        text = str(info.value)
-        assert "Traceback (most recent call last)" in text
+        code = main(["verify", "carlitz-coeff", "--primes", "3", "--n-max", "2",
+                     "--threads", "2", "--out", str(tmp_path / "out.txt")])
+        assert code == 3
+        text = capsys.readouterr().err
+        assert "RuntimeError: task ('carlitz-coeff', 3, " in text
+        assert "cannot be sent" in text
         assert "LocalError: injected checker fault" in text
         assert_no_children()
 
@@ -424,6 +454,108 @@ def test_thread_count_does_not_change_cli_output(mutate, code):
     assert len(outputs) == 1
     digest = hashlib.sha256(outputs.pop()).hexdigest()
     assert (digest == VERIFY_ALL_SHA256) == (not mutate)
+
+
+def test_closed_stdout_ends_quietly():
+    # the reader is gone before the first report is written
+    src = os.path.dirname(os.path.dirname(cyclopadic.__file__))
+    for threads in ("1", "2"):
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "cyclopadic.cli", "verify", "junod-lemma",
+             "--primes", "3,5", "--trials", "50", "--threads", threads],
+            env=dict(os.environ, PYTHONPATH=src), stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+        )
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=120)
+        assert (proc.returncode, err) == (141, b"")
+
+
+class TestTrialSlices:
+    """junod-lemma runs as trial slices, each at every prime, two per worker."""
+
+    PRIMES = ["--primes", "3,5,7"]
+
+    @pytest.mark.parametrize("trials, mutations", [
+        (0, ["0:1"]),
+        (1, ["0:1", "1:1"]),
+        (7, ["0:1", "3:1", "6:1", "7:1"]),
+        (1001, ["0:1", "250:1", "500:1", "1000:1", "1001:1"]),
+    ])
+    def test_reports_do_not_depend_on_the_thread_count(
+        self, tmp_path, monkeypatch, trials, mutations
+    ):
+        # at 1001 trials every exponent n is 1, to keep the test short; the
+        # draws are those of the seed. 250 opens the second slice at 2
+        # workers, 500 the third, and 1000 is the last trial
+        if trials > 100:
+            draws = congruences._junod_draws
+
+            def first_powers(rng):
+                alpha, gamma, k, _ = draws(rng)
+                return alpha, gamma, k, 1
+
+            monkeypatch.setattr(congruences, "_junod_draws", first_powers)
+        for mutate in [None, *mutations]:
+            argv = ["verify", "junod-lemma", *self.PRIMES, "--trials", str(trials),
+                    "--seed", "3"] + (["--mutate", mutate] if mutate else [])
+            outputs = set()
+            for threads in ("1", "2", "3"):
+                code, text = run(tmp_path, *argv, "--threads", threads)
+                outputs.add((code, text))
+            assert len(outputs) == 1
+            assert_no_children()
+            (code, text), = outputs
+            reports = [json.loads(line) for line in text.splitlines()]
+            assert [r["instances"] for r in reports] == [trials] * len(reports)
+            index = int(mutate.split(":")[0]) if mutate else trials
+            hit = [[v["instance"]["trial"] for v in r["violations"]] for r in reports]
+            assert hit == [[index] if index < trials else []] * len(reports)
+            assert code == int(index < trials)
+
+    def test_slices_join_in_trial_order(self, tmp_path, monkeypatch):
+        # a lemma that fails at every trial: each report lists every trial,
+        # in order, however many slices ran it and in whatever order they ended
+        perturb = congruences._perturb
+        monkeypatch.setattr(congruences, "_perturb",
+                            lambda poly, like, hit: perturb(poly, like, (0, 1)))
+        outputs = set()
+        for threads in ("1", "2", "3"):
+            code, text = run(tmp_path, "verify", "junod-lemma", *self.PRIMES,
+                             "--trials", "30", "--threads", threads)
+            assert code == 1
+            for line in text.splitlines():
+                violations = json.loads(line)["violations"]
+                assert [v["instance"]["trial"] for v in violations] == list(range(30))
+            outputs.add(text)
+        assert len(outputs) == 1
+        assert_no_children()
+
+    def test_slices_of_every_prime_share_the_jobs(self):
+        spec = SweepSpec("all", [3, 5, 7], n_max=1, degree_cap=6, trials=10)
+        tasks = build_all_tasks(spec)
+        for slices, count in ((1, 1), (4, 4), (6, 6), (20, 10)):
+            jobs, labels = cli._jobs(spec, tasks, slices)
+            assert len(jobs) == len(tasks) - 3 + count
+            sliced = labels[len(jobs) - count:]  # handed out first
+            assert sliced[0] == ("junod-lemma", "trials 0..%d" % (10 // count - 1))
+            assert all(label[0] == "junod-lemma" for label in sliced)
+            assert "junod-lemma" not in {label[0] for label in labels[:-count]}
+
+    def test_timing_sums_the_slices(self, tmp_path, monkeypatch):
+        # every job takes one second, so a report takes one per slice
+        clock = iter(range(10**6))
+        monkeypatch.setattr(cli.time, "monotonic", lambda: next(clock))
+        for threads, slices in (("1", 1), ("2", 4), ("3", 6)):
+            code, text = run(tmp_path, "verify", "all", "--primes", "3,5",
+                             "--n-max", "1", "--degree-cap", "6", "--trials", "20",
+                             "--timing", "--threads", threads)
+            assert code == 0
+            elapsed = {(r["checker"], r["params"]["p"]): r["elapsed_ms"]
+                       for r in map(json.loads, text.splitlines())}
+            for (checker, _), ms in elapsed.items():
+                assert ms == (slices if checker == "junod-lemma" else 1) * 1000
+        assert_no_children()
 
 
 SMALL_GRID = ["--primes", "3,5", "--n-max", "2", "--degree-cap", "16",

@@ -15,6 +15,7 @@ from cyclopadic.cycle_index import (
     partition_count,
 )
 from cyclopadic.padic import PadicContext
+from cyclopadic.polyring import MultiPoly
 from cyclopadic.reports import CongruenceReport, Mutation
 
 
@@ -165,6 +166,35 @@ class TestJunodLemma:
         assert cg.check_junod_lemma(500, 0, ctx3).passed
         assert cg.check_junod_lemma(500, 0, ctx5).passed
 
+    @pytest.mark.parametrize("cuts", [(), (1,), (13,), (5, 6, 30), (0, 0, 40)])
+    @pytest.mark.parametrize("index", [None, 0, 12, 13, 39, 40])
+    def test_slices_join_to_the_whole_run(self, cuts, index):
+        # slices of 0..39 at three primes at once, joined in order, are the
+        # one-prime reports of all 40 trials, clean or mutated at trial index
+        ctxs = [PadicContext(p) for p in (3, 5, 7)]
+        mutation = None if index is None else Mutation(index, 1)
+        bounds = [0, *cuts, 40]
+        joined = None
+        for start, stop in zip(bounds, bounds[1:]):
+            part = cg.junod_lemma_trials(
+                start, stop, 40, 9, ctxs, mutation and mutation.shifted(start, stop))
+            if joined is None:
+                joined = part
+            else:
+                for whole, later in zip(joined, part):
+                    whole.extend(later)
+        for ctx, report in zip(ctxs, joined):
+            alone = cg.check_junod_lemma(40, 9, ctx, mutation)
+            assert report.to_json() == alone.to_json()
+            trials = [v["instance"]["trial"] for v in report.violations]
+            assert trials == ([index] if index is not None and index < 40 else [])
+
+    def test_a_slice_replays_the_draws_before_it(self, ctx3):
+        whole = cg.check_junod_lemma(30, 5, ctx3, Mutation(20, 1))
+        (tail,) = cg.junod_lemma_trials(20, 30, 30, 5, [ctx3], Mutation(0, 1))
+        assert tail.instances == 10
+        assert tail.violations == whole.violations
+
 
 class TestGammaRatio:
     def test_hand_example_p3_n2(self, ctx3):
@@ -209,6 +239,37 @@ class TestMutationDetection:
         assert not report.passed
         wit = report.violations[0]
         assert wit["observed_vp"] == 0 and wit["required_vp"] == 2
+
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    def test_prop_poly_mutated_in_either_form(self, p):
+        # at odd p the signed form is the first form's compare reused; it must
+        # report what two compares of separately built polynomials report
+        ctx = PadicContext(p)
+        for r, n in ((0, 1), (1, 2), (p - 1, 2)):
+            modulus = cg.n_star(n) * p
+            lhs = ci.cycle_indicator(r + n * p)
+            cr = ci.cycle_indicator(r)
+            x1p = MultiPoly.variable(1) ** p
+            xp = MultiPoly.variable(p)
+            size = max(len(lhs), len((x1p - xp) ** n * cr))
+            for index in (None, 0, size - 1, size, 2 * size - 1, 2 * size):
+                mutation = None if index is None else Mutation(index, 1)
+                expected = CongruenceReport(
+                    "prop-poly", {"p": p, "n": n, "r": r, "modulus": modulus},
+                    mutation=mutation,
+                )
+                cg.compare_polys(expected, lhs, (x1p - xp) ** n * cr, modulus, ctx)
+                cg.compare_polys(expected, lhs, (x1p + (-1) ** p * xp) ** n * cr,
+                                 modulus, ctx, tag="signed")
+                report = cg.check_prop_poly(r, n, ctx, mutation)
+                assert report.to_json() == expected.to_json()
+                if p == 2:  # the theorem is for odd p; p = 2 has violations
+                    continue
+                forms = [v["instance"].get("form") for v in report.violations]
+                if index is None or index >= 2 * size:
+                    assert forms == []
+                else:
+                    assert forms == [None if index < size else "signed"]
 
     def test_junod_lemma_mutation_is_two_sided(self, ctx3, ctx5):
         # m <= 20p and n <= 12 keep the required valuation vp(m*n) below 10
@@ -603,6 +664,26 @@ class TestReportShape:
     def test_text_mode(self, ctx3):
         report = cg.check_prop_coeff(2, ctx3)
         assert report.to_text().startswith("PASS")
+
+    def test_shifted_mutation(self):
+        m = Mutation(7, 2)
+        assert m.shifted(0, 8) == m
+        assert m.shifted(7, 9) == Mutation(0, 2)
+        assert m.shifted(3, 7) is None and m.shifted(8, 20) is None
+        assert m.shifted(7, 7) is None
+
+    def test_extend_appends_the_later_instances(self, ctx3):
+        first = CongruenceReport("x", {"p": 3}, instances=2)
+        first.add_violation({"i": 1}, 1, 9, ctx3, 2)
+        later = CongruenceReport("x", {"p": 3}, instances=3)
+        later.add_violation({"i": 4}, 2, 9, ctx3, 2)
+        first.extend(later)
+        assert first.instances == 5
+        assert [v["instance"]["i"] for v in first.violations] == [1, 4]
+        assert first.elapsed_ms is None
+        first.elapsed_ms, later.elapsed_ms = 4, 6
+        first.extend(later)
+        assert first.elapsed_ms == 10
 
     def test_report_is_dataclass_roundtrippable(self):
         r = CongruenceReport("x", {"p": 3})

@@ -60,6 +60,15 @@ def multiplicities(n, parts):
     return tuple(m)
 
 
+@pytest.fixture(scope="module", params=range(1, 41))
+def recursive_classes(request):
+    """(n, the classes of n from the recursive oracle as CycleTypes, in its
+    order), built once per n for the enumeration and class-size sweeps; pytest
+    runs the tests of one n together and drops it before the next."""
+    n = request.param
+    return n, [CycleType(n, multiplicities(n, parts)) for parts in partitions_desc(n)]
+
+
 class TestEnumeration:
     def test_n1(self):
         assert [ct.m for ct in enumerate_cycle_types(1)] == [(1,)]
@@ -85,17 +94,15 @@ class TestEnumeration:
         for n, p in known.items():
             assert partition_count(n) == p
 
-    @pytest.mark.parametrize("n", range(1, 41))
-    def test_matches_recursive_oracle(self, n):
-        expected = [multiplicities(n, parts) for parts in partitions_desc(n)]
+    def test_matches_recursive_oracle(self, recursive_classes):
+        n, expected = recursive_classes
         yielded = list(enumerate_cycle_types(n))
-        assert [ct.m for ct in yielded] == expected
-        for ct in yielded:
+        assert [ct.m for ct in yielded] == [built.m for built in expected]
+        for ct, built in zip(yielded, expected):
             assert ct.n == n
             assert ct.parts == tuple(
                 (i, ct.m[i - 1]) for i in range(n, 0, -1) if ct.m[i - 1]
             )
-            built = CycleType(n, ct.m)
             assert ct == built and hash(ct) == hash(built)
             assert ct.parts == built.parts
 
@@ -181,12 +188,9 @@ class TestCoefficient:
 
 
 class TestClassSizes:
-    @pytest.mark.parametrize("n", range(1, 41))
-    def test_matches_closed_form_over_recursive_oracle(self, n):
-        expected = []
-        for parts in partitions_desc(n):
-            ct = CycleType(n, multiplicities(n, parts))
-            expected.append((ct.parts, coefficient(ct)))
+    def test_matches_closed_form_over_recursive_oracle(self, recursive_classes):
+        n, classes = recursive_classes
+        expected = [(ct.parts, coefficient(ct)) for ct in classes]
         stream = list(class_sizes(n))
         assert stream == expected
         assert len(stream) == partition_count(n)
