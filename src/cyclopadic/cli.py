@@ -642,7 +642,11 @@ def main(argv=None) -> int:
         # the status a shell gives a process that SIGPIPE ends, and send what
         # is still buffered for stdout nowhere, so that exit does not fail
         try:
-            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            try:
+                os.dup2(devnull, sys.stdout.fileno())
+            finally:
+                os.close(devnull)
         except (OSError, ValueError):
             pass
         return 141  # 128 + SIGPIPE
