@@ -15,13 +15,13 @@ builds a polynomial of degree over 200, or in which another checker's largest
 n passes 1000 (junod-lemma's trial count is not bounded).
 
 Exit codes: 0 all checks passed, 1 at least one violation, 2 usage error,
-a refused grid and a negative --n-max, --degree-cap, --threads or --trials
-included, 3 internal error: an exception raised by a checker, in this
-process or in a worker, or a worker that died, with the traceback on
-stderr. A reader that closes stdout early ends the run quietly with 141,
-the status of a process that SIGPIPE ends. ``--out`` is opened only after
-every usage check has passed, so a usage error leaves an existing file as
-it was.
+a refused grid, a grid that holds no task and a negative --n-max,
+--degree-cap, --threads or --trials included, 3 internal error: an exception
+raised by a checker, in this process or in a worker, or a worker that died,
+with the traceback on stderr. A reader that closes stdout early ends the
+run quietly with 141, the status of a process that SIGPIPE ends. ``--out``
+is opened only after every usage check has passed, so a usage error leaves
+an existing file as it was.
 
 Each task is exact, CPU-bound and independent, so ``verify`` runs up to
 ``--threads`` of them at once in worker processes forked from the CLI. The
@@ -42,10 +42,10 @@ import os
 import sys
 import time
 from contextlib import nullcontext
-from dataclasses import dataclass
 from functools import partial
+from itertools import chain
 from types import ModuleType
-from typing import Callable, List, NamedTuple, Optional, Tuple
+from typing import Callable, Iterable, List, Optional, Tuple
 
 from . import congruences as cg, meixner as mx
 from .cycle_index import CycleType, coefficient, cycle_indicator, partition_count
@@ -54,7 +54,7 @@ from .reports import Mutation
 
 # `compute cycle-index N` refuses N whose C_N has more terms than this (C_N has
 # p(N) terms); p(45) = 89,134 is the largest admitted. On a 2-core VM C_45 is
-# built in 0.3 s and 99 MB, and `compute cycle-index 45` takes 1.6 s and 190 MB
+# built in 0.3 s and 99 MB, and `compute cycle-index 45` takes 0.9 s and 110 MB
 # with its JSON. `verify` refuses a grid in which a checker sized by p(N) would
 # reach such an N. The tests and the benchmark grids reach at most N = 39
 # (p(39) = 31,185). For the polynomial checkers, which build C_N, the limit
@@ -83,42 +83,74 @@ MAX_SCALAR_SIZE = 1000
 MAX_MEIXNER_DEGREE = 200
 
 
-@dataclass
 class SweepSpec:
-    checker: str
-    primes: List[int]
-    n_max: int = 4
-    r_range: Optional[Tuple[int, int]] = None
-    degree_cap: int = 24
-    seed: int = 0
-    threads: int = 1
-    fmt: str = "json"
-    allow_p2: bool = False
-    timing: bool = False
-    trials: int = 500
-    mutation: Optional[Mutation] = None
+    """The grid and options of one ``verify`` run."""
+
+    def __init__(
+        self,
+        checker: str,
+        primes: List[int],
+        n_max: int = 4,
+        r_range: Optional[Tuple[int, int]] = None,
+        degree_cap: int = 24,
+        seed: int = 0,
+        threads: int = 1,
+        fmt: str = "json",
+        allow_p2: bool = False,
+        timing: bool = False,
+        trials: int = 500,
+        mutation: Optional[Mutation] = None,
+    ):
+        self.checker = checker
+        self.primes = primes
+        self.n_max = n_max
+        self.r_range = r_range
+        self.degree_cap = degree_cap
+        self.seed = seed
+        self.threads = threads
+        self.fmt = fmt
+        self.allow_p2 = allow_p2
+        self.timing = timing
+        self.trials = trials
+        self.mutation = mutation
 
 
 class UsageError(Exception):
     pass
 
 
-class Checker(NamedTuple):
-    """A checker: ``module.function(*args, ctx, mutation)`` at each grid point."""
+class Checker:
+    """A checker: ``module.function(*args, ctx, mutation)`` at each grid point.
 
-    name: str
-    module: ModuleType
-    function: str  # looked up in module when the tasks are built
-    grid: str  # the (n, r) of its tasks at p, see _grid
-    args: str  # the leading arguments, among n, r, trials and seed
-    size: str  # its largest instance: "p(N)" at N = r + np, degree "np" or
-    # "p", or n, m or trials
-    p2: str = "advisory"  # at p = 2: "advisory", "asserted", or "odd" (no task)
-    forks: bool = True  # False: even its largest admitted grid runs no
-    # slower in-process, so without --threads it does (see _default_threads)
-    slices: str = ""  # a function of (start, stop, trials, seed, ctxs,
-    # mutation) that runs a slice of the trials at all the row's primes at
-    # once, one report per prime; the row then runs as trial slices (_jobs)
+    name: its ``verify`` name.
+    function: looked up in module when the tasks are built.
+    grid: the (n, r) of its tasks at p, see _grid.
+    args: the leading arguments, among n, r, trials and seed.
+    size: its largest instance: "p(N)" at N = r + np, degree "np" or "p", or
+    n, m or trials.
+    p2: at p = 2, "advisory", "asserted", or "odd" (no task).
+    forks: False if even its largest admitted grid runs no slower
+    in-process, so that without --threads it does (see _default_threads).
+    slices: a function of (start, stop, trials, seed, ctxs, mutation) that
+    runs a slice of the trials at all the row's primes at once, one report
+    per prime; the row then runs as trial slices (_jobs).
+    """
+
+    __slots__ = ("name", "module", "function", "grid", "args", "size", "p2",
+                 "forks", "slices")
+
+    def __init__(self, name: str, module: ModuleType, function: str, grid: str,
+                 args: str, size: str, p2: str = "advisory", forks: bool = True,
+                 slices: str = ""):
+        self.name = name
+        self.module = module
+        self.function = function
+        self.grid = grid
+        self.args = args
+        self.size = size
+        self.p2 = p2
+        self.forks = forks
+        self.slices = slices
 
 
 # One row per checker, in report order (tasks sort by checker name first).
@@ -213,7 +245,8 @@ def build_all_tasks(spec: SweepSpec):
     """(sort key, thunk, advisory) per task, sorted.
 
     A grid with an entry of ``primes`` that is not prime, with p = 2 but not
-    ``allow_p2``, or over a size limit builds none: ``UsageError``.
+    ``allow_p2``, or over a size limit, and a grid that holds no task, raise
+    ``UsageError``.
     """
     for p in spec.primes:
         if not is_prime(p):
@@ -234,6 +267,8 @@ def build_all_tasks(spec: SweepSpec):
                     thunk = partial(fn, *args, ctx, spec.mutation)
                     tasks.append(((row.name, p, n, r), thunk,
                                   p == 2 and row.p2 == "advisory"))
+    if not tasks:
+        raise UsageError(f"the {spec.checker} grid holds no task")
     tasks.sort(key=lambda t: t[0])
     return tasks
 
@@ -490,8 +525,9 @@ def _parse_cycle_type(n: int, text: str) -> CycleType:
         raise UsageError(str(exc))
 
 
-def run_compute(args) -> str:
-    """The text that ``compute`` prints."""
+def run_compute(args) -> Iterable[str]:
+    """The text that ``compute`` prints, in pieces; a cycle indicator's JSON
+    is formatted one term at a time, as it is written."""
     obj = args.object
     n = args.n
     if n < 0:
@@ -508,14 +544,17 @@ def run_compute(args) -> str:
         if args.cycle_type is None:
             raise UsageError("coeff requires a cycle type, e.g. 1,1,0")
         ct = _parse_cycle_type(n, args.cycle_type)
-        return str(coefficient(ct)) + "\n"
+        return [str(coefficient(ct)) + "\n"]
     elif obj == "meixner-q":
         poly = mx.meixner_q(n)
     elif obj == "meixner-qstar":
         poly = mx.meixner_qstar(n)
     else:
         raise UsageError(f"unknown object {obj!r}")
-    return (poly.to_json() if args.format == "json" else repr(poly)) + "\n"
+    if args.format == "text":
+        return [repr(poly) + "\n"]
+    return chain(poly.json_chunks() if obj == "cycle-index" else [poly.to_json()],
+                 ["\n"])
 
 
 def _default_threads(checker: str = "all") -> int:
@@ -591,7 +630,7 @@ def main(argv=None) -> int:
         if args.command == "compute":
             text = run_compute(args)
             with _output(args.out) as out:
-                _emit(out, [text])
+                _emit(out, text)
             return 0
 
         for flag in ("n_max", "degree_cap", "threads", "trials"):

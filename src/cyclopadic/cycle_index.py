@@ -38,7 +38,6 @@ oracles in ``tests/oracles.py``.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, field
 from itertools import accumulate
 from math import factorial
 from typing import Callable, Iterable, Iterator, List, Optional, Tuple
@@ -46,27 +45,47 @@ from typing import Callable, Iterable, Iterator, List, Optional, Tuple
 from .polyring import MAX_DEGREE, SLOT_BITS, MultiPoly, _check_degree
 
 
-@dataclass(frozen=True, slots=True)
 class CycleType:
     """Multiplicity vector (m_1,...,m_n) of one conjugacy class of S_n.
 
-    ``parts`` is derived from ``m`` and takes no part in equality or hashing.
+    Immutable. ``parts`` is derived from ``m`` and takes no part in equality,
+    hashing or the repr.
     """
 
-    n: int
-    m: Tuple[int, ...]
-    parts: Tuple[Tuple[int, int], ...] = field(init=False, repr=False, compare=False)
+    __slots__ = ("n", "m", "parts")
 
-    def __post_init__(self):
-        if self.n < 1 or len(self.m) != self.n:
+    def __init__(self, n: int, m: Tuple[int, ...]):
+        if n < 1 or len(m) != n:
             raise ValueError("m must have length n >= 1")
-        if any(x < 0 for x in self.m):
+        if any(x < 0 for x in m):
             raise ValueError("multiplicities must be nonnegative")
-        if sum(i * x for i, x in enumerate(self.m, start=1)) != self.n:
+        if sum(i * x for i, x in enumerate(m, start=1)) != n:
             raise ValueError("sum of i*m_i must equal n")
-        m = self.m
-        parts = tuple((i, m[i - 1]) for i in range(self.n, 0, -1) if m[i - 1])
-        object.__setattr__(self, "parts", parts)
+        parts = tuple((i, m[i - 1]) for i in range(n, 0, -1) if m[i - 1])
+        put = object.__setattr__
+        put(self, "n", n)
+        put(self, "m", m)
+        put(self, "parts", parts)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.n, self.m) == (other.n, other.m)
+
+    def __hash__(self):
+        return hash((self.n, self.m))
+
+    def __repr__(self) -> str:
+        return f"CycleType(n={self.n!r}, m={self.m!r})"
+
+    def __reduce__(self):
+        return CycleType, (self.n, self.m)
 
 
 Prune = Callable[[List[Tuple[int, int]], int, int, int], bool]

@@ -31,12 +31,13 @@ read it.
 from __future__ import annotations
 
 import json
+from codecs import utf_16_le_decode
 from math import comb
-from typing import Iterable, Mapping, Optional, Union
+from typing import Iterable, Iterator, Mapping, Optional, Union
 
 from .padic import PadicContext
 
-SLOT_BITS = 16
+SLOT_BITS = 16  # MultiPoly.json_chunks reads each slot as a UTF-16 code unit
 # largest total degree a packed monomial can hold; also the slot mask
 MAX_DEGREE = (1 << SLOT_BITS) - 1
 
@@ -384,18 +385,36 @@ class MultiPoly:
 
     # -- serialization ------------------------------------------------
 
-    def to_json_obj(self) -> dict:
+    def json_chunks(self) -> Iterator[str]:
+        """The text of :meth:`to_json` in pieces, one per term, so that a
+        large polynomial is written out without building all of its text.
+
+        A key is read as nvars + 1 UTF-16 code units, one per slot, which
+        pads its exponents with zeros to nvars. Slot 0, the total degree, is
+        dropped, and ``str.translate`` turns each exponent into its digits
+        through a table: no int is converted to text one at a time. Slots in
+        the surrogate range (55,296 to 57,343) pass as lone surrogates; two
+        of them never form a pair, since a high slot followed by a low one
+        would need a total degree over MAX_DEGREE.
+        """
         k = self.nvars
-        return {
-            "vars": k,
-            "terms": [
-                [list(e) + [0] * (k - len(e)), str(c)]
-                for e, c in self.sorted_terms()
-            ],
-        }
+        size = (k + 1) * SLOT_BITS // 8
+        digits = [f"{e}," for e in range(self.total_degree() + 1)]
+        terms = self.terms
+        yield f'{{"vars":{k},"terms":['
+        sep = "[["
+        for key in sorted(terms, key=_grevlex):
+            slots = utf_16_le_decode(key.to_bytes(size, "little"), "surrogatepass",
+                                     True)[0]
+            yield f'{sep}{slots[1:].translate(digits)[:-1]}],"{terms[key]}"]'
+            sep = ",[["
+        yield "]}"
+
+    def to_json_obj(self) -> dict:
+        return json.loads(self.to_json())
 
     def to_json(self) -> str:
-        return json.dumps(self.to_json_obj(), separators=(",", ":"))
+        return "".join(self.json_chunks())
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "MultiPoly":

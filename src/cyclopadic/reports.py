@@ -2,11 +2,9 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from typing import Optional, Tuple
 
 
-@dataclass(frozen=True)
 class Mutation:
     """Test-harness fault injection: add delta to the left-hand value of the
     index-th (0-based) compared instance of each report.
@@ -20,14 +18,37 @@ class Mutation:
     revlex for MultiPolys, degree for UniPolys); junod-lemma's are its
     trials, each perturbed at the leading term of its a^n. A sound checker flags a delta
     that breaks the congruence and passes a multiple of the modulus.
+
+    Immutable, compared and hashed as the pair (index, delta).
     """
 
-    index: int
-    delta: int
+    __slots__ = ("index", "delta")
 
-    def __post_init__(self):
-        if self.index < 0:
-            raise ValueError(f"negative mutation index {self.index}")
+    def __init__(self, index: int, delta: int):
+        if index < 0:
+            raise ValueError(f"negative mutation index {index}")
+        object.__setattr__(self, "index", index)
+        object.__setattr__(self, "delta", delta)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.index, self.delta) == (other.index, other.delta)
+
+    def __hash__(self):
+        return hash((self.index, self.delta))
+
+    def __repr__(self) -> str:
+        return f"Mutation(index={self.index!r}, delta={self.delta!r})"
+
+    def __reduce__(self):
+        return Mutation, (self.index, self.delta)
 
     @classmethod
     def parse(cls, text: str) -> "Mutation":
@@ -50,19 +71,48 @@ def _jsonable(x):
     return x
 
 
-@dataclass
 class CongruenceReport:
-    """Machine-readable outcome of one checker sweep."""
+    """Machine-readable outcome of one checker sweep.
 
-    checker: str
-    params: dict
-    instances: int = 0
-    violations: list = field(default_factory=list)
-    seed: Optional[int] = None
-    elapsed_ms: Optional[int] = None
-    advisory: bool = False  # True for non-asserted sweeps (the p=2 experiments)
-    # the fault to inject; not part of the serialized report
-    mutation: Optional[Mutation] = field(default=None, repr=False, compare=False)
+    ``advisory`` is True for non-asserted sweeps (the p=2 experiments).
+    ``mutation`` is the fault to inject; it is not part of the serialized
+    report, of equality or of the repr.
+    """
+
+    def __init__(
+        self,
+        checker: str,
+        params: dict,
+        instances: int = 0,
+        violations: Optional[list] = None,
+        seed: Optional[int] = None,
+        elapsed_ms: Optional[int] = None,
+        advisory: bool = False,
+        mutation: Optional[Mutation] = None,
+    ):
+        self.checker = checker
+        self.params = params
+        self.instances = instances
+        self.violations = [] if violations is None else violations
+        self.seed = seed
+        self.elapsed_ms = elapsed_ms
+        self.advisory = advisory
+        self.mutation = mutation
+
+    def _fields(self) -> tuple:
+        return (self.checker, self.params, self.instances, self.violations,
+                self.seed, self.elapsed_ms, self.advisory)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __repr__(self) -> str:
+        names = ("checker", "params", "instances", "violations", "seed",
+                 "elapsed_ms", "advisory")
+        fields = ", ".join(f"{k}={v!r}" for k, v in zip(names, self._fields()))
+        return f"CongruenceReport({fields})"
 
     @property
     def passed(self) -> bool:

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import pathlib
 import signal
 import subprocess
 import sys
@@ -22,7 +23,7 @@ from cyclopadic.cli import (
     main,
 )
 from cyclopadic.padic import is_prime
-from cyclopadic.reports import CongruenceReport
+from cyclopadic.reports import CongruenceReport, Mutation
 
 pytestmark = pytest.mark.filterwarnings("ignore")
 
@@ -43,6 +44,12 @@ class TestCompute:
         assert code == 0
         obj = json.loads(text)
         assert obj["terms"] == [[[3, 0, 0], "1"], [[1, 1, 0], "3"], [[0, 0, 1], "2"]]
+
+    @pytest.mark.parametrize("n", range(0, 11))
+    def test_cycle_index_bytes_match_golden(self, tmp_path, n):
+        golden = pathlib.Path(__file__).parent / "golden" / f"cycle_index_{n:02d}.json"
+        code, text = run(tmp_path, "compute", "cycle-index", str(n))
+        assert code == 0 and text == golden.read_text()
 
     def test_coeff(self, tmp_path):
         code, text = run(tmp_path, "compute", "coeff", "3", "1,1,0")
@@ -390,6 +397,21 @@ class TestVerify:
         assert capsys.readouterr().err.startswith("error: ")
         assert path.read_text() == "kept\n"
 
+    @pytest.mark.parametrize("argv", [
+        ["prop-poly", "--primes", "3", "--n-max", "0"],
+        ["prop-coeff", "--primes", "3", "--degree-cap", "0"],
+        ["corollary2", "--primes", "2", "--allow-p2"],
+    ], ids=["n-max-0", "degree-cap-0", "odd-only-at-p2"])
+    def test_empty_grid_exit2(self, tmp_path, capsys, argv):
+        error = f"error: the {argv[0]} grid holds no task\n"
+        assert main(["verify", *argv]) == 2
+        assert capsys.readouterr() == ("", error)
+        path = tmp_path / "F"
+        path.write_text("kept\n")
+        assert main(["verify", *argv, "--out", str(path)]) == 2
+        assert capsys.readouterr().err == error
+        assert path.read_text() == "kept\n"
+
     def test_rerun_is_byte_identical(self, tmp_path):
         args = ["verify", "junod-lemma", "--primes", "3", "--seed", "7",
                 "--trials", "40"]
@@ -567,6 +589,27 @@ def all_small_grid(tmp_path_factory):
     code, text = run(tmp_path_factory.mktemp("all"), "verify", "all", *SMALL_GRID)
     assert code == 0
     return text.splitlines()
+
+
+def test_cli_import_loads_no_code_generator():
+    # a fresh interpreter, since pytest itself imports both modules
+    src = os.path.dirname(os.path.dirname(cyclopadic.__file__))
+    probe = ("import sys; before = set(sys.modules); import cyclopadic.cli; "
+             "print(sorted({'dataclasses', 'inspect'} & set(sys.modules) - before))")
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                          env=dict(os.environ, PYTHONPATH=src), text=True, timeout=60)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
+
+
+def test_sweep_spec_defaults():
+    spec = SweepSpec("all", [3])
+    assert vars(spec) == dict(
+        checker="all", primes=[3], n_max=4, r_range=None, degree_cap=24, seed=0,
+        threads=1, fmt="json", allow_p2=False, timing=False, trials=500,
+        mutation=None,
+    )
+    values = ["x", [5], 2, (0, 1), 9, 3, 2, "text", True, True, 7, Mutation(1, 2)]
+    assert list(vars(SweepSpec(*values)).values()) == values
 
 
 class TestCheckerTable:

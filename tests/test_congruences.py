@@ -1,4 +1,5 @@
 import math
+import pickle
 
 import pytest
 
@@ -684,6 +685,33 @@ class TestReportShape:
         first.elapsed_ms, later.elapsed_ms = 4, 6
         first.extend(later)
         assert first.elapsed_ms == 10
+
+    def test_mutation_is_immutable_value(self):
+        m = Mutation(3, -2)
+        for name in ("index", "delta", "other"):
+            with pytest.raises(AttributeError):
+                setattr(m, name, 1)
+        assert m == Mutation(3, -2) and hash(m) == hash(Mutation(3, -2))
+        assert m != Mutation(3, 2) and m != (3, -2)
+        assert repr(m) == "Mutation(index=3, delta=-2)"
+        assert pickle.loads(pickle.dumps(m)) == m
+        assert Mutation.parse("3:-2") == m
+
+    def test_report_pickles_with_its_violations(self, ctx3):
+        r = CongruenceReport("x", {"p": 3, "n": 2}, seed=5, advisory=True,
+                             mutation=Mutation(1, 1))
+        assert r.tap(0) == 0 and r.tap(0) == 1
+        r.add_violation({"i": 1}, 1, 9, ctx3, 2)
+        copied = pickle.loads(pickle.dumps(r))
+        assert copied == r and copied.to_json() == r.to_json()
+        assert copied.mutation == r.mutation
+        assert copied.violations == r.violations and copied.instances == 2
+        # the mutation takes no part in equality, the repr or the JSON
+        assert r == CongruenceReport("x", {"p": 3, "n": 2}, 2, r.violations, 5,
+                                     None, True)
+        assert "mutation" not in repr(r) and "mutation" not in r.to_json()
+        a, b = CongruenceReport("x", {}), CongruenceReport("x", {})
+        assert a.violations == [] and a.violations is not b.violations
 
     def test_report_is_dataclass_roundtrippable(self):
         r = CongruenceReport("x", {"p": 3})

@@ -123,6 +123,20 @@ class TestEnumeration:
         copied = pickle.loads(pickle.dumps(list(enumerate_cycle_types(3))[1]))
         assert copied == ct and copied.parts == ct.parts
 
+    def test_cycle_type_is_immutable_value(self):
+        ct = CycleType(4, (2, 1, 0, 0))
+        for name in ("n", "m", "parts", "other"):
+            with pytest.raises(AttributeError):
+                setattr(ct, name, 1)
+        with pytest.raises(AttributeError):
+            del ct.m
+        same = CycleType(4, (2, 1, 0, 0))
+        assert ct == same and hash(ct) == hash(same) and ct is not same
+        assert ct != CycleType(4, (0, 2, 0, 0)) and ct != (4, (2, 1, 0, 0))
+        assert repr(ct) == "CycleType(n=4, m=(2, 1, 0, 0))"
+        copied = pickle.loads(pickle.dumps(ct))
+        assert copied == ct and copied.parts == ((2, 1), (1, 2))
+
     def test_invalid_cycle_type_rejected(self):
         with pytest.raises(ValueError):
             CycleType(3, (1, 1, 1))

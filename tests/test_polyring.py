@@ -127,6 +127,25 @@ class TestMultiPolyBasics:
         cancel = {"vars": 2, "terms": [[[1, 0], "2"], [[1], "-2"]]}
         assert MultiPoly.from_json_obj(cancel).is_zero()
 
+    @pytest.mark.parametrize("terms", [
+        {},
+        {(): -4},
+        {(3, 0, 1): 2, (0, 0, 0, 7): -(10**40), (): 1},
+        # exponents whose slots are UTF-16 surrogates or the largest slot value
+        {(0xD800,): 1, (5, 0xDBFF): -2, (0, 0, 0xDC00): 3, (0xDFFF, 1): 4},
+        {(5, 0xDBFF): -2},  # a high surrogate in the last slot
+        {(0, 0xD800): 7, (0xDBFF,): 1},
+        {(0, MAX_DEGREE): 1, (MAX_DEGREE - 9, 0, 0, 9): 5},
+    ], ids=["zero", "constant", "mixed", "surrogates", "last-high", "high-pair",
+            "top-slot"])
+    def test_json_text_matches_dumps(self, terms):
+        p = MultiPoly(terms)
+        k = p.nvars
+        rows = [[list(e) + [0] * (k - len(e)), str(c)] for e, c in p.sorted_terms()]
+        expected = json.dumps({"vars": k, "terms": rows}, separators=(",", ":"))
+        assert p.to_json() == "".join(p.json_chunks()) == expected
+        assert p.to_json_obj() == json.loads(expected)
+
     def test_grevlex_order(self):
         p = X1**2 + X1 * X2 + X2**2 + X1 * X3 + X3 + MultiPoly.one()
         exps = [e for e, _ in p.sorted_terms()]
