@@ -37,10 +37,10 @@ output is byte-identical for any ``--threads`` value.
 """
 from __future__ import annotations
 
-import argparse
 import os
 import sys
 import time
+from argparse import ArgumentParser, Namespace
 from contextlib import nullcontext
 from functools import partial
 from itertools import chain
@@ -76,43 +76,12 @@ MAX_SCALAR_SIZE = 1000
 
 # `verify` refuses a grid in which a Meixner checker builds a Q_d of degree d
 # over this: corollary2 and meixner-qstar-q build degree np, meixner-qp degree
-# p. The Meixner cache grows one degree at a time, to the largest degree asked
+# p, and `compute meixner-q N` or `meixner-qstar N` refuses N over it. The
+# Meixner cache grows one degree at a time, to the largest degree asked
 # for; on a 2-core VM Q_0..Q_200 take 0.45 s, Q_0..Q_300 2.0 s and Q_0..Q_400
 # 5.4 s. `verify corollary2 --primes 3,5,7,11,13,17,19 --n-max 1000
 # --degree-cap 200` takes 0.7 to 1.3 s. The acceptance module reaches np = 125.
 MAX_MEIXNER_DEGREE = 200
-
-
-class SweepSpec:
-    """The grid and options of one ``verify`` run."""
-
-    def __init__(
-        self,
-        checker: str,
-        primes: List[int],
-        n_max: int = 4,
-        r_range: Optional[Tuple[int, int]] = None,
-        degree_cap: int = 24,
-        seed: int = 0,
-        threads: int = 1,
-        fmt: str = "json",
-        allow_p2: bool = False,
-        timing: bool = False,
-        trials: int = 500,
-        mutation: Optional[Mutation] = None,
-    ):
-        self.checker = checker
-        self.primes = primes
-        self.n_max = n_max
-        self.r_range = r_range
-        self.degree_cap = degree_cap
-        self.seed = seed
-        self.threads = threads
-        self.fmt = fmt
-        self.allow_p2 = allow_p2
-        self.timing = timing
-        self.trials = trials
-        self.mutation = mutation
 
 
 class UsageError(Exception):
@@ -176,7 +145,7 @@ CHECKER_TABLE = [
 CHECKERS = [row.name for row in CHECKER_TABLE] + ["all"]
 
 
-def _grid(spec: SweepSpec, row: Checker, p: int) -> Tuple[range, Callable]:
+def _grid(spec: Namespace, row: Checker, p: int) -> Tuple[range, Callable]:
     """The n of row's sweep at p, and the r at each n.
 
     "once" is one task at n = 0, "n" is n = 1..n_max, "np" keeps those with
@@ -199,18 +168,18 @@ def _grid(spec: SweepSpec, row: Checker, p: int) -> Tuple[range, Callable]:
     }[row.grid], lambda n: range(1)
 
 
-def _rows(spec: SweepSpec) -> List[Checker]:
+def _rows(spec: Namespace) -> List[Checker]:
     rows = [row for row in CHECKER_TABLE if spec.checker in (row.name, "all")]
     if not rows:
         raise UsageError(f"unknown checker {spec.checker!r}")
     return rows
 
 
-def _primes(spec: SweepSpec, row: Checker) -> List[int]:
+def _primes(spec: Namespace, row: Checker) -> List[int]:
     return [p for p in spec.primes if p != 2 or row.p2 != "odd"]
 
 
-def _largest(spec: SweepSpec, row: Checker, p: int) -> int:
+def _largest(spec: Namespace, row: Checker, p: int) -> int:
     """The N = r + np, degree np or p, n or m of row's largest instance at p.
 
     0 for no task.
@@ -223,7 +192,7 @@ def _largest(spec: SweepSpec, row: Checker, p: int) -> int:
     return {"p(N)": r + n * p, "np": n * p, "p": p}.get(row.size, n)
 
 
-def _check_sizes(spec: SweepSpec) -> None:
+def _check_sizes(spec: Namespace) -> None:
     """Refuse a grid whose largest instance of some checker is over its limit."""
     for row in _rows(spec):
         if row.size == "trials":
@@ -241,8 +210,8 @@ def _check_sizes(spec: SweepSpec) -> None:
             )
 
 
-def build_all_tasks(spec: SweepSpec):
-    """(sort key, thunk, advisory) per task, sorted.
+def build_all_tasks(spec: Namespace):
+    """(sort key, thunk) per task, sorted.
 
     A grid with an entry of ``primes`` that is not prime, with p = 2 but not
     ``allow_p2``, or over a size limit, and a grid that holds no task, raise
@@ -265,33 +234,29 @@ def build_all_tasks(spec: SweepSpec):
                     values = dict(n=n, r=r, trials=spec.trials, seed=spec.seed)
                     args = [values[a] for a in row.args.split()]
                     thunk = partial(fn, *args, ctx, spec.mutation)
-                    tasks.append(((row.name, p, n, r), thunk,
-                                  p == 2 and row.p2 == "advisory"))
+                    tasks.append(((row.name, p, n, r), thunk))
     if not tasks:
         raise UsageError(f"the {spec.checker} grid holds no task")
     tasks.sort(key=lambda t: t[0])
     return tasks
 
 
-def _run_job(spec: SweepSpec, keys: list, part: int, thunk: Callable) -> list:
+def _run_job(spec: Namespace, keys: list, part: int, thunk: Callable) -> list:
     """(key, part, report) for each report of a job: thunk() returns one
-    report, or a list of them for the tasks of ``keys`` in order. ``keys``
-    holds (key, advisory) pairs; with --timing every report gets the job's
-    time."""
+    report, or a list of them for the tasks of ``keys`` in order; with
+    --timing every report gets the job's time."""
     start = time.monotonic()
     reports = thunk()
     elapsed = int((time.monotonic() - start) * 1000)
     if not isinstance(reports, list):
         reports = [reports]
-    for (_, advisory), report in zip(keys, reports):
-        if spec.timing:
+    if spec.timing:
+        for report in reports:
             report.elapsed_ms = elapsed
-        if advisory:
-            report.advisory = True
-    return [(key, part, report) for (key, _), report in zip(keys, reports)]
+    return [(key, part, report) for key, report in zip(keys, reports)]
 
 
-def _jobs(spec: SweepSpec, tasks: list, slices: int) -> Tuple[list, list]:
+def _jobs(spec: Namespace, tasks: list, slices: int) -> Tuple[list, list]:
     """The jobs that run the tasks, and a label for each.
 
     A task is one job, but the tasks of a row with a ``slices`` function,
@@ -303,16 +268,16 @@ def _jobs(spec: SweepSpec, tasks: list, slices: int) -> Tuple[list, list]:
     """
     rows = {row.name: row for row in CHECKER_TABLE}
     jobs, labels, shared = [], [], {}
-    for key, thunk, advisory in tasks:
+    for key, thunk in tasks:
         row = rows[key[0]]
         if row.slices:
-            shared.setdefault(row, []).append((key, advisory))
+            shared.setdefault(row, []).append(key)
         else:
-            jobs.append(partial(_run_job, spec, [(key, advisory)], 0, thunk))
+            jobs.append(partial(_run_job, spec, [key], 0, thunk))
             labels.append(key)
     for row, keys in shared.items():
         fn = getattr(row.module, row.slices)
-        ctxs = [PadicContext(key[1]) for key, _ in keys]
+        ctxs = [PadicContext(key[1]) for key in keys]
         trials, count = spec.trials, max(1, min(slices, spec.trials))
         for part in range(count):
             start, stop = trials * part // count, trials * (part + 1) // count
@@ -485,11 +450,13 @@ def _emit(out, lines) -> None:
         raise OutputClosed from None
 
 
-def run_verify(spec: SweepSpec, tasks: list, out) -> int:
+def run_verify(spec: Namespace, tasks: list, out) -> int:
     """Run the tasks ``build_all_tasks(spec)`` built and write their reports.
 
     A run that forks cuts trial-sliced rows into two slices per worker, so
     that the largest jobs spread over the workers; a serial run takes one.
+    A report at p = 2 of a row whose ``p2`` is "advisory" is marked so, and
+    its violations do not fail the exit code.
     """
     forks = spec.threads > 1 and hasattr(os, "fork")
     jobs, labels = _jobs(spec, tasks, 2 * spec.threads if forks else 1)
@@ -506,9 +473,13 @@ def run_verify(spec: SweepSpec, tasks: list, out) -> int:
             reports[-1][1].extend(report)
         else:
             reports.append((key, report))
+    rows = {row.name: row for row in CHECKER_TABLE}
+    for (name, p, _, _), report in reports:
+        if p == 2 and rows[name].p2 == "advisory":
+            report.advisory = True
 
-    _emit(out, ((report.to_json() if spec.fmt == "json" else report.to_text()) + "\n"
-                for _, report in reports))
+    _emit(out, ((report.to_json() if spec.format == "json" else report.to_text())
+                + "\n" for _, report in reports))
     return int(any(r.violations and not r.advisory for _, r in reports))
 
 
@@ -545,14 +516,15 @@ def run_compute(args) -> Iterable[str]:
             raise UsageError("coeff requires a cycle type, e.g. 1,1,0")
         ct = _parse_cycle_type(n, args.cycle_type)
         return [str(coefficient(ct)) + "\n"]
-    elif obj == "meixner-q":
-        poly = mx.meixner_q(n)
-    elif obj == "meixner-qstar":
-        poly = mx.meixner_qstar(n)
+    elif obj in ("meixner-q", "meixner-qstar"):
+        if n > MAX_MEIXNER_DEGREE:
+            raise UsageError(f"{obj} of degree {n} is over the limit of "
+                             f"{MAX_MEIXNER_DEGREE}")
+        poly = (mx.meixner_q if obj == "meixner-q" else mx.meixner_qstar)(n)
     else:
         raise UsageError(f"unknown object {obj!r}")
     if args.format == "text":
-        return [repr(poly) + "\n"]
+        return [poly.to_text() + "\n"]
     return chain(poly.json_chunks() if obj == "cycle-index" else [poly.to_json()],
                  ["\n"])
 
@@ -573,8 +545,8 @@ def _default_threads(checker: str = "all") -> int:
     return os.cpu_count() or 1
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+def build_parser() -> ArgumentParser:
+    parser = ArgumentParser(
         prog="cyclopadic",
         description="Exact verification of cycle-indicator and Meixner congruences",
     )
@@ -596,9 +568,10 @@ def build_parser() -> argparse.ArgumentParser:
     pv.add_argument("--r-range", default=None, help="LO:HI inclusive")
     pv.add_argument("--degree-cap", type=int, default=24)
     pv.add_argument("--seed", type=int, default=0)
+    in_process = " and ".join(row.name for row in CHECKER_TABLE if not row.forks)
     pv.add_argument("--threads", type=int, default=None, metavar="K",
                     help="tasks run at once, in worker processes (default: "
-                    "the number of CPUs; 1 for carlitz-coeff and prop-coeff)")
+                    f"the number of CPUs; 1 for {in_process})")
     pv.add_argument("--format", choices=["json", "text"], default="json")
     pv.add_argument("--out", default=None)
     pv.add_argument("--allow-p2", action="store_true")
@@ -623,6 +596,39 @@ def _output(path: Optional[str]):
         raise UsageError(f"cannot write {path}: {exc.strerror or exc}")
 
 
+def verify_spec(argv: List[str]) -> Namespace:
+    """The arguments of ``verify`` argv, parsed and checked (see _checked)."""
+    return _checked(build_parser().parse_args(["verify", *argv]))
+
+
+def _checked(args: Namespace) -> Namespace:
+    """The parsed ``verify`` args, checked, with ``primes`` (sorted, without
+    repeats), ``r_range`` (LO, HI) or None, ``mutation`` and ``threads``
+    filled in. A negative count or a malformed value raises UsageError."""
+    for flag in ("n_max", "degree_cap", "threads", "trials"):
+        value = getattr(args, flag)
+        if value is not None and value < 0:
+            flag = flag.replace("_", "-")
+            raise UsageError(f"--{flag} must be >= 0, got {value}")
+    if args.r_range:
+        lo, _, hi = args.r_range.partition(":")
+        try:
+            args.r_range = (int(lo), int(hi))
+        except ValueError:
+            raise UsageError(f"malformed --r-range {args.r_range!r}")
+    args.r_range = args.r_range or None
+    try:
+        args.primes = sorted({int(x) for x in args.primes.split(",") if x})
+    except ValueError:
+        raise UsageError(f"malformed --primes {args.primes!r}")
+    try:
+        args.mutation = Mutation.parse(args.mutate) if args.mutate else None
+    except ValueError:
+        raise UsageError(f"malformed --mutate {args.mutate!r}")
+    args.threads = args.threads or _default_threads(args.checker)
+    return args
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -633,43 +639,7 @@ def main(argv=None) -> int:
                 _emit(out, text)
             return 0
 
-        for flag in ("n_max", "degree_cap", "threads", "trials"):
-            value = getattr(args, flag)
-            if value is not None and value < 0:
-                flag = flag.replace("_", "-")
-                raise UsageError(f"--{flag} must be >= 0, got {value}")
-
-        r_range = None
-        if args.r_range:
-            lo, _, hi = args.r_range.partition(":")
-            try:
-                r_range = (int(lo), int(hi))
-            except ValueError:
-                raise UsageError(f"malformed --r-range {args.r_range!r}")
-        try:
-            primes = [int(x) for x in args.primes.split(",") if x]
-        except ValueError:
-            raise UsageError(f"malformed --primes {args.primes!r}")
-        mutation = None
-        if args.mutate:
-            try:
-                mutation = Mutation.parse(args.mutate)
-            except ValueError:
-                raise UsageError(f"malformed --mutate {args.mutate!r}")
-        spec = SweepSpec(
-            checker=args.checker,
-            primes=sorted(set(primes)),
-            n_max=args.n_max,
-            r_range=r_range,
-            degree_cap=args.degree_cap,
-            seed=args.seed,
-            threads=args.threads or _default_threads(args.checker),
-            fmt=args.format,
-            allow_p2=args.allow_p2,
-            timing=args.timing,
-            trials=args.trials,
-            mutation=mutation,
-        )
+        spec = _checked(args)
         tasks = build_all_tasks(spec)
         with _output(args.out) as out:
             return run_verify(spec, tasks, out)

@@ -103,11 +103,7 @@ class PadicContext:
         """Morita Gamma at a positive integer: (-1)^n * prod of j < n with p∤j."""
         if n < 1:
             raise ValueError("morita_gamma requires n >= 1")
-        prod = 1
-        for j in range(1, n):
-            if j % self.p:
-                prod *= j
-        return -prod if n % 2 else prod
+        return -self.morita_gamma_ratio(n, 1)
 
     def morita_gamma_ratio(self, a: int, b: int) -> int:
         """Exact integer value of morita_gamma(a) / morita_gamma(b), a >= b >= 1.

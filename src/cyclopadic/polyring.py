@@ -66,10 +66,14 @@ def _unpack(key: int) -> tuple:
     return tuple(exps)
 
 
-def _grevlex(key: int):
-    # ascending sort with this key = descending graded revlex: higher total
-    # degree first, then the smaller exponent of the last variable first
-    return (-(key & MAX_DEGREE), key >> SLOT_BITS)
+def _grevlex_sorted(keys: Iterable[int]) -> list:
+    """keys in descending graded revlex order: higher total degree first,
+    then the smaller exponent of the last variable first. Keys of one total
+    degree share slot 0, so an ascending sort orders them, and the sort by
+    degree with ``reverse`` keeps that order."""
+    ks = sorted(keys)
+    ks.sort(key=MAX_DEGREE.__and__, reverse=True)
+    return ks
 
 
 def _check_degree(degree: int) -> None:
@@ -190,6 +194,30 @@ def _squaring_pairs(terms: dict, n: int) -> int:
     return pairs
 
 
+def _square_and_multiply(base, n: int, one):
+    """base^n, for n >= 0 and one the identity of base's ring."""
+    result = one
+    while n:
+        if n & 1:
+            result = result * base
+        n >>= 1
+        if n:
+            base = base * base
+    return result
+
+
+def _mul_add(out: list, x, y, w: int = 1) -> None:
+    """In-place out += w * x * y, for x, y and out dense coefficient lists
+    indexed by degree; out is extended to the product's length."""
+    if len(out) < len(x) + len(y) - 1:
+        out.extend([0] * (len(x) + len(y) - 1 - len(out)))
+    for i, xi in enumerate(x):
+        if xi:
+            wx = w * xi
+            for k, yj in enumerate(y, i):
+                out[k] += wx * yj
+
+
 def _add_scaled(acc: dict, src: dict, scale: int) -> None:
     """In-place acc += scale * src."""
     if not scale:
@@ -279,9 +307,8 @@ class MultiPoly:
 
     def sorted_terms(self) -> list:
         """Terms as (exponents, coeff) pairs in descending graded revlex order."""
-        return [
-            (_unpack(k), self.terms[k]) for k in sorted(self.terms, key=_grevlex)
-        ]
+        terms = self.terms
+        return [(_unpack(k), terms[k]) for k in _grevlex_sorted(terms)]
 
     def __len__(self) -> int:
         return len(self.terms)
@@ -297,18 +324,24 @@ class MultiPoly:
         return hash(frozenset(self.terms.items()))
 
     def __repr__(self) -> str:
+        return self.to_text(8)
+
+    def to_text(self, limit: Optional[int] = None) -> str:
+        """The terms as ``MultiPoly(c*X1^2*X2 + ...)``, leading term first;
+        past ``limit`` terms, if given, the rest are written as ``...``."""
         if not self.terms:
             return "MultiPoly(0)"
         parts = []
-        for e, c in self.sorted_terms()[:8]:
+        for e, c in self.sorted_terms()[:limit]:
             mono = "*".join(
                 f"X{i+1}" if x == 1 else f"X{i+1}^{x}"
                 for i, x in enumerate(e)
                 if x
             )
             parts.append(f"{c}*{mono}" if mono else str(c))
-        tail = " + ..." if len(self.terms) > 8 else ""
-        return "MultiPoly(" + " + ".join(parts) + tail + ")"
+        if limit is not None and len(self.terms) > limit:
+            parts.append("...")
+        return "MultiPoly(" + " + ".join(parts) + ")"
 
     # -- ring operations ----------------------------------------------
 
@@ -373,15 +406,7 @@ class MultiPoly:
         # products collide forms fewer, so the expansion must win by 2
         if 2 * _expansion_steps(s, n) <= _squaring_pairs(self.terms, n):
             return MultiPoly(_multinomial_power(self.terms, n), _raw=True)
-        result = MultiPoly.one()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            n >>= 1
-            if n:
-                base = base * base
-        return result
+        return _square_and_multiply(self, n, MultiPoly.one())
 
     # -- serialization ------------------------------------------------
 
@@ -403,7 +428,7 @@ class MultiPoly:
         terms = self.terms
         yield f'{{"vars":{k},"terms":['
         sep = "[["
-        for key in sorted(terms, key=_grevlex):
+        for key in _grevlex_sorted(terms):
             slots = utf_16_le_decode(key.to_bytes(size, "little"), "surrogatepass",
                                      True)[0]
             yield f'{sep}{slots[1:].translate(digits)[:-1]}],"{terms[key]}"]'
@@ -473,6 +498,8 @@ class UniPoly:
         ]
         return "UniPoly(" + " + ".join(parts) + ")"
 
+    to_text = __repr__
+
     def __add__(self, other) -> "UniPoly":
         if isinstance(other, int):
             other = UniPoly.constant(other)
@@ -497,13 +524,8 @@ class UniPoly:
             return UniPoly(other * c for c in self.coeffs)
         if not isinstance(other, UniPoly):
             return NotImplemented
-        if self.is_zero() or other.is_zero():
-            return UniPoly()
-        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] += a * b
+        out: list = []
+        _mul_add(out, self.coeffs, other.coeffs)
         return UniPoly(out)
 
     __rmul__ = __mul__
@@ -511,15 +533,7 @@ class UniPoly:
     def __pow__(self, n: int) -> "UniPoly":
         if not isinstance(n, int) or n < 0:
             raise ValueError("exponent must be a natural number")
-        result = UniPoly.constant(1)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            n >>= 1
-            if n:
-                base = base * base
-        return result
+        return _square_and_multiply(self, n, UniPoly.constant(1))
 
     def __call__(self, x: int) -> int:
         acc = 0
@@ -565,7 +579,7 @@ def substitute_univariate(a: MultiPoly, images: Mapping[int, UniPoly]) -> UniPol
     return total
 
 
-Poly = Union[MultiPoly, UniPoly, int]
+Poly = Union[MultiPoly, UniPoly]
 
 
 def congruence_witnesses(a: Poly, b: Poly, m: int, ctx: PadicContext) -> list:
@@ -584,12 +598,6 @@ def congruence_witnesses(a: Poly, b: Poly, m: int, ctx: PadicContext) -> list:
         raise ValueError("modulus m must be nonzero")
     req = ctx.vp(m)
     q = ctx.p**req
-
-    if isinstance(a, int):
-        a = MultiPoly.constant(a)
-    if isinstance(b, int):
-        b = UniPoly.constant(b) if isinstance(a, UniPoly) else MultiPoly.constant(b)
-
     if isinstance(a, UniPoly) and isinstance(b, UniPoly):
         top = max(len(a.coeffs), len(b.coeffs))
         return [({"degree": d}, c, req) for d in range(top) if (c := a[d] - b[d]) % q]
@@ -606,7 +614,7 @@ def congruence_witnesses(a: Poly, b: Poly, m: int, ctx: PadicContext) -> list:
             bad.discard(k)
     return [
         ({"exponents": list(_unpack(k))}, get_a(k, 0) - get_b(k, 0), req)
-        for k in sorted(bad, key=_grevlex)
+        for k in _grevlex_sorted(bad)
     ]
 
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 from math import comb
 from typing import List
 
-from .polyring import UniPoly
+from .polyring import UniPoly, _mul_add
 
 Series = List[UniPoly]  # EGF coefficients, index = degree in t
 
@@ -24,16 +24,8 @@ def _convolution(a: Series, b: Series, m: int, lo: int) -> UniPoly:
     out: list = []
     for k in range(lo, m + 1):
         x, y = a[k].coeffs, b[m - k].coeffs
-        if not (x and y):
-            continue
-        if len(out) < len(x) + len(y) - 1:
-            out.extend([0] * (len(x) + len(y) - 1 - len(out)))
-        w = comb(m - lo, k - lo)
-        for i, xi in enumerate(x):
-            if xi:
-                wx = w * xi
-                for j, yj in enumerate(y):
-                    out[i + j] += wx * yj
+        if x and y:
+            _mul_add(out, x, y, comb(m - lo, k - lo))
     return UniPoly(out)
 
 

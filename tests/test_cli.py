@@ -16,11 +16,11 @@ from cyclopadic.cli import (
     MAX_CYCLE_INDEX_TERMS,
     MAX_MEIXNER_DEGREE,
     MAX_SCALAR_SIZE,
-    SweepSpec,
     UsageError,
     WorkerTraceback,
     build_all_tasks,
     main,
+    verify_spec,
 )
 from cyclopadic.padic import is_prime
 from cyclopadic.reports import CongruenceReport, Mutation
@@ -72,8 +72,13 @@ class TestCompute:
         assert code == 2
 
     def test_text_format(self, tmp_path):
-        code, text = run(tmp_path, "compute", "cycle-index", "2", "--format", "text")
-        assert code == 0 and "X2" in text
+        # every one of C_6's p(6) = 11 terms; the repr of a MultiPoly stops after 8
+        code, text = run(tmp_path, "compute", "cycle-index", "6", "--format", "text")
+        assert code == 0 and text == (
+            "MultiPoly(1*X1^6 + 15*X1^4*X2 + 45*X1^2*X2^2 + 40*X1^3*X3 + 15*X2^3"
+            " + 120*X1*X2*X3 + 90*X1^2*X4 + 40*X3^2 + 90*X2*X4 + 144*X1*X5"
+            " + 120*X6)\n"
+        )
 
     def test_cycle_index_size_guard(self, tmp_path, capsys):
         start = time.monotonic()
@@ -82,6 +87,17 @@ class TestCompute:
         assert code == 2 and text == ""
         err = capsys.readouterr().err
         assert "p(120) = 1844349560" in err and str(MAX_CYCLE_INDEX_TERMS) in err
+
+    @pytest.mark.parametrize("obj", ["meixner-q", "meixner-qstar"])
+    def test_meixner_degree_ceiling(self, tmp_path, capsys, obj):
+        code, text = run(tmp_path, "compute", obj, str(MAX_MEIXNER_DEGREE))
+        assert code == 0 and len(json.loads(text)["coeffs"]) == MAX_MEIXNER_DEGREE + 1
+        start = time.monotonic()
+        code = main(["compute", obj, str(MAX_MEIXNER_DEGREE + 1)])
+        assert time.monotonic() - start < 1.0
+        assert code == 2 and capsys.readouterr() == ("", (
+            f"error: {obj} of degree {MAX_MEIXNER_DEGREE + 1} is over the limit "
+            f"of {MAX_MEIXNER_DEGREE}\n"))
 
     def test_unwritable_out_exit2(self, tmp_path, capsys):
         path = tmp_path / "missing" / "x"
@@ -554,7 +570,8 @@ class TestTrialSlices:
         assert_no_children()
 
     def test_slices_of_every_prime_share_the_jobs(self):
-        spec = SweepSpec("all", [3, 5, 7], n_max=1, degree_cap=6, trials=10)
+        spec = verify_spec(["all", "--primes", "3,5,7", "--n-max", "1",
+                            "--degree-cap", "6", "--trials", "10"])
         tasks = build_all_tasks(spec)
         for slices, count in ((1, 1), (4, 4), (6, 6), (20, 10)):
             jobs, labels = cli._jobs(spec, tasks, slices)
@@ -601,15 +618,35 @@ def test_cli_import_loads_no_code_generator():
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
 
 
-def test_sweep_spec_defaults():
-    spec = SweepSpec("all", [3])
-    assert vars(spec) == dict(
-        checker="all", primes=[3], n_max=4, r_range=None, degree_cap=24, seed=0,
-        threads=1, fmt="json", allow_p2=False, timing=False, trials=500,
-        mutation=None,
+def test_verify_spec_defaults():
+    assert vars(verify_spec(["all"])) == dict(
+        command="verify", checker="all", primes=[3, 5], n_max=4, r_range=None,
+        degree_cap=24, seed=0, threads=cli._default_threads("all"),
+        format="json", out=None, allow_p2=False, timing=False, trials=500,
+        mutate=None, mutation=None,
     )
-    values = ["x", [5], 2, (0, 1), 9, 3, 2, "text", True, True, 7, Mutation(1, 2)]
-    assert list(vars(SweepSpec(*values)).values()) == values
+    spec = verify_spec(["prop-coeff", "--primes", "7,3,7", "--r-range", "0:1",
+                        "--mutate", "1:2", "--threads", "3"])
+    assert (spec.primes, spec.r_range, spec.mutation, spec.threads) == (
+        [3, 7], (0, 1), Mutation(1, 2), 3)
+    assert verify_spec(["prop-coeff"]).threads == 1
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--primes", "3,x"], "malformed --primes '3,x'"),
+    (["--r-range", "1"], "malformed --r-range '1'"),
+])
+def test_verify_spec_refuses(argv, message):
+    with pytest.raises(UsageError) as info:
+        verify_spec(["all", *argv])
+    assert str(info.value) == message
+
+
+def test_threads_help_names_the_in_process_rows(capsys):
+    with pytest.raises(SystemExit):
+        main(["verify", "--help"])
+    names = " and ".join(row.name for row in CHECKER_TABLE if not row.forks)
+    assert f"1 for {names})" in " ".join(capsys.readouterr().out.split())
 
 
 class TestCheckerTable:
@@ -667,19 +704,20 @@ class TestCheckerTable:
         )
 
     @pytest.mark.parametrize("checker, field, top", [
-        ("binomial-lift", "n_max", MAX_SCALAR_SIZE),
-        ("wilson-sharpness", "n_max", MAX_SCALAR_SIZE // 3),  # n = 3j
-        ("gamma-congruence", "degree_cap", 3 * MAX_SCALAR_SIZE + 2),  # m <= cap // 3
+        ("binomial-lift", "n-max", MAX_SCALAR_SIZE),
+        ("wilson-sharpness", "n-max", MAX_SCALAR_SIZE // 3),  # n = 3j
+        ("gamma-congruence", "degree-cap", 3 * MAX_SCALAR_SIZE + 2),  # m <= cap // 3
     ])
     def test_scalar_ceiling_boundary(self, checker, field, top):
-        spec = SweepSpec(checker, [3], **{field: top})
+        spec = verify_spec([checker, "--primes", "3", f"--{field}", str(top)])
         assert build_all_tasks(spec)
-        setattr(spec, field, top + 1)
+        setattr(spec, field.replace("-", "_"), top + 1)
         with pytest.raises(UsageError, match=f"over the limit of {MAX_SCALAR_SIZE}"):
             build_all_tasks(spec)
 
     def test_trials_are_not_bounded(self):
-        spec = SweepSpec("junod-lemma", [3], trials=100 * MAX_SCALAR_SIZE)
+        spec = verify_spec(["junod-lemma", "--primes", "3",
+                            "--trials", str(100 * MAX_SCALAR_SIZE)])
         assert len(build_all_tasks(spec)) == 1
 
     def test_meixner_degree_ceiling(self, tmp_path, capsys):
@@ -697,7 +735,8 @@ class TestCheckerTable:
     @pytest.mark.parametrize("checker", ["corollary2", "meixner-qstar-q"])
     def test_meixner_degree_boundary(self, checker):
         top = MAX_MEIXNER_DEGREE // 5  # the largest n with 5n under the ceiling
-        spec = SweepSpec(checker, [5], n_max=top, degree_cap=10**6)
+        spec = verify_spec([checker, "--primes", "5", "--n-max", str(top),
+                            "--degree-cap", str(10**6)])
         assert len(build_all_tasks(spec)) == top
         spec.n_max = top + 1
         with pytest.raises(UsageError, match=f"{checker} reaches np = {5 * top + 5}, "
@@ -719,6 +758,8 @@ class TestCheckerTable:
         # the ceiling are admitted and refused
         below = max(p for p in range(2, MAX_MEIXNER_DEGREE + 1) if is_prime(p))
         above = next(p for p in range(MAX_MEIXNER_DEGREE + 1, 10**4) if is_prime(p))
-        assert len(build_all_tasks(SweepSpec("meixner-qp", [below]))) == 1
+        spec = verify_spec(["meixner-qp", "--primes", str(below)])
+        assert len(build_all_tasks(spec)) == 1
+        spec.primes = [above]
         with pytest.raises(UsageError, match=f"meixner-qp reaches p = {above},"):
-            build_all_tasks(SweepSpec("meixner-qp", [above]))
+            build_all_tasks(spec)

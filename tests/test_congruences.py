@@ -5,7 +5,7 @@ import pytest
 
 from cyclopadic import congruences as cg
 from cyclopadic import cycle_index as ci
-from cyclopadic.cli import CHECKER_TABLE, SweepSpec, build_all_tasks
+from cyclopadic.cli import CHECKER_TABLE, build_all_tasks, verify_spec
 from cyclopadic.cycle_index import (
     CycleType,
     class_size,
@@ -630,10 +630,10 @@ class TestScalarMutationTwoSided:
 
 @pytest.mark.parametrize("checker", [row.name for row in CHECKER_TABLE])
 def test_index_past_the_instances_injects_nothing(checker):
-    spec = SweepSpec(checker, [3, 5], n_max=2, degree_cap=12, trials=20)
-    tasks = build_all_tasks(spec)
+    tasks = build_all_tasks(verify_spec([checker, "--primes", "3,5", "--n-max", "2",
+                                         "--degree-cap", "12", "--trials", "20"]))
     assert tasks
-    for _, thunk, _ in tasks:
+    for _, thunk in tasks:
         fn, args = thunk.func, thunk.args[:-1]
         clean = fn(*args, None)
         assert clean.passed and clean.instances > 0
