@@ -15,13 +15,14 @@ builds a polynomial of degree over 200, or in which another checker's largest
 n passes 1000 (junod-lemma's trial count is not bounded).
 
 Exit codes: 0 all checks passed, 1 at least one violation, 2 usage error,
-a refused grid, a grid that holds no task and a negative --n-max,
---degree-cap, --threads or --trials included, 3 internal error: an exception
-raised by a checker, in this process or in a worker, or a worker that died,
-with the traceback on stderr. A reader that closes stdout early ends the
-run quietly with 141, the status of a process that SIGPIPE ends. ``--out``
-is opened only after every usage check has passed, so a usage error leaves
-an existing file as it was.
+a refused grid, a grid that holds no task, a negative --n-max,
+--degree-cap, --threads or --trials and a failed write to --out or stdout
+included, 3 internal error: an exception raised by a checker, in this
+process or in a worker, or a worker that died, with the traceback on
+stderr. A reader that closes stdout early ends the run quietly with 141,
+the status of a process that SIGPIPE ends. ``--out`` is opened only after
+every usage check has passed, so a usage error other than a failed write
+leaves an existing file as it was.
 
 Each task is exact, CPU-bound and independent, so ``verify`` runs up to
 ``--threads`` of them at once in worker processes forked from the CLI. The
@@ -29,11 +30,11 @@ default is ``os.cpu_count()``, or 1 for a grid whose checkers all cost less
 than forking a worker (see ``_default_threads``). The CLI process only
 coordinates: it keeps two task indices queued in each worker's pipe, largest
 task first, and reads the worker's pickled reports back over another.
-junod-lemma's trials run as slices, each at every prime (see ``_jobs``).
-Every worker has exited before a report is written. Where the platform cannot
-fork, or only one worker would run, the tasks run serially in-process. Report
-emission is ordered by parameter sort regardless of completion order, so
-output is byte-identical for any ``--threads`` value.
+junod-lemma's trials run as slices, each at every prime (see
+``build_all_tasks``). Every worker has exited before a report is written.
+Where the platform cannot fork, or only one worker would run, the tasks run
+serially in-process. Report emission is ordered by parameter sort regardless
+of completion order, so output is byte-identical for any ``--threads`` value.
 """
 from __future__ import annotations
 
@@ -50,7 +51,7 @@ from typing import Callable, Iterable, List, Optional, Tuple
 from . import congruences as cg, meixner as mx
 from .cycle_index import CycleType, coefficient, cycle_indicator, partition_count
 from .padic import PadicContext, is_prime
-from .reports import Mutation
+from .reports import CongruenceReport, Mutation
 
 # `compute cycle-index N` refuses N whose C_N has more terms than this (C_N has
 # p(N) terms); p(45) = 89,134 is the largest admitted. On a 2-core VM C_45 is
@@ -89,58 +90,51 @@ class UsageError(Exception):
 
 
 class Checker:
-    """A checker: ``module.function(*args, ctx, mutation)`` at each grid point.
+    """A checker: ``module.function`` at each point of its grid.
 
     name: its ``verify`` name.
-    function: looked up in module when the tasks are built.
+    function: looked up in module when the jobs are built, and called with
+    (r, n) on an "rnp" grid, () on "once", (n,) on the others, then the
+    PadicContext and the mutation; on "trials" with (start, stop, trials,
+    seed, ctxs, mutation), see build_all_tasks.
     grid: the (n, r) of its tasks at p, see _grid.
-    args: the leading arguments, among n, r, trials and seed.
     size: its largest instance: "p(N)" at N = r + np, degree "np" or "p", or
     n, m or trials.
     p2: at p = 2, "advisory", "asserted", or "odd" (no task).
     forks: False if even its largest admitted grid runs no slower
     in-process, so that without --threads it does (see _default_threads).
-    slices: a function of (start, stop, trials, seed, ctxs, mutation) that
-    runs a slice of the trials at all the row's primes at once, one report
-    per prime; the row then runs as trial slices (_jobs).
     """
 
-    __slots__ = ("name", "module", "function", "grid", "args", "size", "p2",
-                 "forks", "slices")
+    __slots__ = ("name", "module", "function", "grid", "size", "p2", "forks")
 
     def __init__(self, name: str, module: ModuleType, function: str, grid: str,
-                 args: str, size: str, p2: str = "advisory", forks: bool = True,
-                 slices: str = ""):
+                 size: str, p2: str = "advisory", forks: bool = True):
         self.name = name
         self.module = module
         self.function = function
         self.grid = grid
-        self.args = args
         self.size = size
         self.p2 = p2
         self.forks = forks
-        self.slices = slices
 
 
 # One row per checker, in report order (tasks sort by checker name first).
 CHECKER_TABLE = [
-    Checker("binomial-lift", cg, "report_binomial_lift", "n", "n", "n", "asserted"),
-    Checker("carlitz-coeff", cg, "check_carlitz_coeff", "np", "n", "p(N)",
-            forks=False),
-    Checker("carlitz-poly", cg, "check_carlitz_poly", "rnp0", "r n", "p(N)"),
-    Checker("corollary1", cg, "check_corollary1", "rnp1", "r n", "p(N)"),
-    Checker("corollary2", mx, "check_corollary2", "np", "n", "np", "odd"),
-    Checker("gamma-congruence", cg, "report_gamma_congruence", "cap", "n", "m", "odd"),
-    Checker("gamma-identity", cg, "report_gamma_identity", "n", "n", "m", "asserted"),
-    Checker("gamma-ratio", cg, "check_formula_gamma_ratio", "n", "n", "n", "asserted"),
-    Checker("junod-lemma", cg, "check_junod_lemma", "once", "trials seed", "trials",
-            "asserted", slices="junod_lemma_trials"),
-    Checker("meixner-qp", mx, "check_junod_qp", "once", "", "p", "odd"),
-    Checker("meixner-qstar-q", mx, "check_junod_qstar_q", "np", "n", "np", "odd"),
-    Checker("prop-coeff", cg, "check_prop_coeff", "np", "n", "p(N)", forks=False),
-    Checker("prop-poly", cg, "check_prop_poly", "rnp0", "r n", "p(N)"),
-    Checker("remark1", cg, "check_remark1", "rnp1", "r n", "n"),
-    Checker("wilson-sharpness", cg, "check_wilson_sharpness", "pn", "n", "n", "odd"),
+    Checker("binomial-lift", cg, "report_binomial_lift", "n", "n", "asserted"),
+    Checker("carlitz-coeff", cg, "check_carlitz_coeff", "np", "p(N)", forks=False),
+    Checker("carlitz-poly", cg, "check_carlitz_poly", "rnp0", "p(N)"),
+    Checker("corollary1", cg, "check_corollary1", "rnp1", "p(N)"),
+    Checker("corollary2", mx, "check_corollary2", "np", "np", "odd"),
+    Checker("gamma-congruence", cg, "report_gamma_congruence", "cap", "m", "odd"),
+    Checker("gamma-identity", cg, "report_gamma_identity", "n", "m", "asserted"),
+    Checker("gamma-ratio", cg, "check_formula_gamma_ratio", "n", "n", "asserted"),
+    Checker("junod-lemma", cg, "junod_lemma_trials", "trials", "trials", "asserted"),
+    Checker("meixner-qp", mx, "check_junod_qp", "once", "p", "odd"),
+    Checker("meixner-qstar-q", mx, "check_junod_qstar_q", "np", "np", "odd"),
+    Checker("prop-coeff", cg, "check_prop_coeff", "np", "p(N)", forks=False),
+    Checker("prop-poly", cg, "check_prop_poly", "rnp0", "p(N)"),
+    Checker("remark1", cg, "check_remark1", "rnp1", "n"),
+    Checker("wilson-sharpness", cg, "check_wilson_sharpness", "pn", "n", "odd"),
 ]
 CHECKERS = [row.name for row in CHECKER_TABLE] + ["all"]
 
@@ -210,8 +204,22 @@ def _check_sizes(spec: Namespace) -> None:
             )
 
 
-def build_all_tasks(spec: Namespace):
-    """(sort key, thunk) per task, sorted.
+def _advisory(thunk: Callable) -> CongruenceReport:
+    """thunk's report, marked advisory: its violations do not fail the run."""
+    report = thunk()
+    report.advisory = True
+    return report
+
+
+def build_all_tasks(spec: Namespace) -> list:
+    """The jobs of a ``verify`` run, ``(label, keys, thunk)`` each.
+
+    A task is one job: keys holds its sort key (checker, p, n, r), which is
+    also its label, and thunk() returns its report. A row whose grid is
+    "trials" runs as 2 * ``threads`` slices of its trials if the run forks,
+    else one, each returning a report per prime of keys. The tasks come in
+    key order, as the table is in report order, and the slices last: the
+    pool hands out jobs from the last, so it starts the largest first.
 
     A grid with an entry of ``primes`` that is not prime, with p = 2 but not
     ``allow_p2``, or over a size limit, and a grid that holds no task, raise
@@ -223,28 +231,42 @@ def build_all_tasks(spec: Namespace):
         if p == 2 and not spec.allow_p2:
             raise UsageError("p=2 sweeps require --allow-p2")
     _check_sizes(spec)
-    tasks = []
+    jobs, slices = [], []
     for row in _rows(spec):
         fn = getattr(row.module, row.function)
-        for p in _primes(spec, row):
+        primes = _primes(spec, row)
+        if row.grid == "trials":
+            keys = [(row.name, p, 0, 0) for p in primes]
+            ctxs = [PadicContext(p) for p in primes]
+            trials = spec.trials
+            count = max(1, min(2 * spec.threads if spec.threads > 1 else 1, trials))
+            for part in range(count if primes else 0):
+                start, stop = trials * part // count, trials * (part + 1) // count
+                thunk = partial(fn, start, stop, trials, spec.seed, ctxs,
+                                spec.mutation)
+                slices.append(((row.name, f"trials {start}..{stop - 1}"), keys,
+                               thunk))
+            continue
+        for p in primes:
             ctx = PadicContext(p)
             ns, r_of = _grid(spec, row, p)
             for n in ns:
                 for r in r_of(n):
-                    values = dict(n=n, r=r, trials=spec.trials, seed=spec.seed)
-                    args = [values[a] for a in row.args.split()]
+                    args = ((r, n) if row.grid.startswith("rnp")
+                            else () if row.grid == "once" else (n,))
                     thunk = partial(fn, *args, ctx, spec.mutation)
-                    tasks.append(((row.name, p, n, r), thunk))
-    if not tasks:
+                    if p == 2 and row.p2 == "advisory":
+                        thunk = partial(_advisory, thunk)
+                    key = (row.name, p, n, r)
+                    jobs.append((key, [key], thunk))
+    if not jobs and not slices:
         raise UsageError(f"the {spec.checker} grid holds no task")
-    tasks.sort(key=lambda t: t[0])
-    return tasks
+    return jobs + slices
 
 
-def _run_job(spec: Namespace, keys: list, part: int, thunk: Callable) -> list:
-    """(key, part, report) for each report of a job: thunk() returns one
-    report, or a list of them for the tasks of ``keys`` in order; with
-    --timing every report gets the job's time."""
+def _run_job(spec: Namespace, thunk: Callable) -> list:
+    """The reports of a job's keys, in order: thunk() returns one report, or
+    a list of them; with --timing every report gets the job's time."""
     start = time.monotonic()
     reports = thunk()
     elapsed = int((time.monotonic() - start) * 1000)
@@ -253,39 +275,7 @@ def _run_job(spec: Namespace, keys: list, part: int, thunk: Callable) -> list:
     if spec.timing:
         for report in reports:
             report.elapsed_ms = elapsed
-    return [(key, part, report) for key, report in zip(keys, reports)]
-
-
-def _jobs(spec: Namespace, tasks: list, slices: int) -> Tuple[list, list]:
-    """The jobs that run the tasks, and a label for each.
-
-    A task is one job, but the tasks of a row with a ``slices`` function,
-    one per prime, become up to ``slices`` jobs of consecutive trials, each
-    run at every prime. A slice of trials start..stop-1 gets the mutation
-    shifted by start, or none; its part number orders its reports for
-    ``CongruenceReport.extend``. The slices go last, so that the pool, which
-    hands out jobs from the last, starts the largest ones first.
-    """
-    rows = {row.name: row for row in CHECKER_TABLE}
-    jobs, labels, shared = [], [], {}
-    for key, thunk in tasks:
-        row = rows[key[0]]
-        if row.slices:
-            shared.setdefault(row, []).append(key)
-        else:
-            jobs.append(partial(_run_job, spec, [key], 0, thunk))
-            labels.append(key)
-    for row, keys in shared.items():
-        fn = getattr(row.module, row.slices)
-        ctxs = [PadicContext(key[1]) for key in keys]
-        trials, count = spec.trials, max(1, min(slices, spec.trials))
-        for part in range(count):
-            start, stop = trials * part // count, trials * (part + 1) // count
-            mutation = spec.mutation and spec.mutation.shifted(start, stop)
-            thunk = partial(fn, start, stop, trials, spec.seed, ctxs, mutation)
-            jobs.append(partial(_run_job, spec, keys, part, thunk))
-            labels.append((row.name, f"trials {start}..{stop - 1}"))
-    return jobs, labels
+    return reports
 
 
 class WorkerTraceback(Exception):
@@ -310,7 +300,7 @@ def _read_exactly(fd: int, size: int) -> bytes:
     return b"".join(chunks)
 
 
-def _serve(jobs: List[Callable[[], tuple]], keys: list, commands: int,
+def _serve(jobs: List[Callable[[], list]], labels: list, commands: int,
            results: int) -> None:
     """A worker's loop: run the job at each index read from commands, and
     write a length-prefixed pickle of ``(None, result)`` or ``(exception,
@@ -330,14 +320,14 @@ def _serve(jobs: List[Callable[[], tuple]], keys: list, commands: int,
                 pickle.loads(message)
             except Exception:
                 message = pickle.dumps((RuntimeError(
-                    f"task {keys[i]} raised an exception that cannot be sent "
+                    f"task {labels[i]} raised an exception that cannot be sent "
                     f"from its worker process:\n{tb}"), tb))
         _write_all(results, len(message).to_bytes(8, "little") + message)
 
 
-def _run_forked(jobs: List[Callable[[], tuple]], keys: list, workers: int) -> list:
+def _run_forked(jobs: List[Callable[[], list]], labels: list, workers: int) -> list:
     """Run every job in ``workers`` processes forked from this one; their
-    results in completion order.
+    results in job order.
 
     Each worker inherits ``jobs`` through the fork and reads job indices from
     its own command pipe. This process keeps two indices queued in each
@@ -358,7 +348,7 @@ def _run_forked(jobs: List[Callable[[], tuple]], keys: list, workers: int) -> li
     pids: List[int] = []
     commands = {}  # result pipe -> command pipe of each worker
     busy = {}  # result pipe -> (pid, job indices queued, the running first)
-    results = []
+    results: list = [None] * len(jobs)
     ready = select.poll()
 
     def send(fd: int) -> None:
@@ -386,7 +376,7 @@ def _run_forked(jobs: List[Callable[[], tuple]], keys: list, workers: int) -> li
                     devnull = os.open(os.devnull, os.O_WRONLY)
                     os.dup2(devnull, 1)
                     os.dup2(devnull, 2)
-                    _serve(jobs, keys, cmd_r, res_w)
+                    _serve(jobs, labels, cmd_r, res_w)
                     code = 0
                 finally:
                     os._exit(code)
@@ -413,12 +403,11 @@ def _run_forked(jobs: List[Callable[[], tuple]], keys: list, workers: int) -> li
                     how = (f"exited with status {status}" if status >= 0
                            else f"was killed by signal {-status}")
                     raise RuntimeError(
-                        f"the worker running task {keys[queued[0]]} {how}")
+                        f"the worker running task {labels[queued[0]]} {how}")
                 exc, value = pickle.loads(message)
                 if exc is not None:
                     raise exc from WorkerTraceback(value)
-                results.append(value)
-                queued.popleft()
+                results[queued.popleft()] = value
                 if todo:
                     send(fd)
                 elif not queued:  # nothing is left for this worker: let it exit
@@ -442,45 +431,54 @@ class OutputClosed(Exception):
     """The reader of the output closed it before the end."""
 
 
-def _emit(out, lines) -> None:
+def _emit(out, lines, path: Optional[str]) -> None:
+    """Write lines to out, then close it if it is the file ``path``, else
+    flush it. A reader that closed out raises OutputClosed, another failed
+    write UsageError; out's descriptor is then pointed at /dev/null, so that
+    closing out or flushing stdout at exit does not fail again."""
     try:
         out.writelines(lines)
-        out.flush()
-    except BrokenPipeError:
-        raise OutputClosed from None
-
-
-def run_verify(spec: Namespace, tasks: list, out) -> int:
-    """Run the tasks ``build_all_tasks(spec)`` built and write their reports.
-
-    A run that forks cuts trial-sliced rows into two slices per worker, so
-    that the largest jobs spread over the workers; a serial run takes one.
-    A report at p = 2 of a row whose ``p2`` is "advisory" is marked so, and
-    its violations do not fail the exit code.
-    """
-    forks = spec.threads > 1 and hasattr(os, "fork")
-    jobs, labels = _jobs(spec, tasks, 2 * spec.threads if forks else 1)
-    workers = min(spec.threads, len(jobs))
-    if forks and workers > 1:
-        results = _run_forked(jobs, labels, workers)
-    else:
-        results = [job() for job in jobs]
-    parts = sorted((item for result in results for item in result),
-                   key=lambda item: item[:2])
-    reports: list = []
-    for key, _, report in parts:
-        if reports and reports[-1][0] == key:
-            reports[-1][1].extend(report)
+        if path:
+            out.close()
         else:
-            reports.append((key, report))
-    rows = {row.name: row for row in CHECKER_TABLE}
-    for (name, p, _, _), report in reports:
-        if p == 2 and rows[name].p2 == "advisory":
-            report.advisory = True
+            out.flush()
+    except OSError as exc:
+        try:
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            try:
+                os.dup2(devnull, out.fileno())
+            finally:
+                os.close(devnull)
+        except (OSError, ValueError):  # a closed file has no descriptor
+            pass
+        if isinstance(exc, BrokenPipeError):
+            raise OutputClosed from None
+        raise UsageError(f"cannot write {path or 'stdout'}: "
+                         f"{exc.strerror or exc}") from None
 
+
+def run_verify(spec: Namespace, jobs: list, out) -> int:
+    """Run the jobs ``build_all_tasks(spec)`` built and write their reports
+    in the order of their keys; the reports of a key's slices are joined in
+    job order. Exit code 1 if a report that is not advisory has a violation.
+    """
+    runs = [partial(_run_job, spec, thunk) for _, _, thunk in jobs]
+    workers = min(spec.threads, len(jobs))
+    if workers > 1:
+        results = _run_forked(runs, [label for label, _, _ in jobs], workers)
+    else:
+        results = [run() for run in runs]
+    joined: dict = {}
+    for (_, keys, _), result in zip(jobs, results):
+        for key, report in zip(keys, result):
+            if key in joined:
+                joined[key].extend(report)
+            else:
+                joined[key] = report
+    reports = [joined[key] for key in sorted(joined)]
     _emit(out, ((report.to_json() if spec.format == "json" else report.to_text())
-                + "\n" for _, report in reports))
-    return int(any(r.violations and not r.advisory for _, r in reports))
+                + "\n" for report in reports), spec.out)
+    return int(any(r.violations and not r.advisory for r in reports))
 
 
 def _parse_cycle_type(n: int, text: str) -> CycleType:
@@ -570,8 +568,8 @@ def build_parser() -> ArgumentParser:
     pv.add_argument("--seed", type=int, default=0)
     in_process = " and ".join(row.name for row in CHECKER_TABLE if not row.forks)
     pv.add_argument("--threads", type=int, default=None, metavar="K",
-                    help="tasks run at once, in worker processes (default: "
-                    f"the number of CPUs; 1 for {in_process})")
+                    help="tasks run at once, in worker processes (0 or "
+                    f"unset: the CPU count; 1 for {in_process})")
     pv.add_argument("--format", choices=["json", "text"], default="json")
     pv.add_argument("--out", default=None)
     pv.add_argument("--allow-p2", action="store_true")
@@ -604,7 +602,9 @@ def verify_spec(argv: List[str]) -> Namespace:
 def _checked(args: Namespace) -> Namespace:
     """The parsed ``verify`` args, checked, with ``primes`` (sorted, without
     repeats), ``r_range`` (LO, HI) or None, ``mutation`` and ``threads``
-    filled in. A negative count or a malformed value raises UsageError."""
+    filled in: ``threads`` 0 or None is the default, and 1 where the
+    platform cannot fork, so that the run forks exactly when it is over 1.
+    A negative count or a malformed value raises UsageError."""
     for flag in ("n_max", "degree_cap", "threads", "trials"):
         value = getattr(args, flag)
         if value is not None and value < 0:
@@ -626,6 +626,8 @@ def _checked(args: Namespace) -> Namespace:
     except ValueError:
         raise UsageError(f"malformed --mutate {args.mutate!r}")
     args.threads = args.threads or _default_threads(args.checker)
+    if not hasattr(os, "fork"):
+        args.threads = 1
     return args
 
 
@@ -636,28 +638,19 @@ def main(argv=None) -> int:
         if args.command == "compute":
             text = run_compute(args)
             with _output(args.out) as out:
-                _emit(out, text)
+                _emit(out, text, args.out)
             return 0
 
         spec = _checked(args)
-        tasks = build_all_tasks(spec)
+        jobs = build_all_tasks(spec)
         with _output(args.out) as out:
-            return run_verify(spec, tasks, out)
+            return run_verify(spec, jobs, out)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OutputClosed:
         # the reader left, as `verify all | head -1` does: stop quietly, with
-        # the status a shell gives a process that SIGPIPE ends, and send what
-        # is still buffered for stdout nowhere, so that exit does not fail
-        try:
-            devnull = os.open(os.devnull, os.O_WRONLY)
-            try:
-                os.dup2(devnull, sys.stdout.fileno())
-            finally:
-                os.close(devnull)
-        except (OSError, ValueError):
-            pass
+        # the status a shell gives a process that SIGPIPE ends
         return 141  # 128 + SIGPIPE
     except Exception:
         import traceback

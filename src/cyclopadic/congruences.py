@@ -293,14 +293,15 @@ def junod_lemma_trials(
     A trial draws a, gamma, k and n once, builds a^n once, and at each p
     compares a^n with b^n for b = a + m*gamma, m = p*k, mod m*n. The seed's
     stream is first advanced through the draws of trials 0..start-1, building
-    no polynomial. Each report counts its trials from 0, so ``mutation``
-    names a trial of this slice, start + its index; violations name the trial
-    by its number in the whole run. The reports of consecutive slices, joined
-    by ``CongruenceReport.extend``, are the reports of the trials they cover.
+    no polynomial. ``mutation`` and the violations name a trial by its number
+    in the whole run; each report counts the slice's trials from 0. The
+    reports of consecutive slices, joined by ``CongruenceReport.extend``, are
+    the reports of the trials they cover.
     """
     rng = random.Random(seed)
     for _ in range(start):
         _junod_draws(rng)
+    mutation = mutation and mutation.shifted(start, stop)
     reports = [
         CongruenceReport("junod-lemma", {"p": ctx.p, "trials": trials}, seed=seed,
                          mutation=mutation)

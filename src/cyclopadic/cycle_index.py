@@ -55,8 +55,10 @@ class CycleType:
     __slots__ = ("n", "m", "parts")
 
     def __init__(self, n: int, m: Tuple[int, ...]):
-        if n < 1 or len(m) != n:
-            raise ValueError("m must have length n >= 1")
+        if n < 1:
+            raise ValueError(f"n must be >= 1, got {n}")
+        if len(m) != n:
+            raise ValueError(f"m must have n = {n} entries, got {len(m)}")
         if any(x < 0 for x in m):
             raise ValueError("multiplicities must be nonnegative")
         if sum(i * x for i, x in enumerate(m, start=1)) != n:

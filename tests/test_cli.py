@@ -1,3 +1,4 @@
+import errno
 import hashlib
 import json
 import os
@@ -65,11 +66,16 @@ class TestCompute:
         assert code == 0
         assert json.loads(text) == {"coeffs": ["0", "-2", "0", "1"]}
 
-    def test_malformed_cycle_type_exit2(self, tmp_path):
+    def test_malformed_cycle_type_exit2(self, tmp_path, capsys):
         code, _ = run(tmp_path, "compute", "coeff", "3", "2,1,0")
         assert code == 2
         code, _ = run(tmp_path, "compute", "coeff", "3", "a,b")
         assert code == 2
+        for argv, message in ((["3", "1,1,0,0"], "m must have n = 3 entries, got 4"),
+                              (["0", "0"], "n must be >= 1, got 0")):
+            capsys.readouterr()
+            code, _ = run(tmp_path, "compute", "coeff", *argv)
+            assert code == 2 and capsys.readouterr().err == f"error: {message}\n"
 
     def test_text_format(self, tmp_path):
         # every one of C_6's p(6) = 11 terms; the repr of a MultiPoly stops after 8
@@ -509,6 +515,26 @@ def test_closed_stdout_ends_quietly():
         assert (proc.returncode, err) == (141, b"")
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+@pytest.mark.parametrize("argv", [
+    ["verify", "all", "--primes", "3", "--n-max", "1", "--degree-cap", "3"],
+    ["compute", "cycle-index", "20"],
+], ids=["verify", "compute"])
+def test_failed_write_is_a_usage_error(argv):
+    # a full device, named by --out or as stdout: one error line, no traceback
+    src = os.path.dirname(os.path.dirname(cyclopadic.__file__))
+    reason = os.strerror(errno.ENOSPC)
+    for out, name in ((["--out", "/dev/full"], "/dev/full"), ([], "stdout")):
+        with open("/dev/full", "w") as full:
+            proc = subprocess.run(
+                [sys.executable, "-m", "cyclopadic.cli", *argv, *out],
+                env=dict(os.environ, PYTHONPATH=src), stdout=full,
+                stderr=subprocess.PIPE, text=True, timeout=60,
+            )
+        assert (proc.returncode, proc.stderr) == (
+            2, f"error: cannot write {name}: {reason}\n")
+
+
 class TestTrialSlices:
     """junod-lemma runs as trial slices, each at every prime, two per worker."""
 
@@ -569,17 +595,26 @@ class TestTrialSlices:
         assert len(outputs) == 1
         assert_no_children()
 
-    def test_slices_of_every_prime_share_the_jobs(self):
-        spec = verify_spec(["all", "--primes", "3,5,7", "--n-max", "1",
-                            "--degree-cap", "6", "--trials", "10"])
-        tasks = build_all_tasks(spec)
-        for slices, count in ((1, 1), (4, 4), (6, 6), (20, 10)):
-            jobs, labels = cli._jobs(spec, tasks, slices)
+    def test_slices_of_every_prime_share_the_jobs(self, monkeypatch):
+        # 2 * threads slices when the run forks, one where it cannot
+        argv = ["all", "--primes", "3,5,7", "--n-max", "1", "--degree-cap", "6",
+                "--trials", "10", "--threads"]
+        shared = [("junod-lemma", p, 0, 0) for p in (3, 5, 7)]
+        for threads, count in (("1", 1), ("2", 4), ("3", 6), ("10", 10)):
+            jobs = build_all_tasks(verify_spec([*argv, threads]))
+            tasks = {key for _, keys, _ in jobs for key in keys}
             assert len(jobs) == len(tasks) - 3 + count
+            labels = [label for label, _, _ in jobs]
             sliced = labels[len(jobs) - count:]  # handed out first
             assert sliced[0] == ("junod-lemma", "trials 0..%d" % (10 // count - 1))
             assert all(label[0] == "junod-lemma" for label in sliced)
             assert "junod-lemma" not in {label[0] for label in labels[:-count]}
+            assert all(keys == shared for _, keys, _ in jobs[-count:])
+        monkeypatch.delattr(os, "fork")
+        spec = verify_spec([*argv, "3"])
+        assert spec.threads == 1
+        assert [label for label, _, _ in build_all_tasks(spec)
+                if label[0] == "junod-lemma"] == [("junod-lemma", "trials 0..9")]
 
     def test_timing_sums_the_slices(self, tmp_path, monkeypatch):
         # every job takes one second, so a report takes one per slice
@@ -630,6 +665,9 @@ def test_verify_spec_defaults():
     assert (spec.primes, spec.r_range, spec.mutation, spec.threads) == (
         [3, 7], (0, 1), Mutation(1, 2), 3)
     assert verify_spec(["prop-coeff"]).threads == 1
+    # --threads 0 is the default
+    assert verify_spec(["all", "--threads", "0"]).threads == cli._default_threads("all")
+    assert verify_spec(["prop-coeff", "--threads", "0"]).threads == 1
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -646,7 +684,8 @@ def test_threads_help_names_the_in_process_rows(capsys):
     with pytest.raises(SystemExit):
         main(["verify", "--help"])
     names = " and ".join(row.name for row in CHECKER_TABLE if not row.forks)
-    assert f"1 for {names})" in " ".join(capsys.readouterr().out.split())
+    assert (f"(0 or unset: the CPU count; 1 for {names})"
+            in " ".join(capsys.readouterr().out.split()))
 
 
 class TestCheckerTable:
@@ -717,7 +756,7 @@ class TestCheckerTable:
 
     def test_trials_are_not_bounded(self):
         spec = verify_spec(["junod-lemma", "--primes", "3",
-                            "--trials", str(100 * MAX_SCALAR_SIZE)])
+                            "--trials", str(100 * MAX_SCALAR_SIZE), "--threads", "1"])
         assert len(build_all_tasks(spec)) == 1
 
     def test_meixner_degree_ceiling(self, tmp_path, capsys):

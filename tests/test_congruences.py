@@ -180,9 +180,7 @@ class TestJunodLemma:
             bounds = [0, *cuts, 40]
             joined = None
             for start, stop in zip(bounds, bounds[1:]):
-                part = cg.junod_lemma_trials(
-                    start, stop, 40, 9, ctxs,
-                    mutation and mutation.shifted(start, stop))
+                part = cg.junod_lemma_trials(start, stop, 40, 9, ctxs, mutation)
                 if joined is None:
                     joined = part
                 else:
@@ -192,7 +190,7 @@ class TestJunodLemma:
 
     def test_a_slice_replays_the_draws_before_it(self, ctx3):
         whole = cg.check_junod_lemma(30, 5, ctx3, Mutation(20, 1))
-        (tail,) = cg.junod_lemma_trials(20, 30, 30, 5, [ctx3], Mutation(0, 1))
+        (tail,) = cg.junod_lemma_trials(20, 30, 30, 5, [ctx3], Mutation(20, 1))
         assert tail.instances == 10
         assert tail.violations == whole.violations
 
@@ -630,18 +628,32 @@ class TestScalarMutationTwoSided:
 
 @pytest.mark.parametrize("checker", [row.name for row in CHECKER_TABLE])
 def test_index_past_the_instances_injects_nothing(checker):
-    tasks = build_all_tasks(verify_spec([checker, "--primes", "3,5", "--n-max", "2",
-                                         "--degree-cap", "12", "--trials", "20"]))
-    assert tasks
-    for _, thunk in tasks:
+    # one job per task, and junod-lemma's trials in one slice at both primes
+    jobs = build_all_tasks(verify_spec([checker, "--primes", "3,5", "--n-max", "2",
+                                        "--degree-cap", "12", "--trials", "20",
+                                        "--threads", "1"]))
+    assert jobs
+    for _, _, thunk in jobs:
         fn, args = thunk.func, thunk.args[:-1]
-        clean = fn(*args, None)
-        assert clean.passed and clean.instances > 0
-        for index in (clean.instances, clean.instances + 1000):
-            mutated = fn(*args, Mutation(index, 1))
-            assert mutated.to_json_obj() == clean.to_json_obj()
-        # the last instance is still reached
-        assert not fn(*args, Mutation(clean.instances - 1, 1)).passed
+
+        def reports(mutation):
+            result = fn(*args, mutation)
+            return result if isinstance(result, list) else [result]
+
+        for i, clean in enumerate(reports(None)):
+            assert clean.passed and clean.instances > 0
+            for index in (clean.instances, clean.instances + 1000):
+                mutated = reports(Mutation(index, 1))[i]
+                assert mutated.to_json_obj() == clean.to_json_obj()
+            # the last instance is still reached
+            assert not reports(Mutation(clean.instances - 1, 1))[i].passed
+            # sound both ways at every instance: a delta of 1 is flagged once,
+            # a delta of the modulus is not flagged
+            modulus = clean.params.get("modulus")
+            for index in range(clean.instances):
+                assert len(reports(Mutation(index, 1))[i].violations) == 1
+                if modulus:
+                    assert reports(Mutation(index, modulus))[i].passed
 
 
 class TestReportShape:
