@@ -15,19 +15,22 @@ builds a polynomial of degree over 200, or in which another checker's largest
 n passes 1000 (junod-lemma's trial count is not bounded).
 
 Exit codes: 0 all checks passed, 1 at least one violation, 2 usage error,
-a refused grid, a grid that holds no task, a negative --n-max,
---degree-cap, --threads or --trials and a failed write to --out or stdout
-included, 3 internal error: an exception raised by a checker, in this
-process or in a worker, or a worker that died, with the traceback on
-stderr. A reader that closes stdout early ends the run quietly with 141,
-the status of a process that SIGPIPE ends. ``--out`` is opened only after
-every usage check has passed, so a usage error other than a failed write
-leaves an existing file as it was.
+a refused grid, a grid that holds no task, a --primes entry that is not
+prime or too large for ``is_prime`` to certify, a negative --n-max,
+--degree-cap, --threads or --trials, a malformed --mutate or one with a
+negative index and a failed write to --out or stdout included, 3 internal
+error: an exception raised by a checker, in this process or in a worker, or
+a worker that died, with the traceback on stderr. A reader that closes
+stdout early ends the run quietly with 141, the status of a process that
+SIGPIPE ends. ``--out`` is opened only after every usage check has passed,
+so a usage error other than a failed write leaves an existing file as it
+was.
 
 Each task is exact, CPU-bound and independent, so ``verify`` runs up to
-``--threads`` of them at once in worker processes forked from the CLI. The
-default is ``os.cpu_count()``, or 1 for a grid whose checkers all cost less
-than forking a worker (see ``_default_threads``). The CLI process only
+``--threads`` of them at once in worker processes forked from the CLI, at
+most ``os.cpu_count()``: more workers than CPUs only take turns. The default
+is ``os.cpu_count()``, or 1 for a grid whose checkers all cost less than
+forking a worker (see ``_default_threads``). The CLI process only
 coordinates: it keeps two task indices queued in each worker's pipe, largest
 task first, and reads the worker's pickled reports back over another.
 junod-lemma's trials run as slices, each at every prime (see
@@ -51,7 +54,7 @@ from typing import Callable, Iterable, List, Optional, Tuple
 from . import congruences as cg, meixner as mx
 from .cycle_index import CycleType, coefficient, cycle_indicator, partition_count
 from .padic import PadicContext, is_prime
-from .reports import CongruenceReport, Mutation
+from .reports import CongruenceReport
 
 # `compute cycle-index N` refuses N whose C_N has more terms than this (C_N has
 # p(N) terms); p(45) = 89,134 is the largest admitted. On a 2-core VM C_45 is
@@ -226,7 +229,11 @@ def build_all_tasks(spec: Namespace) -> list:
     ``UsageError``.
     """
     for p in spec.primes:
-        if not is_prime(p):
+        try:
+            prime = is_prime(p)
+        except ValueError as exc:  # a p too large to certify
+            raise UsageError(str(exc))
+        if not prime:
             raise UsageError(f"--primes entries must be prime, got {p}")
         if p == 2 and not spec.allow_p2:
             raise UsageError("p=2 sweeps require --allow-p2")
@@ -601,10 +608,11 @@ def verify_spec(argv: List[str]) -> Namespace:
 
 def _checked(args: Namespace) -> Namespace:
     """The parsed ``verify`` args, checked, with ``primes`` (sorted, without
-    repeats), ``r_range`` (LO, HI) or None, ``mutation`` and ``threads``
-    filled in: ``threads`` 0 or None is the default, and 1 where the
-    platform cannot fork, so that the run forks exactly when it is over 1.
-    A negative count or a malformed value raises UsageError."""
+    repeats), ``r_range`` (LO, HI) or None, ``mutation`` (IDX, DELTA) or None
+    and ``threads`` filled in: ``threads`` 0 or None is the default, at most
+    the CPU count, and 1 where the platform cannot fork, so that the run forks
+    exactly when it is over 1. A negative count, a negative IDX or a malformed
+    value raises UsageError."""
     for flag in ("n_max", "degree_cap", "threads", "trials"):
         value = getattr(args, flag)
         if value is not None and value < 0:
@@ -621,13 +629,17 @@ def _checked(args: Namespace) -> Namespace:
         args.primes = sorted({int(x) for x in args.primes.split(",") if x})
     except ValueError:
         raise UsageError(f"malformed --primes {args.primes!r}")
-    try:
-        args.mutation = Mutation.parse(args.mutate) if args.mutate else None
-    except ValueError:
-        raise UsageError(f"malformed --mutate {args.mutate!r}")
-    args.threads = args.threads or _default_threads(args.checker)
-    if not hasattr(os, "fork"):
-        args.threads = 1
+    args.mutation = None
+    if args.mutate:
+        index, _, delta = args.mutate.partition(":")
+        try:
+            args.mutation = int(index), int(delta)
+        except ValueError:
+            pass
+        if args.mutation is None or args.mutation[0] < 0:
+            raise UsageError(f"malformed --mutate {args.mutate!r}")
+    threads = min(args.threads or _default_threads(args.checker), os.cpu_count() or 1)
+    args.threads = threads if hasattr(os, "fork") else 1
     return args
 
 

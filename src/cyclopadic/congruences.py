@@ -37,7 +37,7 @@ from .cycle_index import (
 )
 from .padic import PadicContext, binomial, factorial
 from .polyring import MultiPoly, Poly, UniPoly, congruence_witnesses
-from .reports import CongruenceReport, Mutation
+from .reports import CongruenceReport
 
 
 def n_star(n: int) -> int:
@@ -98,7 +98,7 @@ def _class_walk(
     modulus: int,
     sign: int,
     branches: tuple,
-    mutation: Optional[Mutation],
+    mutation: Optional[Tuple[int, int]],
 ) -> CongruenceReport:
     """Every class of N = r + np against its expected coefficient, mod modulus.
 
@@ -166,14 +166,14 @@ def _class_walk(
 
 
 def check_carlitz_coeff(
-    n: int, ctx: PadicContext, mutation: Optional[Mutation] = None
+    n: int, ctx: PadicContext, mutation: Optional[Tuple[int, int]] = None
 ) -> CongruenceReport:
     """Carlitz's coefficient congruence mod p over all cycle types of np."""
     return _class_walk("carlitz-coeff", 0, n, ctx, ctx.p, -1, (1, 2), mutation)
 
 
 def check_prop_coeff(
-    n: int, ctx: PadicContext, mutation: Optional[Mutation] = None
+    n: int, ctx: PadicContext, mutation: Optional[Tuple[int, int]] = None
 ) -> CongruenceReport:
     """Strengthened coefficient congruences mod n*p over all cycle types of np."""
     return _class_walk(
@@ -186,7 +186,7 @@ def _poly_congruence_report(
     r: int,
     n: int,
     ctx: PadicContext,
-    mutation: Optional[Mutation],
+    mutation: Optional[Tuple[int, int]],
     strengthened: bool,
 ) -> CongruenceReport:
     """Carlitz's form mod p, or the strengthened one mod n*p and its signed
@@ -214,21 +214,21 @@ def _poly_congruence_report(
 
 
 def check_carlitz_poly(
-    r: int, n: int, ctx: PadicContext, mutation: Optional[Mutation] = None
+    r: int, n: int, ctx: PadicContext, mutation: Optional[Tuple[int, int]] = None
 ) -> CongruenceReport:
     """Carlitz: C_{r+np} = (X_1^p - X_p)^n C_r (mod p Z_p[X])."""
     return _poly_congruence_report("carlitz-poly", r, n, ctx, mutation, False)
 
 
 def check_prop_poly(
-    r: int, n: int, ctx: PadicContext, mutation: Optional[Mutation] = None
+    r: int, n: int, ctx: PadicContext, mutation: Optional[Tuple[int, int]] = None
 ) -> CongruenceReport:
     """Strengthened form mod n*p, plus the (X_1^p + (-1)^p X_p)^n variant."""
     return _poly_congruence_report("prop-poly", r, n, ctx, mutation, True)
 
 
 def check_corollary1(
-    r: int, n: int, ctx: PadicContext, mutation: Optional[Mutation] = None
+    r: int, n: int, ctx: PadicContext, mutation: Optional[Tuple[int, int]] = None
 ) -> CongruenceReport:
     """Both branches of the corollary over all cycle types of r+np, mod n*p."""
     if not 1 <= r <= ctx.p - 1:
@@ -240,7 +240,7 @@ def check_corollary1(
 
 
 def check_remark1(
-    r: int, n: int, ctx: PadicContext, mutation: Optional[Mutation] = None
+    r: int, n: int, ctx: PadicContext, mutation: Optional[Tuple[int, int]] = None
 ) -> CongruenceReport:
     """c_{r+np}(m_1,..,m_p,..) = c_{np}(m_1-r,..,m_p,..) (mod n*p) on 1/p classes."""
     p = ctx.p
@@ -285,7 +285,7 @@ def junod_lemma_trials(
     trials: int,
     seed: int,
     ctxs: list,
-    mutation: Optional[Mutation] = None,
+    mutation: Optional[Tuple[int, int]] = None,
 ) -> list:
     """Trials start..stop-1 of the randomized lemma test of ``trials``, at
     every prime of ctxs: one report per prime, in the order of ctxs.
@@ -301,7 +301,9 @@ def junod_lemma_trials(
     rng = random.Random(seed)
     for _ in range(start):
         _junod_draws(rng)
-    mutation = mutation and mutation.shifted(start, stop)
+    if mutation:  # the whole run's index, counted from this slice's first trial
+        index, delta = mutation
+        mutation = None if 0 <= index < start else (index - start, delta)
     reports = [
         CongruenceReport("junod-lemma", {"p": ctx.p, "trials": trials}, seed=seed,
                          mutation=mutation)
@@ -328,7 +330,7 @@ def check_junod_lemma(
     trials: int,
     seed: int,
     ctx: PadicContext,
-    mutation: Optional[Mutation] = None,
+    mutation: Optional[Tuple[int, int]] = None,
 ) -> CongruenceReport:
     """Randomized lemma test: m in pZ, a = b (mod m) implies a^n = b^n (mod mn).
 
@@ -341,7 +343,7 @@ def check_junod_lemma(
 
 
 def check_formula_gamma_ratio(
-    n: int, ctx: PadicContext, mutation: Optional[Mutation] = None
+    n: int, ctx: PadicContext, mutation: Optional[Tuple[int, int]] = None
 ) -> CongruenceReport:
     """Exact Gamma-ratio identity for pure 1/p classes, plus equal valuations.
 
@@ -375,7 +377,7 @@ def check_formula_gamma_ratio(
 
 
 def check_wilson_sharpness(
-    n: int, ctx: PadicContext, mutation: Optional[Mutation] = None
+    n: int, ctx: PadicContext, mutation: Optional[Tuple[int, int]] = None
 ) -> CongruenceReport:
     """Sharpness of the coefficient congruence at m_p = 1.
 
@@ -407,7 +409,7 @@ def check_wilson_sharpness(
 
 
 def report_gamma_identity(
-    m: int, ctx: PadicContext, mutation: Optional[Mutation] = None
+    m: int, ctx: PadicContext, mutation: Optional[Tuple[int, int]] = None
 ) -> CongruenceReport:
     """Exact factorial/Gamma identity (mp)! = (-1)^(pm+1) Gamma_p(pm+1) m! p^m."""
     if m < 0:
@@ -422,7 +424,7 @@ def report_gamma_identity(
 
 
 def report_gamma_congruence(
-    m: int, ctx: PadicContext, mutation: Optional[Mutation] = None
+    m: int, ctx: PadicContext, mutation: Optional[Tuple[int, int]] = None
 ) -> CongruenceReport:
     """Valuation bound on Gamma_p(pm+1) + 1."""
     p = ctx.p
@@ -435,7 +437,7 @@ def report_gamma_congruence(
 
 
 def report_binomial_lift(
-    n: int, ctx: PadicContext, mutation: Optional[Mutation] = None
+    n: int, ctx: PadicContext, mutation: Optional[Tuple[int, int]] = None
 ) -> CongruenceReport:
     """Both binomial lifting congruences for all m in [0, n]."""
     p = ctx.p

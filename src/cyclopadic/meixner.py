@@ -13,12 +13,12 @@ from __future__ import annotations
 
 import threading
 from math import factorial
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 from .congruences import compare_polys
 from .padic import PadicContext
 from .polyring import UniPoly
-from .reports import CongruenceReport, Mutation
+from .reports import CongruenceReport
 from .series import series_exp, series_mul
 
 _lock = threading.Lock()
@@ -70,7 +70,7 @@ def _require_odd(ctx: PadicContext) -> None:
 
 
 def check_junod_qstar_q(
-    n: int, ctx: PadicContext, mutation: Optional[Mutation] = None
+    n: int, ctx: PadicContext, mutation: Optional[Tuple[int, int]] = None
 ) -> CongruenceReport:
     """Q*_{np} = Q_{np} (mod np Z_p[X])."""
     _require_odd(ctx)
@@ -84,7 +84,7 @@ def check_junod_qstar_q(
 
 
 def check_junod_qp(
-    ctx: PadicContext, mutation: Optional[Mutation] = None
+    ctx: PadicContext, mutation: Optional[Tuple[int, int]] = None
 ) -> CongruenceReport:
     """Q_p = X^p - (-1)^((p-1)/2) X (mod p Z_p[X])."""
     _require_odd(ctx)
@@ -97,7 +97,7 @@ def check_junod_qp(
 
 
 def check_corollary2(
-    n: int, ctx: PadicContext, mutation: Optional[Mutation] = None
+    n: int, ctx: PadicContext, mutation: Optional[Tuple[int, int]] = None
 ) -> CongruenceReport:
     """Q_{np} = Q_p^n = (X^p - (-1)^((p-1)/2) X)^n (mod np Z_p[X])."""
     _require_odd(ctx)

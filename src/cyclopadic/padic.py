@@ -15,7 +15,8 @@ Valuation = Union[int, float]  # int, or math.inf for the valuation of 0
 
 factorial = math.factorial
 
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_PSI_13 = 3317044064679887385961981  # the least composite _MR_BASES all pass
 
 
 def binomial(n: int, k: int) -> int:
@@ -26,10 +27,12 @@ def binomial(n: int, k: int) -> int:
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic primality test.
+    """Deterministic primality test, exact for every n below psi_13.
 
-    Miller-Rabin with the 12-base set, which is exact for all n < 3.3e24;
-    far beyond any prime this package sweeps.
+    Miller-Rabin with the first 13 primes as bases, which prove every
+    composite below psi_13 composite (Sorenson and Webster, Math. Comp. 86,
+    2017); the first 12 alone pass psi_12 = 318665857834031151167461. An n
+    of at least psi_13 that no base proves composite raises ValueError.
     """
     if n < 2:
         return False
@@ -51,6 +54,8 @@ def is_prime(n: int) -> bool:
                 break
         else:
             return False
+    if n >= _PSI_13:
+        raise ValueError(f"cannot certify {n} prime")
     return True
 
 

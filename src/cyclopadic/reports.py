@@ -5,64 +5,6 @@ import json
 from typing import Optional, Tuple
 
 
-class Mutation:
-    """Test-harness fault injection: add delta to the left-hand value of the
-    index-th (0-based) compared instance of each report.
-
-    Each report counts its instances in report order and perturbs the one
-    named (``CongruenceReport.tap`` and ``count``); an index at or past its
-    instances injects nothing. Instances that hold without a comparison are
-    counted by ``skip``, which refuses a run of them that holds the index,
-    so that the instance is compared instead. A polynomial compare's
-    instances are the longer operand's coefficients in witness order (graded
-    revlex for MultiPolys, degree for UniPolys); junod-lemma's are its
-    trials, each perturbed at the leading term of its a^n. A sound checker flags a delta
-    that breaks the congruence and passes a multiple of the modulus.
-
-    Immutable, compared and hashed as the pair (index, delta).
-    """
-
-    __slots__ = ("index", "delta")
-
-    def __init__(self, index: int, delta: int):
-        if index < 0:
-            raise ValueError(f"negative mutation index {index}")
-        object.__setattr__(self, "index", index)
-        object.__setattr__(self, "delta", delta)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.index, self.delta) == (other.index, other.delta)
-
-    def __hash__(self):
-        return hash((self.index, self.delta))
-
-    def __repr__(self) -> str:
-        return f"Mutation(index={self.index!r}, delta={self.delta!r})"
-
-    def __reduce__(self):
-        return Mutation, (self.index, self.delta)
-
-    @classmethod
-    def parse(cls, text: str) -> "Mutation":
-        idx, _, delta = text.partition(":")
-        return cls(int(idx), int(delta))
-
-    def shifted(self, start: int, stop: int) -> Optional["Mutation"]:
-        """This mutation for a report that counts instances start..stop-1
-        of a longer run from 0, or None if the index is not among them."""
-        if not start <= self.index < stop:
-            return None
-        return Mutation(self.index - start, self.delta)
-
-
 def _jsonable(x):
     if isinstance(x, float):  # only infinities reach here (vp of 0)
         return "inf"
@@ -75,7 +17,19 @@ class CongruenceReport:
     """Machine-readable outcome of one checker sweep.
 
     ``advisory`` is True for non-asserted sweeps (the p=2 experiments).
-    ``mutation`` is the fault to inject; it is not part of the serialized
+
+    ``mutation`` is the test harness's fault, a pair (index, delta) or None:
+    add delta to the left-hand value of the index-th (0-based) compared
+    instance. The report counts its instances in report order and perturbs
+    the one named (``tap`` and ``count``); an index at or past its instances
+    injects nothing, and a negative index raises ValueError. Instances that
+    hold without a comparison are counted by ``skip``, which refuses a run of
+    them that holds the index, so that the instance is compared instead. A
+    polynomial compare's instances are the longer operand's coefficients in
+    witness order (graded revlex for MultiPolys, degree for UniPolys);
+    junod-lemma's are its trials, each perturbed at the leading term of its
+    a^n. A sound checker flags a delta that breaks the congruence and passes
+    a multiple of the modulus. The mutation is not part of the serialized
     report, of equality or of the repr.
     """
 
@@ -88,8 +42,10 @@ class CongruenceReport:
         seed: Optional[int] = None,
         elapsed_ms: Optional[int] = None,
         advisory: bool = False,
-        mutation: Optional[Mutation] = None,
+        mutation: Optional[Tuple[int, int]] = None,
     ):
+        if mutation is not None and mutation[0] < 0:
+            raise ValueError(f"negative mutation index {mutation[0]}")
         self.checker = checker
         self.params = params
         self.instances = instances
@@ -121,29 +77,22 @@ class CongruenceReport:
     def tap(self, value: int) -> int:
         """Count one compared instance; its left-hand value, plus the
         mutation's delta if the mutation names this instance."""
-        i = self.instances
-        self.instances = i + 1
-        m = self.mutation
-        if m is None or m.index != i:
-            return value
-        return value + m.delta
+        hit = self.count(1)
+        return value if hit is None else value + hit[1]
 
     def count(self, k: int) -> Optional[Tuple[int, int]]:
         """Count k compared instances; (i, delta) if the mutation names the
         i-th of them, else None."""
         start = self.instances
         self.instances = start + k
-        m = self.mutation
-        if m is None or not start <= m.index < start + k:
-            return None
-        return m.index - start, m.delta
+        index, delta = self.mutation or (-1, 0)
+        return (index - start, delta) if start <= index < start + k else None
 
     def skip(self, k: int) -> bool:
         """Count k instances that hold without a comparison, unless the
         mutation names one of them; True if they were counted."""
         start = self.instances
-        m = self.mutation
-        if m is not None and start <= m.index < start + k:
+        if self.mutation and start <= self.mutation[0] < start + k:
             return False
         self.instances = start + k
         return True

@@ -1,5 +1,6 @@
 import errno
 import hashlib
+import io
 import json
 import os
 import pathlib
@@ -24,9 +25,16 @@ from cyclopadic.cli import (
     verify_spec,
 )
 from cyclopadic.padic import is_prime
-from cyclopadic.reports import CongruenceReport, Mutation
+from cyclopadic.reports import CongruenceReport
 
 pytestmark = pytest.mark.filterwarnings("ignore")
+
+
+@pytest.fixture
+def cpus(monkeypatch):
+    """Ten CPUs, so that --threads K up to 10 forks K workers, however many
+    CPUs run the tests (verify takes at most the CPU count)."""
+    monkeypatch.setattr(os, "cpu_count", lambda: 10)
 
 
 def run(tmp_path, *argv):
@@ -141,9 +149,18 @@ class TestVerify:
         params = [json.loads(line)["params"] for line in text.splitlines()]
         assert [p["n"] for p in params] == [3, 6, 9]
 
-    def test_nonprime_rejected(self, tmp_path):
-        code, _ = run(tmp_path, "verify", "prop-poly", "--primes", "9")
-        assert code == 2
+    @pytest.mark.parametrize("p, message", [
+        (9, "--primes entries must be prime, got 9"),
+        # psi_12 passes the first 12 Miller-Rabin bases but not 41; 2^89 - 1
+        # is prime, but past psi_13 no 13 bases certify it
+        (318665857834031151167461,
+         "--primes entries must be prime, got 318665857834031151167461"),
+        (2**89 - 1, f"cannot certify {2**89 - 1} prime"),
+    ], ids=["9", "psi12", "M89"])
+    def test_nonprime_rejected(self, tmp_path, capsys, p, message):
+        code, out = run(tmp_path, "verify", "prop-poly", "--primes", str(p))
+        assert code == 2 and out == ""
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_p2_needs_flag(self, tmp_path):
         code, _ = run(tmp_path, "verify", "carlitz-poly", "--primes", "2")
@@ -210,6 +227,7 @@ class TestVerify:
                       "--n-max", "2", "--degree-cap", "46")
         assert code == 2
 
+    @pytest.mark.usefixtures("cpus")
     def test_thread_count_does_not_change_output(self, tmp_path):
         args = [
             "verify", "all", "--primes", "3,5",
@@ -223,6 +241,7 @@ class TestVerify:
                 outputs.add(text)
             assert len(outputs) == 1
 
+    @pytest.mark.usefixtures("cpus")
     @pytest.mark.parametrize("threads", ["1", "2"])
     def test_checker_error_propagates(self, tmp_path, capsys, monkeypatch, threads):
         def broken(*args):
@@ -237,6 +256,7 @@ class TestVerify:
         assert err.endswith("RuntimeError: injected checker fault\n")
         assert_no_children()
 
+    @pytest.mark.usefixtures("cpus")
     @pytest.mark.parametrize("threads", ["1", "2"])
     def test_checker_value_error_is_not_a_usage_error(
         self, tmp_path, capsys, monkeypatch, threads
@@ -252,6 +272,7 @@ class TestVerify:
         assert err.endswith("ValueError: injected checker fault\n")
         assert "error: " not in err
 
+    @pytest.mark.usefixtures("cpus")
     def test_worker_death_names_the_task(self, tmp_path, capsys, monkeypatch):
         def dies(n, ctx, mutation):
             if n == 2:
@@ -267,6 +288,7 @@ class TestVerify:
             "exited with status 3\n")
         assert_no_children()
 
+    @pytest.mark.usefixtures("cpus")
     def test_worker_death_names_the_trial_slice(self, tmp_path, capsys, monkeypatch):
         trials = congruences.junod_lemma_trials
 
@@ -284,6 +306,7 @@ class TestVerify:
         assert err.endswith("exited with status 3\n")
         assert_no_children()
 
+    @pytest.mark.usefixtures("cpus")
     def test_worker_traceback_is_the_cause(self, tmp_path, capsys, monkeypatch):
         def broken_in_worker(*args):
             raise ValueError("injected checker fault")
@@ -301,6 +324,7 @@ class TestVerify:
         assert effect.endswith("ValueError: injected checker fault\n")
         assert_no_children()
 
+    @pytest.mark.usefixtures("cpus")
     def test_unpicklable_checker_error(self, tmp_path, capsys, monkeypatch):
         class LocalError(Exception):  # a local class cannot be pickled
             pass
@@ -318,6 +342,7 @@ class TestVerify:
         assert "LocalError: injected checker fault" in text
         assert_no_children()
 
+    @pytest.mark.usefixtures("cpus")
     def test_interrupt_terminates_busy_workers(self, tmp_path, monkeypatch):
         def interrupts(n, ctx, mutation):
             # n = 2 is handed out first, so the interrupt may come while
@@ -334,6 +359,7 @@ class TestVerify:
         assert time.monotonic() - start < 30
         assert_no_children()
 
+    @pytest.mark.usefixtures("cpus")
     def test_report_larger_than_a_pipe_buffer(self, tmp_path, monkeypatch):
         def many_violations(n, ctx, mutation):
             report = CongruenceReport("carlitz-coeff", {"p": ctx.p, "n": n})
@@ -535,6 +561,7 @@ def test_failed_write_is_a_usage_error(argv):
             2, f"error: cannot write {name}: {reason}\n")
 
 
+@pytest.mark.usefixtures("cpus")
 class TestTrialSlices:
     """junod-lemma runs as trial slices, each at every prime, two per worker."""
 
@@ -616,6 +643,32 @@ class TestTrialSlices:
         assert [label for label, _, _ in build_all_tasks(spec)
                 if label[0] == "junod-lemma"] == [("junod-lemma", "trials 0..9")]
 
+    @pytest.mark.parametrize("threads, slices", [("1", 1), ("3", 6)])
+    def test_every_trial_is_mutated_in_its_slice(self, monkeypatch, threads,
+                                                 slices):
+        # the whole-run index of each trial, in whichever slice holds it, is
+        # one violation per prime that names the trial, and a delta of its
+        # modulus m*n is none; the slices run in-process, joined by run_verify
+        monkeypatch.setattr(cli, "_run_forked",
+                            lambda runs, labels, workers: [run() for run in runs])
+        argv = ["junod-lemma", "--primes", "3,5", "--trials", "20",
+                "--threads", threads]
+
+        def reports(mutate):
+            spec = verify_spec([*argv, "--mutate", mutate])
+            jobs = build_all_tasks(spec)
+            assert len(jobs) == slices
+            out = io.StringIO()
+            cli.run_verify(spec, jobs, out)
+            return [json.loads(line) for line in out.getvalue().splitlines()]
+
+        for trial in range(20):
+            for i, report in enumerate(reports(f"{trial}:1")):
+                (violation,) = report["violations"]
+                assert violation["instance"]["trial"] == trial
+                modulus = violation["required_modulus"]
+                assert reports(f"{trial}:{modulus}")[i]["violations"] == []
+
     def test_timing_sums_the_slices(self, tmp_path, monkeypatch):
         # every job takes one second, so a report takes one per slice
         clock = iter(range(10**6))
@@ -653,6 +706,7 @@ def test_cli_import_loads_no_code_generator():
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
 
 
+@pytest.mark.usefixtures("cpus")
 def test_verify_spec_defaults():
     assert vars(verify_spec(["all"])) == dict(
         command="verify", checker="all", primes=[3, 5], n_max=4, r_range=None,
@@ -663,11 +717,22 @@ def test_verify_spec_defaults():
     spec = verify_spec(["prop-coeff", "--primes", "7,3,7", "--r-range", "0:1",
                         "--mutate", "1:2", "--threads", "3"])
     assert (spec.primes, spec.r_range, spec.mutation, spec.threads) == (
-        [3, 7], (0, 1), Mutation(1, 2), 3)
+        [3, 7], (0, 1), (1, 2), 3)
     assert verify_spec(["prop-coeff"]).threads == 1
     # --threads 0 is the default
     assert verify_spec(["all", "--threads", "0"]).threads == cli._default_threads("all")
     assert verify_spec(["prop-coeff", "--threads", "0"]).threads == 1
+
+
+def test_threads_are_capped_at_the_cpu_count(monkeypatch):
+    # more workers than CPUs only take turns; junod-lemma's slices follow
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    argv = ["junod-lemma", "--primes", "3", "--trials", "20", "--threads"]
+    for threads in ("2", "16"):
+        spec = verify_spec([*argv, threads])
+        assert spec.threads == 2 and len(build_all_tasks(spec)) == 4
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert verify_spec([*argv, "16"]).threads == 1
 
 
 @pytest.mark.parametrize("argv, message", [

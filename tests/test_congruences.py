@@ -5,7 +5,7 @@ import pytest
 
 from cyclopadic import congruences as cg
 from cyclopadic import cycle_index as ci
-from cyclopadic.cli import CHECKER_TABLE, build_all_tasks, verify_spec
+from cyclopadic.cli import CHECKER_TABLE, UsageError, build_all_tasks, verify_spec
 from cyclopadic.cycle_index import (
     CycleType,
     class_size,
@@ -17,7 +17,7 @@ from cyclopadic.cycle_index import (
 )
 from cyclopadic.padic import PadicContext
 from cyclopadic.polyring import MultiPoly
-from cyclopadic.reports import CongruenceReport, Mutation
+from cyclopadic.reports import CongruenceReport
 
 
 @pytest.fixture(scope="module")
@@ -172,7 +172,7 @@ class TestJunodLemma:
         # slices of 0..39 at three primes at once, joined in order, are the
         # one-prime reports of all 40 trials, clean or mutated at trial index
         ctxs = [PadicContext(p) for p in (3, 5, 7)]
-        mutation = None if index is None else Mutation(index, 1)
+        mutation = None if index is None else (index, 1)
         alone = [cg.check_junod_lemma(40, 9, ctx, mutation) for ctx in ctxs]
         hit = [index] if index is not None and index < 40 else []
         assert [[v["instance"]["trial"] for v in r.violations] for r in alone] == [hit] * 3
@@ -189,8 +189,8 @@ class TestJunodLemma:
             assert [r.to_json() for r in joined] == [r.to_json() for r in alone]
 
     def test_a_slice_replays_the_draws_before_it(self, ctx3):
-        whole = cg.check_junod_lemma(30, 5, ctx3, Mutation(20, 1))
-        (tail,) = cg.junod_lemma_trials(20, 30, 30, 5, [ctx3], Mutation(20, 1))
+        whole = cg.check_junod_lemma(30, 5, ctx3, (20, 1))
+        (tail,) = cg.junod_lemma_trials(20, 30, 30, 5, [ctx3], (20, 1))
         assert tail.instances == 10
         assert tail.violations == whole.violations
 
@@ -228,13 +228,13 @@ class TestWilsonSharpness:
 
 class TestMutationDetection:
     def test_coeff_checker_catches_perturbation(self, ctx3):
-        report = cg.check_prop_coeff(3, ctx3, mutation=Mutation(4, 1))
+        report = cg.check_prop_coeff(3, ctx3, mutation=(4, 1))
         assert not report.passed
         assert len(report.violations) == 1
         assert report.violations[0]["observed_vp"] == 0
 
     def test_poly_checker_catches_perturbation(self, ctx3):
-        report = cg.check_prop_poly(1, 3, ctx3, mutation=Mutation(2, 1))
+        report = cg.check_prop_poly(1, 3, ctx3, mutation=(2, 1))
         assert not report.passed
         wit = report.violations[0]
         assert wit["observed_vp"] == 0 and wit["required_vp"] == 2
@@ -252,7 +252,7 @@ class TestMutationDetection:
             xp = MultiPoly.variable(p)
             size = max(len(lhs), len((x1p - xp) ** n * cr))
             for index in (None, 0, size - 1, size, 2 * size - 1, 2 * size):
-                mutation = None if index is None else Mutation(index, 1)
+                mutation = None if index is None else (index, 1)
                 expected = CongruenceReport(
                     "prop-poly", {"p": p, "n": n, "r": r, "modulus": modulus},
                     mutation=mutation,
@@ -273,18 +273,24 @@ class TestMutationDetection:
     def test_junod_lemma_mutation_is_two_sided(self, ctx3, ctx5):
         # m <= 20p and n <= 12 keep the required valuation vp(m*n) below 10
         for ctx in (ctx3, ctx5):
-            assert cg.check_junod_lemma(50, 0, ctx, Mutation(0, ctx.p**10)).passed
-            report = cg.check_junod_lemma(50, 0, ctx, Mutation(0, 1))
+            assert cg.check_junod_lemma(50, 0, ctx, (0, ctx.p**10)).passed
+            report = cg.check_junod_lemma(50, 0, ctx, (0, 1))
             assert [v["instance"]["trial"] for v in report.violations] == [0]
 
-    def test_negative_index_refused(self):
+    def test_negative_index_refused(self, ctx3):
         with pytest.raises(ValueError):
-            Mutation(-1, 1)
-        with pytest.raises(ValueError):
-            Mutation.parse("-1:1")
+            CongruenceReport("x", {"p": 3}, mutation=(-1, 1))
+        for mutation in ((-1, 1), (-30, 1)):
+            with pytest.raises(ValueError):
+                cg.report_gamma_identity(2, ctx3, mutation)
+            with pytest.raises(ValueError):  # also in a slice that starts later
+                cg.junod_lemma_trials(10, 20, 20, 0, [ctx3], mutation)
+        with pytest.raises(UsageError) as info:
+            verify_spec(["carlitz-coeff", "--mutate=-1:1"])
+        assert str(info.value) == "malformed --mutate '-1:1'"
 
     def test_every_scalar_checker_catches_perturbation(self, ctx3):
-        mut = Mutation(0, 1)
+        mut = (0, 1)
         assert not cg.report_gamma_identity(2, ctx3, mut).passed
         assert not cg.report_gamma_congruence(3, ctx3, mut).passed
         assert not cg.report_binomial_lift(3, ctx3, mut).passed
@@ -315,9 +321,9 @@ class TestCoeffMutationTwoSided:
         assert clean.instances == len(classes)
         for index in (0, 1, len(classes) // 2, len(classes) - 1):
             # a multiple of p^req is no fault at any class
-            assert check(*args(p), ctx, Mutation(index, p**req)).passed
-            assert check(*args(p), ctx, Mutation(index, -(p**req))).passed
-            report = check(*args(p), ctx, Mutation(index, p ** (req - 1)))
+            assert check(*args(p), ctx, (index, p**req)).passed
+            assert check(*args(p), ctx, (index, -(p**req))).passed
+            report = check(*args(p), ctx, (index, p ** (req - 1)))
             assert len(report.violations) == 1
             v = report.violations[0]
             assert v["instance"]["cycle_type"] == list(classes[index])
@@ -334,9 +340,9 @@ class TestCoeffMutationTwoSided:
         req = ctx.vp(modulus)
         assert req == 2
         for mp in (0, 1, n):
-            assert cg.check_remark1(r, n, ctx, Mutation(mp, p**req)).passed
-            assert cg.check_remark1(r, n, ctx, Mutation(mp, -(p**req))).passed
-            report = cg.check_remark1(r, n, ctx, Mutation(mp, p ** (req - 1)))
+            assert cg.check_remark1(r, n, ctx, (mp, p**req)).passed
+            assert cg.check_remark1(r, n, ctx, (mp, -(p**req))).passed
+            report = cg.check_remark1(r, n, ctx, (mp, p ** (req - 1)))
             assert len(report.violations) == 1
             v = report.violations[0]
             assert v["instance"] == {"m1": r + n * p - p * mp, "mp": mp}
@@ -383,7 +389,7 @@ def test_class_walk_expects_every_class_of_the_cycle_type_route(
     ctx = PadicContext(p)
     for r, n, args in walk_points(check, p, 12):
         for i, ct in enumerate(enumerate_cycle_types(r + n * p)):
-            report = check(*args, ctx, Mutation(i, 1))
+            report = check(*args, ctx, (i, 1))
             assert len(report.violations) == 1
             v = report.violations[0]
             first, expected = expected_by_cycle_type(ct.m, p, n, r, sign)
@@ -498,7 +504,7 @@ class TestPrunedWalk:
             total = len(stream)
             assert clean.passed and clean.instances == total
             for index in (0, 1, total // 3, total // 2, total - 1, 20000, total):
-                report = check(*args, ctx, Mutation(index, 1))
+                report = check(*args, ctx, (index, 1))
                 assert report.instances == total
                 if index >= total:  # p(36) = 17,977 is below 20,000
                     assert report.to_json_obj() == clean.to_json_obj()
@@ -515,7 +521,7 @@ class TestPrunedWalk:
                     "observed_vp": ctx.vp(diff),
                     "required_vp": req,
                 }]
-                assert check(*args, ctx, Mutation(index, p**req)).passed
+                assert check(*args, ctx, (index, p**req)).passed
 
     @pytest.mark.parametrize("check", [c for c, _, _ in CLASS_WALKS], ids=WALK_IDS)
     def test_miscounting_table_is_refused(self, check, monkeypatch):
@@ -539,7 +545,7 @@ class TestScalarMutationTwoSided:
         assert clean.passed and clean.instances == n + 1
         for mp in (0, 1, n):
             for delta in (1, -1, p**3, -(p**5)):
-                report = cg.check_formula_gamma_ratio(n, ctx, Mutation(mp, delta))
+                report = cg.check_formula_gamma_ratio(n, ctx, (mp, delta))
                 assert len(report.violations) == 1
                 v = report.violations[0]
                 assert v["instance"] == {"mp": mp, "m1": n * p - p * mp,
@@ -553,7 +559,7 @@ class TestScalarMutationTwoSided:
         for m in (0, 1, p):
             assert cg.report_gamma_identity(m, ctx).instances == 1
             for delta in (1, -1, p**3, -(p**5)):
-                report = cg.report_gamma_identity(m, ctx, Mutation(0, delta))
+                report = cg.report_gamma_identity(m, ctx, (0, delta))
                 assert len(report.violations) == 1
                 v = report.violations[0]
                 assert v["instance"] == {"m": m} and v["difference"] == str(delta)
@@ -567,9 +573,9 @@ class TestScalarMutationTwoSided:
         assert clean.passed and clean.instances == 1
         req = ctx.vp(p * m)
         assert req == 2
-        assert cg.report_gamma_congruence(m, ctx, Mutation(0, p**req)).passed
-        assert cg.report_gamma_congruence(m, ctx, Mutation(0, -(p**req))).passed
-        report = cg.report_gamma_congruence(m, ctx, Mutation(0, p ** (req - 1)))
+        assert cg.report_gamma_congruence(m, ctx, (0, p**req)).passed
+        assert cg.report_gamma_congruence(m, ctx, (0, -(p**req))).passed
+        report = cg.report_gamma_congruence(m, ctx, (0, p ** (req - 1)))
         assert len(report.violations) == 1
         v = report.violations[0]
         assert v["instance"] == {"m": m} and v["required_modulus"] == p * m
@@ -584,9 +590,9 @@ class TestScalarMutationTwoSided:
         req = ctx.vp(n * p)
         assert req == 2
         for m in (0, 1, n):
-            assert cg.report_binomial_lift(n, ctx, Mutation(m, p**req)).passed
-            assert cg.report_binomial_lift(n, ctx, Mutation(m, -(p**req))).passed
-            report = cg.report_binomial_lift(n, ctx, Mutation(m, p ** (req - 1)))
+            assert cg.report_binomial_lift(n, ctx, (m, p**req)).passed
+            assert cg.report_binomial_lift(n, ctx, (m, -(p**req))).passed
+            report = cg.report_binomial_lift(n, ctx, (m, p ** (req - 1)))
             assert len(report.violations) == 1
             v = report.violations[0]
             assert v["instance"] == {"m": m, "kind": "binom-diff"}
@@ -608,8 +614,8 @@ class TestScalarMutationTwoSided:
         if kind == "wilson-prime-bound":
             keep += [p**req, -(p**req)]
         for delta in keep:
-            assert cg.check_wilson_sharpness(n, ctx, Mutation(0, delta)).passed
-        report = cg.check_wilson_sharpness(n, ctx, Mutation(0, p ** (req - 1)))
+            assert cg.check_wilson_sharpness(n, ctx, (0, delta)).passed
+        report = cg.check_wilson_sharpness(n, ctx, (0, p ** (req - 1)))
         assert len(report.violations) == 1
         v = report.violations[0]
         assert v["instance"] == {"mp": 1, "kind": kind}
@@ -619,9 +625,9 @@ class TestScalarMutationTwoSided:
         # m <= 20p and n <= 12 keep the required valuation vp(m*n) below 10
         for ctx in (ctx3, ctx5):
             for trial in (7, 49):
-                keep = Mutation(trial, ctx.p**10)
+                keep = (trial, ctx.p**10)
                 assert cg.check_junod_lemma(50, 0, ctx, keep).passed
-                report = cg.check_junod_lemma(50, 0, ctx, Mutation(trial, 1))
+                report = cg.check_junod_lemma(50, 0, ctx, (trial, 1))
                 assert [v["instance"]["trial"] for v in report.violations] == [trial]
                 assert report.violations[0]["observed_vp"] == 0
 
@@ -643,17 +649,27 @@ def test_index_past_the_instances_injects_nothing(checker):
         for i, clean in enumerate(reports(None)):
             assert clean.passed and clean.instances > 0
             for index in (clean.instances, clean.instances + 1000):
-                mutated = reports(Mutation(index, 1))[i]
+                mutated = reports((index, 1))[i]
                 assert mutated.to_json_obj() == clean.to_json_obj()
             # the last instance is still reached
-            assert not reports(Mutation(clean.instances - 1, 1))[i].passed
+            assert not reports((clean.instances - 1, 1))[i].passed
             # sound both ways at every instance: a delta of 1 is flagged once,
-            # a delta of the modulus is not flagged
-            modulus = clean.params.get("modulus")
+            # a delta of the modulus that violation names is not flagged. The
+            # exact checks name none: gamma-identity and gamma-ratio flag any
+            # delta, and wilson-sharpness keeps vp(D) under p^(vp(n) + 2)
+            p, modulus = clean.params["p"], clean.params.get("modulus")
             for index in range(clean.instances):
-                assert len(reports(Mutation(index, 1))[i].violations) == 1
-                if modulus:
-                    assert reports(Mutation(index, modulus))[i].passed
+                (violation,) = reports((index, 1))[i].violations
+                keep = violation["required_modulus"]
+                assert keep == (modulus or keep)
+                if keep:
+                    assert reports((index, keep))[i].passed
+                elif checker == "wilson-sharpness":
+                    vn = PadicContext(p).vp(clean.params["n"])
+                    assert reports((index, p ** (vn + 2)))[i].passed
+                else:
+                    assert checker in ("gamma-identity", "gamma-ratio")
+                    assert len(reports((index, p**10))[i].violations) == 1
 
 
 class TestReportShape:
@@ -664,7 +680,7 @@ class TestReportShape:
         assert obj["violations"] == []
 
     def test_violation_fields(self, ctx3):
-        report = cg.check_prop_coeff(3, ctx3, mutation=Mutation(0, 1))
+        report = cg.check_prop_coeff(3, ctx3, mutation=(0, 1))
         v = report.violations[0]
         assert set(v) == {
             "instance",
@@ -677,13 +693,6 @@ class TestReportShape:
     def test_text_mode(self, ctx3):
         report = cg.check_prop_coeff(2, ctx3)
         assert report.to_text().startswith("PASS")
-
-    def test_shifted_mutation(self):
-        m = Mutation(7, 2)
-        assert m.shifted(0, 8) == m
-        assert m.shifted(7, 9) == Mutation(0, 2)
-        assert m.shifted(3, 7) is None and m.shifted(8, 20) is None
-        assert m.shifted(7, 7) is None
 
     def test_extend_appends_the_later_instances(self, ctx3):
         first = CongruenceReport("x", {"p": 3}, instances=2)
@@ -698,20 +707,9 @@ class TestReportShape:
         first.extend(later)
         assert first.elapsed_ms == 10
 
-    def test_mutation_is_immutable_value(self):
-        m = Mutation(3, -2)
-        for name in ("index", "delta", "other"):
-            with pytest.raises(AttributeError):
-                setattr(m, name, 1)
-        assert m == Mutation(3, -2) and hash(m) == hash(Mutation(3, -2))
-        assert m != Mutation(3, 2) and m != (3, -2)
-        assert repr(m) == "Mutation(index=3, delta=-2)"
-        assert pickle.loads(pickle.dumps(m)) == m
-        assert Mutation.parse("3:-2") == m
-
     def test_report_pickles_with_its_violations(self, ctx3):
         r = CongruenceReport("x", {"p": 3, "n": 2}, seed=5, advisory=True,
-                             mutation=Mutation(1, 1))
+                             mutation=(1, 1))
         assert r.tap(0) == 0 and r.tap(0) == 1
         r.add_violation({"i": 1}, 1, 9, ctx3, 2)
         copied = pickle.loads(pickle.dumps(r))

@@ -16,7 +16,6 @@ from cyclopadic.meixner import (
 )
 from cyclopadic.padic import PadicContext
 from cyclopadic.polyring import UniPoly
-from cyclopadic.reports import Mutation
 from oracles import (
     meixner_by_rational_series,
     meixner_q_recurrence,
@@ -221,9 +220,9 @@ class TestMutationTwoSided:
             for deg in (0, 1, degree(p)):
                 index = k * size + deg
                 # a multiple of p^req is no fault at any degree
-                assert check(*args(p), ctx, Mutation(index, p**req)).passed
-                assert check(*args(p), ctx, Mutation(index, -(p**req))).passed
-                report = check(*args(p), ctx, Mutation(index, p ** (req - 1)))
+                assert check(*args(p), ctx, (index, p**req)).passed
+                assert check(*args(p), ctx, (index, -(p**req))).passed
+                report = check(*args(p), ctx, (index, p ** (req - 1)))
                 assert [v["instance"].get("form") for v in report.violations] == [form]
                 v = report.violations[0]
                 assert v["instance"]["degree"] == deg

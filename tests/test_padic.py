@@ -30,6 +30,18 @@ class TestPrimality:
             assert not is_prime(n)
         assert is_prime(2**31 - 1)
 
+    def test_exact_below_psi13(self):
+        # psi_12, the least strong pseudoprime to the first 12 prime bases,
+        # is caught by base 41; psi_13 passes all 13 bases and is refused
+        psi12 = 318665857834031151167461
+        assert psi12 == 399165290221 * 798330580441
+        assert not is_prime(psi12)
+        assert is_prime(2**61 - 1)
+        assert not is_prime(2**61 + 1) and not is_prime(2**89 + 1)
+        for n in (3317044064679887385961981, 2**89 - 1):
+            with pytest.raises(ValueError, match=f"cannot certify {n} prime"):
+                is_prime(n)
+
     def test_context_rejects_nonprime(self):
         for bad in (0, 1, 4, 9, 15):
             with pytest.raises(ValueError):
