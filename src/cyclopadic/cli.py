@@ -75,7 +75,8 @@ MAX_CYCLE_INDEX_TERMS = 100_000
 # one instance takes 0.3 to 11 s for p = 3 to 7 on a 2-core VM, like C_45
 # above. The acceptance module lifts binomials to n = 200, and the CLI tests
 # stay under 500. junod-lemma's trials are not bounded: their memory does not
-# grow with them, and on a 2-core VM 1000 of them take 0.26 s at one prime.
+# grow with them, and on a 2-core VM 1000 of them take 0.13 s at one prime
+# and 0.22 s at p = 3, 5, 7.
 MAX_SCALAR_SIZE = 1000
 
 # `verify` refuses a grid in which a Meixner checker builds a Q_d of degree d

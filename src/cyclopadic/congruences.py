@@ -291,9 +291,12 @@ def junod_lemma_trials(
     every prime of ctxs: one report per prime, in the order of ctxs.
 
     A trial draws a, gamma, k and n once, builds a^n once, and at each p
-    compares a^n with b^n for b = a + m*gamma, m = p*k, mod m*n. The seed's
-    stream is first advanced through the draws of trials 0..start-1, building
-    no polynomial. ``mutation`` and the violations name a trial by its number
+    compares a^n with b^n for b = a + m*gamma, m = p*k, mod m*n. Two
+    polynomials over Z agree mod m*n*Z_p exactly when their residues mod
+    q = p^vp(m*n) agree, so b^n is built in Z/q (``pow(b, n, q)``), and
+    over Z only for a trial that fails, whose witness reads the exact
+    difference. The seed's stream is first advanced through the draws of
+    trials 0..start-1, building no polynomial. ``mutation`` and the violations name a trial by its number
     in the whole run; each report counts the slice's trials from 0. The
     reports of consecutive slices, joined by ``CongruenceReport.extend``, are
     the reports of the trials they cover.
@@ -316,13 +319,15 @@ def junod_lemma_trials(
         for ctx, report in zip(ctxs, reports):
             m = ctx.p * k
             modulus = m * n
+            q = ctx.p ** ctx.vp(modulus)
             lhs = _perturb(power, power, report.count(1))
-            bad = congruence_witnesses(lhs, (alpha + m * gamma) ** n, modulus, ctx)
-            if bad:
-                place, c, req = bad[0]
-                report.add_violation(
-                    dict(place, trial=trial, m=m, n=n), c, modulus, ctx, req
-                )
+            beta = alpha + m * gamma
+            if pow(lhs, 1, q) == pow(beta, n, q):
+                continue
+            place, c, req = congruence_witnesses(lhs, beta**n, modulus, ctx)[0]
+            report.add_violation(
+                dict(place, trial=trial, m=m, n=n), c, modulus, ctx, req
+            )
     return reports
 
 

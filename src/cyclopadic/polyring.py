@@ -19,7 +19,11 @@ Two representations:
   partial powers P^j: at most C(j+s-1, s-1) terms, and at most
   prod (j e_i + 1) for e_i the top exponent of X_i. So few-term sparse
   bases are expanded from about n = 4 on, while dense bases and many-term
-  bases at small n are squared.
+  bases at small n are squared. Python's three-argument ``pow(P, n, q)``
+  gives P^n in Z/q: P is reduced into [0, q), the same choice is made for
+  the reduced base, and both kernels reduce as they go, the expansion its
+  tables and prefix coefficients (a prefix that is 0 mod q is dropped) and
+  squaring each product. Every coefficient of the result lies in [0, q).
 * :class:`UniPoly` -- dense univariate polynomials, coefficient list
   indexed by degree.
 
@@ -83,8 +87,9 @@ def _check_degree(degree: int) -> None:
         )
 
 
-def _mul_terms(a: dict, b: dict) -> dict:
-    """Exact product of two term maps whose degrees sum to at most MAX_DEGREE."""
+def _mul_terms(a: dict, b: dict, q: Optional[int] = None) -> dict:
+    """Product of two term maps whose degrees sum to at most MAX_DEGREE:
+    exact, or with every coefficient reduced into [0, q) if q is given."""
     if len(a) < len(b):
         a, b = b, a
     out: dict = {}
@@ -93,13 +98,21 @@ def _mul_terms(a: dict, b: dict) -> dict:
         for ka, ca in a.items():
             k = ka + kb
             out[k] = get(k, 0) + ca * cb
+    if q:
+        return _reduced(out, q)
     for k in [k for k, c in out.items() if not c]:
         del out[k]
     return out
 
 
-def _multinomial_power(terms: dict, n: int) -> dict:
-    """Term map of P^n, P given by a term map of at least two terms.
+def _reduced(terms: dict, q: int) -> dict:
+    """terms with every coefficient reduced into [0, q), zeros dropped."""
+    return {k: r for k, c in terms.items() if (r := c % q)}
+
+
+def _multinomial_power(terms: dict, n: int, q: Optional[int] = None) -> dict:
+    """Term map of P^n, P given by a term map of at least two terms; with q,
+    of P^n with every coefficient reduced into [0, q).
 
     Multinomial theorem: each composition k_1 + ... + k_s = n contributes
     prod C(rem_i, k_i) c_i^k_i at key sum k_i key_i, where rem_i is what the
@@ -108,24 +121,31 @@ def _multinomial_power(terms: dict, n: int) -> dict:
     does not grow with s; a prefix that uses up n is added at once, and the
     last two terms come from a precomputed row of (t_a + t_b)^rem. Each
     composition is one update, each prefix of at most s-2 exponents summing
-    below n one stack entry. The caller checks that n times the total
-    degree is within MAX_DEGREE.
+    below n one stack entry. With q the power tables, the rows and each
+    prefix's coefficient are reduced mod q, and a prefix whose coefficient
+    is 0 mod q is dropped when it is popped. The caller checks that n times
+    the total degree is within MAX_DEGREE.
     """
     tables = []
     for key, c in terms.items():
         pw = [1]
         for _ in range(n):
-            pw.append(pw[-1] * c)
+            pw.append(pw[-1] * c % q if q else pw[-1] * c)
         tables.append((key, pw))
     (key_a, pw_a), (key_b, pw_b) = tables.pop(), tables.pop()
 
     def last_two(rem: int) -> list:
-        # (t_a + t_b)^rem, one term per split of rem: distinct keys, no zero
+        # (t_a + t_b)^rem, one term per split of rem: distinct keys, and
+        # no zero (with q, no zero residue)
         row = []
         b = 1  # C(rem, k)
         for k in range(rem + 1):
             r = rem - k
-            row.append((k * key_b + r * key_a, b * pw_b[k] * pw_a[r]))
+            c = b * pw_b[k] * pw_a[r]
+            if q:
+                c %= q
+            if c:
+                row.append((k * key_b + r * key_a, c))
             b = b * r // (k + 1)
         return row
 
@@ -139,6 +159,10 @@ def _multinomial_power(terms: dict, n: int) -> dict:
     push, pop = stack.append, stack.pop
     while stack:
         i, rem, key, coeff = pop()
+        if q:
+            coeff %= q
+            if not coeff:  # every composition below adds a multiple of q
+                continue
         if i == last:
             for mono, c in rows[rem]:
                 mono += key
@@ -151,6 +175,8 @@ def _multinomial_power(terms: dict, n: int) -> dict:
         for k in range(rem):
             push((i + 1, rem - k, key + k * key_i, coeff * b * pw[k]))
             b = b * (rem - k) // (k + 1)
+    if q:
+        return _reduced(out, q)
     for mono in [mono for mono, c in out.items() if not c]:
         del out[mono]
     return out
@@ -194,15 +220,15 @@ def _squaring_pairs(terms: dict, n: int) -> int:
     return pairs
 
 
-def _square_and_multiply(base, n: int, one):
-    """base^n, for n >= 0 and one the identity of base's ring."""
+def _square_and_multiply(base, n: int, one, mul):
+    """base^n under the product mul, for n >= 0 and one its identity."""
     result = one
     while n:
         if n & 1:
-            result = result * base
+            result = mul(result, base)
         n >>= 1
         if n:
-            base = base * base
+            base = mul(base, base)
     return result
 
 
@@ -385,28 +411,42 @@ class MultiPoly:
 
     __rmul__ = __mul__
 
-    def __pow__(self, n: int) -> "MultiPoly":
+    def __pow__(self, n: int, modulo: Optional[int] = None) -> "MultiPoly":
+        """self**n, or with ``pow(self, n, q)`` self**n with every
+        coefficient reduced into [0, q) and the zeros dropped."""
         if not isinstance(n, int) or n < 0:
             raise ValueError("exponent must be a natural number")
+        base = self
+        mod: tuple = ()  # the modulus, passed on to the kernel if given
+        if modulo is not None:
+            if not isinstance(modulo, int) or modulo < 1:
+                raise ValueError("modulus must be a positive integer")
+            base = MultiPoly(_reduced(self.terms, modulo), _raw=True)
+            mod = (modulo,)
         if n == 0:
-            return MultiPoly.one()
-        if n == 1 or not self.terms:
-            return self
-        deg = self.total_degree()
+            return MultiPoly.constant(1 % modulo if mod else 1)
+        if n == 1 or not base.terms:
+            return base
         # deg(P^n) = n deg(P) over Z, so this is the only check needed, and
         # below it no slot of a sum of keys carries into the next
-        _check_degree(n * deg)
-        s = len(self.terms)
+        _check_degree(n * base.total_degree())
+        terms = base.terms
+        s = len(terms)
         if s == 1:
-            (key, c), = self.terms.items()
-            return MultiPoly({n * key: c**n}, _raw=True)
+            (key, c), = terms.items()
+            c = pow(c, n, *mod)
+            return MultiPoly({n * key: c} if c else {}, _raw=True)
         # a step of the expansion costs about 1.4 term pairs of a product
         # (median over sparse, dense and cycle-indicator bases of 3 to 150
         # terms); the pairs are only bounded from above, and a base whose
         # products collide forms fewer, so the expansion must win by 2
-        if 2 * _expansion_steps(s, n) <= _squaring_pairs(self.terms, n):
-            return MultiPoly(_multinomial_power(self.terms, n), _raw=True)
-        return _square_and_multiply(self, n, MultiPoly.one())
+        if 2 * _expansion_steps(s, n) <= _squaring_pairs(terms, n):
+            return MultiPoly(_multinomial_power(terms, n, *mod), _raw=True)
+        return MultiPoly(
+            _square_and_multiply(terms, n, {0: 1},
+                                 lambda a, b: _mul_terms(a, b, *mod)),
+            _raw=True,
+        )
 
     # -- serialization ------------------------------------------------
 
@@ -533,7 +573,7 @@ class UniPoly:
     def __pow__(self, n: int) -> "UniPoly":
         if not isinstance(n, int) or n < 0:
             raise ValueError("exponent must be a natural number")
-        return _square_and_multiply(self, n, UniPoly.constant(1))
+        return _square_and_multiply(self, n, UniPoly.constant(1), UniPoly.__mul__)
 
     def __call__(self, x: int) -> int:
         acc = 0

@@ -6,7 +6,10 @@ from typing import Optional, Tuple
 
 
 def _jsonable(x):
-    if isinstance(x, float):  # only infinities reach here (vp of 0)
+    """x as a report writes it: an int above 2**53 in magnitude, which a
+    JSON reader that parses numbers as doubles would round, as its decimal
+    string, and a float (only the infinite vp of 0 reaches here) as "inf"."""
+    if isinstance(x, float):
         return "inf"
     if isinstance(x, int) and abs(x) > 2**53:
         return str(x)
@@ -117,9 +120,9 @@ class CongruenceReport:
         ``ctx.vp(difference)`` ("inf" for 0), computed here."""
         self.violations.append(
             {
-                "instance": instance,
+                "instance": {k: _jsonable(v) for k, v in instance.items()},
                 "difference": str(difference),
-                "required_modulus": required_modulus,
+                "required_modulus": _jsonable(required_modulus),
                 "observed_vp": _jsonable(ctx.vp(difference)),
                 "required_vp": _jsonable(required_vp),
             }
@@ -133,7 +136,7 @@ class CongruenceReport:
             "violations": self.violations,
         }
         if self.seed is not None:
-            obj["seed"] = self.seed
+            obj["seed"] = _jsonable(self.seed)
         if self.advisory:
             obj["advisory"] = True
         if self.elapsed_ms is not None:

@@ -141,6 +141,20 @@ class TestVerify:
         checkers = {json.loads(line)["checker"] for line in text.splitlines()}
         assert "carlitz-coeff" in checkers and "corollary2" in checkers
 
+    def test_witness_integers_past_2_to_the_53_are_exact(self, tmp_path):
+        # p = 2^53 + 5: m = p*k and its modulus m*n are written as strings,
+        # so a reader that parses numbers as doubles reads them exactly
+        code, text = run(tmp_path, "verify", "junod-lemma", "--primes",
+                         "9007199254740997", "--trials", "2", "--mutate", "0:1",
+                         "--threads", "1")
+        assert code == 1
+        report = json.loads(text, parse_int=float)  # what a JavaScript reader sees
+        assert report["params"]["p"] == "9007199254740997"
+        (violation,) = report["violations"]
+        m, modulus = violation["instance"]["m"], violation["required_modulus"]
+        assert (m, modulus) == ("81064793292668973", "729583139634020757")
+        assert int(modulus) == int(m) * int(violation["instance"]["n"])
+
     def test_wilson_sharpness(self, tmp_path):
         code, text = run(
             tmp_path, "verify", "wilson-sharpness", "--primes", "3", "--n-max", "3"
@@ -668,6 +682,39 @@ class TestTrialSlices:
                 assert violation["instance"]["trial"] == trial
                 modulus = violation["required_modulus"]
                 assert reports(f"{trial}:{modulus}")[i]["violations"] == []
+
+    @pytest.mark.parametrize("threads, slices", [("1", 1), ("3", 6)])
+    def test_residues_decide_at_the_trials_own_valuation(self, monkeypatch,
+                                                         threads, slices):
+        # a trial is decided mod q = p^e, e = vp(m*n) at each prime: a delta
+        # of p^e holds there and a delta of p^(e-1) is flagged, so a q one
+        # power too small or too large fails; the slices run in-process
+        monkeypatch.setattr(cli, "_run_forked",
+                            lambda runs, labels, workers: [run() for run in runs])
+        primes = (3, 5, 7)
+        argv = ["junod-lemma", "--primes", "3,5,7", "--trials", "12", "--seed",
+                "4", "--threads", threads]
+
+        def violations(mutate):
+            spec = verify_spec([*argv, "--mutate", mutate])
+            jobs = build_all_tasks(spec)
+            assert len(jobs) == slices
+            out = io.StringIO()
+            cli.run_verify(spec, jobs, out)
+            return [json.loads(line)["violations"] for line in out.getvalue().splitlines()]
+
+        seen = set()
+        for trial in range(12):
+            for p, (violation,) in zip(primes, violations(f"{trial}:1")):
+                e = violation["required_vp"]
+                assert e >= 1 and violation["instance"]["trial"] == trial
+                seen.add(e)
+                at = primes.index(p)
+                assert violations(f"{trial}:{p**e}")[at] == []
+                (flagged,) = violations(f"{trial}:{p**(e - 1)}")[at]
+                assert flagged["instance"]["trial"] == trial
+                assert flagged["observed_vp"] == e - 1
+        assert max(seen) >= 3
 
     def test_timing_sums_the_slices(self, tmp_path, monkeypatch):
         # every job takes one second, so a report takes one per slice

@@ -1,3 +1,4 @@
+import json
 import math
 import pickle
 
@@ -187,6 +188,25 @@ class TestJunodLemma:
                     for whole, later in zip(joined, part):
                         whole.extend(later)
             assert [r.to_json() for r in joined] == [r.to_json() for r in alone]
+
+    def test_only_a_failing_trial_builds_exact_witnesses(self, monkeypatch):
+        # residues mod p^vp(m*n) decide a trial; the exact compare runs only
+        # for a trial that fails, once at each prime
+        ctxs = [PadicContext(p) for p in (3, 5, 7, 11)]
+        calls = []
+        witnesses = cg.congruence_witnesses
+        monkeypatch.setattr(
+            cg, "congruence_witnesses",
+            lambda a, b, m, ctx: calls.append(ctx.p) or witnesses(a, b, m, ctx),
+        )
+        reports = cg.junod_lemma_trials(0, 60, 60, 2, ctxs)
+        assert calls == [] and all(r.passed for r in reports)
+        for index in (0, 17, 59):
+            calls.clear()
+            reports = cg.junod_lemma_trials(0, 60, 60, 2, ctxs, (index, 1))
+            assert calls == [3, 5, 7, 11]
+            assert [[v["instance"]["trial"] for v in r.violations]
+                    for r in reports] == [[index]] * 4
 
     def test_a_slice_replays_the_draws_before_it(self, ctx3):
         whole = cg.check_junod_lemma(30, 5, ctx3, (20, 1))
@@ -689,6 +709,22 @@ class TestReportShape:
             "observed_vp",
             "required_vp",
         }
+
+    def test_integers_past_2_to_the_53_are_strings(self, ctx3):
+        # a JSON reader that parses numbers as doubles rounds 2**53 + 1, so
+        # past 2**53 params, the seed, required_modulus and an instance's
+        # integer fields are written as decimal strings, as a difference is
+        big, edge = 2**53 + 1, -(2**53)
+        for n, shown in ((big, str(big)), (edge, edge)):
+            report = CongruenceReport("x", {"p": 3, "n": n}, seed=n)
+            report.add_violation({"m": n, "e": [1, 2], "form": "signed"}, 1, n,
+                                 ctx3, 1)
+            obj = json.loads(report.to_json())
+            assert obj["params"]["n"] == obj["seed"] == shown
+            assert obj["violations"] == [{
+                "instance": {"m": shown, "e": [1, 2], "form": "signed"},
+                "difference": "1", "required_modulus": shown,
+                "observed_vp": 0, "required_vp": 1}]
 
     def test_text_mode(self, ctx3):
         report = cg.check_prop_coeff(2, ctx3)

@@ -309,6 +309,109 @@ class TestPower:
         assert polyring._multinomial_power(base.terms, 2) == square.terms
 
 
+def reduced_oracle(power: MultiPoly, q: int) -> MultiPoly:
+    """power with each coefficient reduced into [0, q), zeros dropped."""
+    return MultiPoly({e: c % q for e, c in power.sorted_terms()})
+
+
+moduli = st.one_of(
+    st.sampled_from([1, 2, 9, 12, 125, 3**40]),
+    st.integers(min_value=1, max_value=10**6),
+)
+
+
+class TestModularPower:
+    """pow(P, n, q) is P**n with every coefficient reduced into [0, q)."""
+
+    @staticmethod
+    def check(base, n, q):
+        power = pow(base, n, q)
+        assert power == reduced_oracle(power_oracle(base, n), q)
+        assert all(0 < c < q for c in power.terms.values())
+
+    @settings(max_examples=120, deadline=None)
+    @given(pow_bases, st.integers(min_value=0, max_value=12), moduli)
+    def test_matches_the_reduced_power(self, base, n, q):
+        self.check(base, n, q)
+
+    @settings(max_examples=60, deadline=None)
+    @given(pow_bases.filter(lambda b: len(b) >= 2),
+           st.integers(min_value=2, max_value=10), moduli)
+    def test_expansion_path(self, base, n, q):
+        # the expansion, forced by pricing squaring out, reduces as it walks
+        calls = []
+        expand = polyring._multinomial_power
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(polyring, "_squaring_pairs", lambda terms, n: float("inf"))
+            mp.setattr(
+                polyring, "_multinomial_power",
+                lambda terms, n, *mod: calls.append(mod) or expand(terms, n, *mod),
+            )
+            self.check(base, n, q)
+        reduced = reduced_oracle(base, q)
+        assert calls == ([(q,)] if len(reduced) >= 2 else [])
+
+    @settings(max_examples=60, deadline=None)
+    @given(pow_bases, st.integers(min_value=2, max_value=10), moduli)
+    def test_squaring_path(self, base, n, q):
+        # squaring, forced by pricing the expansion out, reduces each product
+        def refuse(terms, n, *mod):
+            raise AssertionError("the expansion was priced out")
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(polyring, "_multinomial_power", refuse)
+            mp.setattr(polyring, "_expansion_steps", lambda s, n: float("inf"))
+            self.check(base, n, q)
+
+    def test_both_paths_at_fixed_points(self, monkeypatch):
+        # a sparse base is expanded and a dense one squared, as over Z
+        sparse = 3 * X1**2 * X3 - 7 * X2 + 5 * X1 * X2 * X3**2 + 1
+        dense = sum((i + 1) * X1**i for i in range(11))
+        expanded = []
+        expand = polyring._multinomial_power
+        monkeypatch.setattr(
+            polyring, "_multinomial_power",
+            lambda terms, n, *mod: expanded.append(len(terms))
+            or expand(terms, n, *mod),
+        )
+        for q in (1, 7, 36, 10**30):
+            self.check(sparse, 12, q)
+            self.check(dense, 12, q)
+        # q = 1 reduces every base to 0, and q = 7 drops the sparse -7 X2
+        assert expanded == [3, 4, 4]
+
+    def test_negative_and_single_term_bases(self):
+        for q in (1, 2, 6, 27, 1000):
+            for base in (-X1, -3 * X1 * X2**2, X1 - 5 * X2, -(X1 + X2 + X3) * 4,
+                         MultiPoly.constant(-7), MultiPoly.zero()):
+                for n in range(6):
+                    self.check(base, n, q)
+        assert pow(-2 * X1, 3, 8) == MultiPoly.zero()  # -8 X1^3 = 0 mod 8
+        assert pow(-2 * X1, 3, 9) == X1**3  # -8 = 1 mod 9
+
+    def test_exponents_zero_and_one_reduce(self):
+        base = -4 * X1 + 9 * X2 - 1
+        assert pow(base, 0, 5) == MultiPoly.one()
+        assert pow(base, 0, 1) == MultiPoly.zero()
+        assert pow(base, 1, 3) == 2 * X1 + 2
+        assert pow(base, 1, 1) == MultiPoly.zero()
+        assert pow(base, 1, 10**9) == reduced_oracle(base, 10**9)
+
+    def test_composite_modulus(self):
+        # mod 12 the residues mod 4 and mod 3 both survive
+        base = X1 + 2 * X2 + 3 * X3
+        for n in range(1, 9):
+            power = pow(base, n, 12)
+            assert pow(power, 1, 4) == pow(base, n, 4)
+            assert pow(power, 1, 3) == pow(base, n, 3)
+            self.check(base, n, 12)
+
+    @pytest.mark.parametrize("q", [0, -1, -12, 2.0, "3"])
+    def test_a_modulus_that_is_not_a_positive_int_is_refused(self, q):
+        with pytest.raises(ValueError, match="modulus"):
+            pow(X1 + 1, 3, q)
+
+
 class TestPackedLimits:
     def test_degree_limit_is_exact(self):
         top = X1**MAX_DEGREE
