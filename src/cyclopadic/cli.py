@@ -75,8 +75,8 @@ MAX_CYCLE_INDEX_TERMS = 100_000
 # one instance takes 0.3 to 11 s for p = 3 to 7 on a 2-core VM, like C_45
 # above. The acceptance module lifts binomials to n = 200, and the CLI tests
 # stay under 500. junod-lemma's trials are not bounded: their memory does not
-# grow with them, and on a 2-core VM 1000 of them take 0.13 s at one prime
-# and 0.22 s at p = 3, 5, 7.
+# grow with them. On a 2-core VM 1000 of them take 0.09 s at one prime, and
+# 0.14 s at p = 3, 5, 7 serially or 0.11 s with 2 workers (see the README).
 MAX_SCALAR_SIZE = 1000
 
 # `verify` refuses a grid in which a Meixner checker builds a Q_d of degree d
@@ -220,10 +220,10 @@ def build_all_tasks(spec: Namespace) -> list:
 
     A task is one job: keys holds its sort key (checker, p, n, r), which is
     also its label, and thunk() returns its report. A row whose grid is
-    "trials" runs as 2 * ``threads`` slices of its trials if the run forks,
-    else one, each returning a report per prime of keys. The tasks come in
-    key order, as the table is in report order, and the slices last: the
-    pool hands out jobs from the last, so it starts the largest first.
+    "trials" runs as one slice of its trials per worker (one if the run
+    does not fork), each returning a report per prime of keys. The tasks
+    come in key order, as the table is in report order, and the slices last:
+    the pool hands out jobs from the last, so it starts the largest first.
 
     A grid with an entry of ``primes`` that is not prime, with p = 2 but not
     ``allow_p2``, or over a size limit, and a grid that holds no task, raise
@@ -247,7 +247,7 @@ def build_all_tasks(spec: Namespace) -> list:
             keys = [(row.name, p, 0, 0) for p in primes]
             ctxs = [PadicContext(p) for p in primes]
             trials = spec.trials
-            count = max(1, min(2 * spec.threads if spec.threads > 1 else 1, trials))
+            count = max(1, min(spec.threads, trials))
             for part in range(count if primes else 0):
                 start, stop = trials * part // count, trials * (part + 1) // count
                 thunk = partial(fn, start, stop, trials, spec.seed, ctxs,

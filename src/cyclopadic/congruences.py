@@ -27,6 +27,7 @@ mutated, is the one a visit of all p(N) classes gives.
 from __future__ import annotations
 
 import random
+from math import prod
 from typing import Optional, Tuple
 
 from .cycle_index import (
@@ -263,20 +264,26 @@ def check_remark1(
     return report
 
 
-def _random_terms(rng: random.Random) -> dict:
-    terms = {}
-    for _ in range(rng.randint(1, 3)):
-        e = tuple(rng.randint(0, 2) for _ in range(rng.randint(1, 3)))
-        terms[e] = terms.get(e, 0) + rng.randint(-5, 5)
-    return terms
+def _randint(bits, lo: int, hi: int) -> int:
+    """``rng.randint(lo, hi)`` for bits = rng.getrandbits, by randint's own
+    rule: bits of the width's bit length, drawn again while not below it."""
+    width = hi - lo + 1
+    while (r := bits(width.bit_length())) >= width:
+        pass
+    return lo + r
 
 
 def _junod_draws(rng: random.Random) -> tuple:
     """One trial's draws, the same at every p: the terms of a and gamma, the
     k of m = p*k and the exponent n. Replaying a slice's earlier trials and
     running its own both draw through here, so the stream cannot drift."""
-    alpha, gamma = _random_terms(rng), _random_terms(rng)
-    return alpha, gamma, rng.randint(1, 20), rng.randint(1, 12)
+    bits = rng.getrandbits
+    alpha, gamma = {}, {}
+    for terms in (alpha, gamma):  # 1 to 3 terms in up to 3 variables
+        for _ in range(_randint(bits, 1, 3)):
+            e = tuple(_randint(bits, 0, 2) for _ in range(_randint(bits, 1, 3)))
+            terms[e] = terms.get(e, 0) + _randint(bits, -5, 5)
+    return alpha, gamma, _randint(bits, 1, 20), _randint(bits, 1, 12)
 
 
 def junod_lemma_trials(
@@ -290,16 +297,15 @@ def junod_lemma_trials(
     """Trials start..stop-1 of the randomized lemma test of ``trials``, at
     every prime of ctxs: one report per prime, in the order of ctxs.
 
-    A trial draws a, gamma, k and n once, builds a^n once, and at each p
-    compares a^n with b^n for b = a + m*gamma, m = p*k, mod m*n. Two
-    polynomials over Z agree mod m*n*Z_p exactly when their residues mod
-    q = p^vp(m*n) agree, so b^n is built in Z/q (``pow(b, n, q)``), and
-    over Z only for a trial that fails, whose witness reads the exact
-    difference. The seed's stream is first advanced through the draws of
-    trials 0..start-1, building no polynomial. ``mutation`` and the violations name a trial by its number
-    in the whole run; each report counts the slice's trials from 0. The
-    reports of consecutive slices, joined by ``CongruenceReport.extend``, are
-    the reports of the trials they cover.
+    A trial draws a, gamma, k and n once, and at each p compares a^n with
+    b^n, b = a + m*gamma and m = p*k, mod m*n, which their residues mod q_p
+    = p^vp(m*n) decide. The q_p are pairwise coprime, so for Q their product
+    and M = m (mod q_p) at each p, one ``pow(a, n, Q) == pow(a + M*gamma, n,
+    Q)`` decides every prime. Only a trial that fails it or that the
+    mutation names builds a^n and each b^n over Z, for the exact witness. A
+    slice first replays the draws of trials 0..start-1; ``mutation`` and the
+    violations number trials in the whole run, and consecutive slices'
+    reports, joined by ``CongruenceReport.extend``, are their trials'.
     """
     rng = random.Random(seed)
     for _ in range(start):
@@ -315,19 +321,22 @@ def junod_lemma_trials(
     for trial in range(start, stop):
         alpha_terms, gamma_terms, k, n = _junod_draws(rng)
         alpha, gamma = MultiPoly(alpha_terms), MultiPoly(gamma_terms)
+        hits = [report.count(1) for report in reports]
+        qs = {ctx.p: ctx.p ** ctx.vp(ctx.p * k * n) for ctx in ctxs}  # all coprime
+        big_q = prod(qs.values())  # big_m = p*k mod each q (CRT, TAOCP 2, 4.3.2)
+        big_m = sum(p * k * pow(big_q // q, -1, q) * (big_q // q)
+                    for p, q in qs.items())
+        beta = alpha + big_m * gamma  # each b = a + p*k*gamma, mod its q_p
+        if not any(hits) and pow(alpha, n, big_q) == pow(beta, n, big_q):
+            continue
         power = alpha**n
-        for ctx, report in zip(ctxs, reports):
+        for ctx, report, hit in zip(ctxs, reports, hits):
             m = ctx.p * k
-            modulus = m * n
-            q = ctx.p ** ctx.vp(modulus)
-            lhs = _perturb(power, power, report.count(1))
-            beta = alpha + m * gamma
-            if pow(lhs, 1, q) == pow(beta, n, q):
-                continue
-            place, c, req = congruence_witnesses(lhs, beta**n, modulus, ctx)[0]
-            report.add_violation(
-                dict(place, trial=trial, m=m, n=n), c, modulus, ctx, req
-            )
+            bad = congruence_witnesses(_perturb(power, power, hit),
+                                       (alpha + m * gamma) ** n, m * n, ctx)
+            for place, c, req in bad[:1]:
+                report.add_violation(dict(place, trial=trial, m=m, n=n), c, m * n,
+                                     ctx, req)
     return reports
 
 

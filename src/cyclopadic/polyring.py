@@ -17,13 +17,14 @@ Two representations:
   expansion is taken when its steps (compositions plus prefixes) number at
   most half the term pairs squaring would form, bounded by the sizes of the
   partial powers P^j: at most C(j+s-1, s-1) terms, and at most
-  prod (j e_i + 1) for e_i the top exponent of X_i. So few-term sparse
-  bases are expanded from about n = 4 on, while dense bases and many-term
-  bases at small n are squared. Python's three-argument ``pow(P, n, q)``
-  gives P^n in Z/q: P is reduced into [0, q), the same choice is made for
-  the reduced base, and both kernels reduce as they go, the expansion its
-  tables and prefix coefficients (a prefix that is 0 mod q is dropped) and
-  squaring each product. Every coefficient of the result lies in [0, q).
+  prod (j e_i + 1) for e_i the top exponent of X_i. The choice reads only
+  s, n and the e_i, and is memoized by them. Few-term sparse bases are
+  expanded from about n = 4 on, dense and many-term bases at small n are
+  squared. Python's three-argument ``pow(P, n, q)`` gives P^n in Z/q: P is
+  reduced into [0, q), the same choice is made for the reduced base, and
+  both kernels reduce as they go, the expansion its tables and prefix
+  coefficients (a prefix that is 0 mod q is dropped) and squaring each
+  product. Every coefficient of the result lies in [0, q).
 * :class:`UniPoly` -- dense univariate polynomials, coefficient list
   indexed by degree.
 
@@ -36,6 +37,8 @@ from __future__ import annotations
 
 import json
 from codecs import utf_16_le_decode
+from functools import lru_cache
+from itertools import zip_longest
 from math import comb
 from typing import Iterable, Iterator, Mapping, Optional, Union
 
@@ -182,25 +185,15 @@ def _multinomial_power(terms: dict, n: int, q: Optional[int] = None) -> dict:
     return out
 
 
-def _expansion_steps(s: int, n: int) -> int:
-    """Updates plus stack entries of _multinomial_power for an s-term P^n."""
-    return comb(n + s - 1, s - 1) + comb(n + s - 2, s - 2)
+def _tops(terms: dict) -> tuple:
+    """The largest exponent of each X_i in the keys of terms, X_1 first."""
+    return tuple(map(max, zip_longest(*map(_unpack, terms), fillvalue=0)))
 
 
-def _squaring_pairs(terms: dict, n: int) -> int:
-    """A bound on the term pairs square-and-multiply forms for P^n.
-
-    P^j has at most C(j+s-1, s-1) terms, one per composition of j, and at
-    most prod (j e_i + 1), e_i the largest exponent of X_i in P.
-    """
-    s = len(terms)
-    tops: list = []
-    for key in terms:
-        for i, x in enumerate(_unpack(key)):
-            if i == len(tops):
-                tops.append(x)
-            elif x > tops[i]:
-                tops[i] = x
+def _squaring_pairs(s: int, tops: tuple, n: int) -> int:
+    """A bound on the term pairs square-and-multiply forms for P^n, P of s
+    terms and top exponents tops: P^j has at most C(j+s-1, s-1) terms, one
+    per composition of j, and at most prod (j e_i + 1)."""
 
     def size(j: int) -> int:
         box = 1
@@ -218,6 +211,16 @@ def _squaring_pairs(terms: dict, n: int) -> int:
             pairs += size(j) ** 2
             j *= 2
     return pairs
+
+
+@lru_cache(maxsize=4096)
+def _expands(s: int, n: int, tops: tuple) -> bool:
+    """True if __pow__ expands P^n, P of s terms and top exponents tops, and
+    False if it squares: the expansion's steps cost about 1.4 term pairs each
+    (median over sparse, dense and cycle-indicator bases of 3 to 150 terms),
+    and the pairs are only an upper bound, so it must win by 2."""
+    steps = comb(n + s - 1, s - 1) + comb(n + s - 2, s - 2)
+    return 2 * steps <= _squaring_pairs(s, tops, n)
 
 
 def _square_and_multiply(base, n: int, one, mul):
@@ -436,11 +439,7 @@ class MultiPoly:
             (key, c), = terms.items()
             c = pow(c, n, *mod)
             return MultiPoly({n * key: c} if c else {}, _raw=True)
-        # a step of the expansion costs about 1.4 term pairs of a product
-        # (median over sparse, dense and cycle-indicator bases of 3 to 150
-        # terms); the pairs are only bounded from above, and a base whose
-        # products collide forms fewer, so the expansion must win by 2
-        if 2 * _expansion_steps(s, n) <= _squaring_pairs(terms, n):
+        if _expands(s, n, _tops(terms)):
             return MultiPoly(_multinomial_power(terms, n, *mod), _raw=True)
         return MultiPoly(
             _square_and_multiply(terms, n, {0: 1},
@@ -594,25 +593,17 @@ class UniPoly:
 
 def substitute_univariate(a: MultiPoly, images: Mapping[int, UniPoly]) -> UniPoly:
     """Evaluate a at X_i := images[i] (1-based), yielding a univariate polynomial."""
-    power_cache: dict = {}
-
-    def img_pow(i: int, e: int) -> UniPoly:
-        key = (i, e)
-        got = power_cache.get(key)
-        if got is None:
-            got = images[i] ** e
-            power_cache[key] = got
-        return got
-
+    powers: dict = {}  # (i, e) -> images[i] ** e
     total = UniPoly()
     for key, c in a.terms.items():
-        exps = _unpack(key)
         prod = UniPoly.constant(c)
-        for i, e in enumerate(exps, start=1):
+        for i, e in enumerate(_unpack(key), start=1):
             if e:
                 if i not in images:
                     raise ValueError(f"no image for variable X_{i}")
-                prod = prod * img_pow(i, e)
+                if (i, e) not in powers:
+                    powers[i, e] = images[i] ** e
+                prod = prod * powers[i, e]
                 if prod.is_zero():
                     break
         total = total + prod

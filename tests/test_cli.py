@@ -577,7 +577,7 @@ def test_failed_write_is_a_usage_error(argv):
 
 @pytest.mark.usefixtures("cpus")
 class TestTrialSlices:
-    """junod-lemma runs as trial slices, each at every prime, two per worker."""
+    """junod-lemma runs as trial slices, each at every prime, one per worker."""
 
     PRIMES = ["--primes", "3,5,7"]
 
@@ -585,14 +585,15 @@ class TestTrialSlices:
         (0, ["0:1"]),
         (1, ["0:1", "1:1"]),
         (7, ["0:1", "3:1", "6:1", "7:1"]),
-        (1001, ["0:1", "250:1", "500:1", "1000:1", "1001:1"]),
+        (1001, ["0:1", "333:1", "500:1", "667:1", "1000:1", "1001:1"]),
     ])
     def test_reports_do_not_depend_on_the_thread_count(
         self, tmp_path, monkeypatch, trials, mutations
     ):
         # at 1001 trials every exponent n is 1, to keep the test short; the
-        # draws are those of the seed. 250 opens the second slice at 2
-        # workers, 500 the third, and 1000 is the last trial
+        # draws are those of the seed. 500 opens the second slice at 2
+        # workers, 333 and 667 the second and third at 3, and 1000 is the
+        # last trial
         if trials > 100:
             draws = congruences._junod_draws
 
@@ -620,10 +621,12 @@ class TestTrialSlices:
 
     def test_slices_join_in_trial_order(self, tmp_path, monkeypatch):
         # a lemma that fails at every trial: each report lists every trial,
-        # in order, however many slices ran it and in whatever order they ended
-        perturb = congruences._perturb
-        monkeypatch.setattr(congruences, "_perturb",
-                            lambda poly, like, hit: perturb(poly, like, (0, 1)))
+        # in order, however many slices ran it and in whatever order they ended.
+        # Every trial is named by a mutation of delta 1, which no q_p divides,
+        # so none takes the combined compare and each fails at every prime
+        count = CongruenceReport.count
+        monkeypatch.setattr(CongruenceReport, "count",
+                            lambda report, k: count(report, k) or (0, 1))
         outputs = set()
         for threads in ("1", "2", "3"):
             code, text = run(tmp_path, "verify", "junod-lemma", *self.PRIMES,
@@ -637,11 +640,11 @@ class TestTrialSlices:
         assert_no_children()
 
     def test_slices_of_every_prime_share_the_jobs(self, monkeypatch):
-        # 2 * threads slices when the run forks, one where it cannot
+        # one slice per worker when the run forks, one where it cannot
         argv = ["all", "--primes", "3,5,7", "--n-max", "1", "--degree-cap", "6",
                 "--trials", "10", "--threads"]
         shared = [("junod-lemma", p, 0, 0) for p in (3, 5, 7)]
-        for threads, count in (("1", 1), ("2", 4), ("3", 6), ("10", 10)):
+        for threads, count in (("1", 1), ("2", 2), ("3", 3), ("10", 10)):
             jobs = build_all_tasks(verify_spec([*argv, threads]))
             tasks = {key for _, keys, _ in jobs for key in keys}
             assert len(jobs) == len(tasks) - 3 + count
@@ -657,7 +660,7 @@ class TestTrialSlices:
         assert [label for label, _, _ in build_all_tasks(spec)
                 if label[0] == "junod-lemma"] == [("junod-lemma", "trials 0..9")]
 
-    @pytest.mark.parametrize("threads, slices", [("1", 1), ("3", 6)])
+    @pytest.mark.parametrize("threads, slices", [("1", 1), ("3", 3)])
     def test_every_trial_is_mutated_in_its_slice(self, monkeypatch, threads,
                                                  slices):
         # the whole-run index of each trial, in whichever slice holds it, is
@@ -683,7 +686,7 @@ class TestTrialSlices:
                 modulus = violation["required_modulus"]
                 assert reports(f"{trial}:{modulus}")[i]["violations"] == []
 
-    @pytest.mark.parametrize("threads, slices", [("1", 1), ("3", 6)])
+    @pytest.mark.parametrize("threads, slices", [("1", 1), ("3", 3)])
     def test_residues_decide_at_the_trials_own_valuation(self, monkeypatch,
                                                          threads, slices):
         # a trial is decided mod q = p^e, e = vp(m*n) at each prime: a delta
@@ -720,7 +723,7 @@ class TestTrialSlices:
         # every job takes one second, so a report takes one per slice
         clock = iter(range(10**6))
         monkeypatch.setattr(cli.time, "monotonic", lambda: next(clock))
-        for threads, slices in (("1", 1), ("2", 4), ("3", 6)):
+        for threads, slices in (("1", 1), ("2", 2), ("3", 3)):
             code, text = run(tmp_path, "verify", "all", "--primes", "3,5",
                              "--n-max", "1", "--degree-cap", "6", "--trials", "20",
                              "--timing", "--threads", threads)
@@ -777,7 +780,7 @@ def test_threads_are_capped_at_the_cpu_count(monkeypatch):
     argv = ["junod-lemma", "--primes", "3", "--trials", "20", "--threads"]
     for threads in ("2", "16"):
         spec = verify_spec([*argv, threads])
-        assert spec.threads == 2 and len(build_all_tasks(spec)) == 4
+        assert spec.threads == 2 and len(build_all_tasks(spec)) == 2
     monkeypatch.setattr(os, "cpu_count", lambda: None)
     assert verify_spec([*argv, "16"]).threads == 1
 

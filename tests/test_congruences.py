@@ -1,6 +1,7 @@
 import json
 import math
 import pickle
+import random
 
 import pytest
 
@@ -207,6 +208,86 @@ class TestJunodLemma:
             assert calls == [3, 5, 7, 11]
             assert [[v["instance"]["trial"] for v in r.violations]
                     for r in reports] == [[index]] * 4
+
+    @pytest.mark.parametrize("start", [0, 9])
+    def test_a_delta_that_some_q_p_divide_holds_at_those_p_alone(self, start):
+        # a mutated trial skips the one compare mod Q = q_3 q_5 q_7 and is
+        # decided prime by prime: a delta that is a multiple of some q_p's
+        # holds at exactly those p, in a slice that starts later too
+        primes = (3, 5, 7)
+        ctxs = [PadicContext(p) for p in primes]
+        rng = random.Random(11)
+        for trial in range(24):
+            _, _, k, n = cg._junod_draws(rng)
+            if trial < start:
+                continue
+            q = {p: p ** ctx.vp(p * k * n) for p, ctx in zip(primes, ctxs)}
+            for held in [(3,), (5,), (7,), (3, 5), (3, 5, 7)]:
+                delta = math.prod(q[p] for p in held)
+                reports = cg.junod_lemma_trials(start, 24, 24, 11, ctxs,
+                                                (trial, delta))
+                for p, report in zip(primes, reports):
+                    assert report.instances == 24 - start
+                    flagged = [v["instance"]["trial"] for v in report.violations]
+                    assert flagged == ([] if p in held else [trial])
+
+    def test_the_combined_compare_fails_at_one_prime(self):
+        # a context that asks one more power of 5 than the lemma gives makes
+        # real failures at 5 alone; the one compare mod Q must send exactly
+        # the trials whose exact a^n - b^n misses 5^(e+1) to the reports
+        class Stricter(PadicContext):
+            def vp(self, x):
+                return super().vp(x) + 1
+
+        ctxs = [PadicContext(3), Stricter(5), PadicContext(7)]
+        reports = cg.junod_lemma_trials(0, 40, 40, 6, ctxs)
+        five = PadicContext(5)
+        rng, expected = random.Random(6), []
+        for trial in range(40):
+            alpha_terms, gamma_terms, k, n = cg._junod_draws(rng)
+            alpha = MultiPoly(alpha_terms)
+            diff = alpha**n - (alpha + 5 * k * MultiPoly(gamma_terms)) ** n
+            if any(five.vp(c) <= five.vp(5 * k * n) for c in diff.terms.values()):
+                expected.append(trial)
+        assert 0 < len(expected) < 40
+        assert reports[0].passed and reports[2].passed
+        assert [v["instance"]["trial"] for v in reports[1].violations] == expected
+
+    def test_draws_follow_randint(self):
+        # the getrandbits draw is randint's, and leaves the stream where
+        # randint does: every width _junod_draws uses, 1 and powers of 2
+        ranges = [(1, 3), (0, 2), (-5, 5), (1, 20), (1, 12), (4, 4), (0, 0),
+                  (0, 1), (-2, 1), (1, 8), (-8, 7), (0, 1023), (3, 2**40 + 2)]
+        for seed in range(250):
+            ours, theirs = random.Random(seed), random.Random(seed)
+            for lo, hi in ranges * 3:
+                assert cg._randint(ours.getrandbits, lo, hi) == theirs.randint(lo, hi)
+            assert ours.getstate() == theirs.getstate()
+
+    def test_trial_draws_are_the_randint_stream(self):
+        def randint_draws(rng):
+            polys = []
+            for _ in range(2):
+                terms = {}
+                for _ in range(rng.randint(1, 3)):
+                    e = tuple(rng.randint(0, 2) for _ in range(rng.randint(1, 3)))
+                    terms[e] = terms.get(e, 0) + rng.randint(-5, 5)
+                polys.append(terms)
+            return (*polys, rng.randint(1, 20), rng.randint(1, 12))
+
+        for seed in range(200):
+            ours, theirs = random.Random(seed), random.Random(seed)
+            for _ in range(5):
+                assert cg._junod_draws(ours) == randint_draws(theirs)
+            assert ours.getstate() == theirs.getstate()
+
+    def test_a_prime_given_twice_gets_two_equal_reports(self, ctx3):
+        # the one compare takes each prime's q once; pairwise coprime q_p
+        # are what the Chinese remainder theorem needs
+        for mutation in (None, (7, 1)):
+            alone = cg.check_junod_lemma(20, 1, ctx3, mutation)
+            twice = cg.junod_lemma_trials(0, 20, 20, 1, [ctx3, ctx3], mutation)
+            assert [r.to_json() for r in twice] == [alone.to_json()] * 2
 
     def test_a_slice_replays_the_draws_before_it(self, ctx3):
         whole = cg.check_junod_lemma(30, 5, ctx3, (20, 1))

@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -275,16 +276,15 @@ class TestPower:
     ):
         # dense univariate and collision-free sparse bases: the bound is the
         # number of term pairs the squaring loop forms
-        assert polyring._squaring_pairs(base.terms, n) == pairs
+        terms = base.terms
+        assert polyring._squaring_pairs(len(terms), polyring._tops(terms), n) == pairs
         formed = []
         mul = polyring._mul_terms
         monkeypatch.setattr(
             polyring, "_mul_terms",
             lambda a, b: formed.append(len(a) * len(b)) or mul(a, b),
         )
-        monkeypatch.setattr(
-            polyring, "_expansion_steps", lambda s, n: float("inf")
-        )
+        monkeypatch.setattr(polyring, "_expands", lambda s, n, tops: False)
         power = base**n
         assert sum(formed) == pairs
         assert power == power_oracle(base, n)
@@ -307,6 +307,70 @@ class TestPower:
         assert square.coefficient((2, 2)) == 0
         assert all(square.terms.values()) and len(square) == 4
         assert polyring._multinomial_power(base.terms, 2) == square.terms
+
+
+def choice_rule(base: MultiPoly, n: int) -> bool:
+    """__pow__'s kernel rule, unmemoized, with the top exponents read from
+    the public exponent view: True for the expansion, False for squaring."""
+    exps = [e for e, _ in base.sorted_terms()]
+    tops = tuple(max(e[i] if i < len(e) else 0 for e in exps)
+                 for i in range(max(map(len, exps))))
+    s = len(base)
+    steps = math.comb(n + s - 1, s - 1) + math.comb(n + s - 2, s - 2)
+    return 2 * steps <= polyring._squaring_pairs(s, tops, n)
+
+
+# the fixed bases of TestPower and TestModularPower
+CHOICE_BASES = [
+    3 * X1**2 * X3 - 7 * X2 + 5 * X1 * X2 * X3**2 + 1,
+    sum((i + 1) * X1**i for i in range(11)),
+    X1 + 2 * X2 - X3,
+    X1**2 - 2 * X2**2 + 2 * X1 * X2,
+    -4 * X1 + 9 * X2 - 1,
+    X1 - 5 * X2,
+    -(X1 + X2 + X3) * 4,
+    X1 + 2 * X2 + 3 * X3,
+]
+
+
+class TestKernelChoice:
+    """__pow__ reads its kernel from a memo keyed by (s, n, top exponents)."""
+
+    @staticmethod
+    def check(base, n):
+        expected = choice_rule(base, n)
+        key = (len(base), n, polyring._tops(base.terms))
+        assert polyring._expands(*key) == expected
+        hits = polyring._expands.cache_info().hits
+        assert polyring._expands(*key) == expected  # now from the memo
+        assert polyring._expands.cache_info().hits == hits + 1
+
+    @pytest.mark.parametrize("base", CHOICE_BASES)
+    def test_memo_matches_the_rule_on_the_fixed_bases(self, base):
+        polyring._expands.cache_clear()
+        for n in range(2, 13):
+            self.check(base, n)
+        self.check(cycle_indicator(22), 2)
+
+    @settings(max_examples=120, deadline=None)
+    @given(pow_bases.filter(lambda b: len(b) >= 2),
+           st.integers(min_value=2, max_value=12))
+    def test_memo_matches_the_rule(self, base, n):
+        self.check(base, n)
+
+    def test_power_follows_the_choice(self, monkeypatch):
+        # the expansion runs exactly where the rule picks it
+        expand = polyring._multinomial_power
+        calls = []
+        monkeypatch.setattr(
+            polyring, "_multinomial_power",
+            lambda terms, n, *mod: calls.append(n) or expand(terms, n, *mod),
+        )
+        for base in CHOICE_BASES:
+            for n in range(2, 13):
+                calls.clear()
+                assert base**n == power_oracle(base, n)
+                assert calls == ([n] if choice_rule(base, n) else [])
 
 
 def reduced_oracle(power: MultiPoly, q: int) -> MultiPoly:
@@ -338,11 +402,12 @@ class TestModularPower:
     @given(pow_bases.filter(lambda b: len(b) >= 2),
            st.integers(min_value=2, max_value=10), moduli)
     def test_expansion_path(self, base, n, q):
-        # the expansion, forced by pricing squaring out, reduces as it walks
+        # the expansion, forced by patching the kernel choice (a memoized
+        # choice would not see a patched cost), reduces as it walks
         calls = []
         expand = polyring._multinomial_power
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(polyring, "_squaring_pairs", lambda terms, n: float("inf"))
+            mp.setattr(polyring, "_expands", lambda s, n, tops: True)
             mp.setattr(
                 polyring, "_multinomial_power",
                 lambda terms, n, *mod: calls.append(mod) or expand(terms, n, *mod),
@@ -354,13 +419,13 @@ class TestModularPower:
     @settings(max_examples=60, deadline=None)
     @given(pow_bases, st.integers(min_value=2, max_value=10), moduli)
     def test_squaring_path(self, base, n, q):
-        # squaring, forced by pricing the expansion out, reduces each product
+        # squaring, forced by patching the kernel choice, reduces each product
         def refuse(terms, n, *mod):
-            raise AssertionError("the expansion was priced out")
+            raise AssertionError("the kernel choice forced squaring")
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(polyring, "_multinomial_power", refuse)
-            mp.setattr(polyring, "_expansion_steps", lambda s, n: float("inf"))
+            mp.setattr(polyring, "_expands", lambda s, n, tops: False)
             self.check(base, n, q)
 
     def test_both_paths_at_fixed_points(self, monkeypatch):
