@@ -82,10 +82,10 @@ MAX_SCALAR_SIZE = 1000
 # `verify` refuses a grid in which a Meixner checker builds a Q_d of degree d
 # over this: corollary2 and meixner-qstar-q build degree np, meixner-qp degree
 # p, and `compute meixner-q N` or `meixner-qstar N` refuses N over it. The
-# Meixner cache grows one degree at a time, to the largest degree asked
-# for; on a 2-core VM Q_0..Q_200 take 0.45 s, Q_0..Q_300 2.0 s and Q_0..Q_400
-# 5.4 s. `verify corollary2 --primes 3,5,7,11,13,17,19 --n-max 1000
-# --degree-cap 200` takes 0.7 to 1.3 s. The acceptance module reaches np = 125.
+# Meixner caches grow one degree at a time, to the largest degree asked
+# for; on a 2-core VM Q_0..Q_200 take 0.024 s, Q_0..Q_300 0.056 s and
+# Q_0..Q_400 0.17 s. `verify corollary2 --primes 3,5,7,11,13,17,19 --n-max 1000
+# --degree-cap 200` takes 0.18 to 0.27 s. The acceptance module reaches np = 125.
 MAX_MEIXNER_DEGREE = 200
 
 
@@ -495,6 +495,11 @@ def _parse_cycle_type(n: int, text: str) -> CycleType:
     except ValueError:
         raise UsageError(f"malformed cycle type {text!r}")
     if len(m) < n:
+        # refused before the padding, which a huge n would make huge
+        if min(m) < 0:
+            raise UsageError("multiplicities must be nonnegative")
+        if sum(i * x for i, x in enumerate(m, start=1)) != n:
+            raise UsageError("sum of i*m_i must equal n")
         m = m + (0,) * (n - len(m))
     try:
         return CycleType(n, m)

@@ -1,53 +1,46 @@
 """Meixner polynomials Q_n and the auxiliary Q_n*, with their congruences.
 
-Q_n is defined through its exponential generating function
-(1+t^2)^(-1/2) * exp(X arctan t), and Q_n* through exp(X arctan t) alone. Both
-are built here from those EGFs over Z[X] (see :mod:`.series`), one degree at a
-time, into one cache that ``meixner_q`` and ``meixner_qstar`` both read.
+Q_n and Q_n* have the exponential generating functions
+(1+t^2)^(-1/2) exp(X arctan t) and exp(X arctan t), whose differential
+relations (1+t^2) F' = (X - t) F and (1+t^2) F' = X F give the division-free
+recurrences Q_{m+1} = X Q_m - m^2 Q_{m-1} and Q*_{m+1} = X Q*_m - m(m-1)
+Q*_{m-1} from Q_0 = Q*_0 = 1 and Q_1 = Q*_1 = X. Two caches grow by them
+together over Z[X], one degree at a time, to the largest degree asked for.
 
-The tests hold this route equal to independent ones in ``tests/oracles.py``:
-the three-term recurrences, a rational-series oracle and the substitution of
-the arctan images into the cycle indicator C_n.
+The tests hold this route equal to the integer EGF route (:mod:`.series`),
+a rational series and the substitution into C_n, in ``tests/oracles.py``.
 """
 from __future__ import annotations
 
 import threading
-from math import factorial
 from typing import List, Optional, Tuple
 
 from .congruences import compare_polys
 from .padic import PadicContext
 from .polyring import UniPoly
 from .reports import CongruenceReport
-from .series import series_exp, series_mul
 
 _lock = threading.Lock()
-# EGF coefficients, index = degree in t, of X arctan t, of (1+t^2)^(-1/2), of
-# Q* = exp(X arctan t) and of Q = (1+t^2)^(-1/2) Q*; all four have one length
-_x_arctan: List[UniPoly] = []
-_inv_sqrt: List[UniPoly] = []
-_qstar_cache: List[UniPoly] = []
+# Q_n and Q*_n, index = n; both caches have one length
 _q_cache: List[UniPoly] = []
+_qstar_cache: List[UniPoly] = []
 
 
 def _extend_caches(n: int) -> None:
     """Append the degrees up to n that the caches lack."""
-    for k in range(len(_x_arctan), n + 1):
-        if k % 2:
-            # X arctan t = sum_j (-1)^j X t^(2j+1) / (2j+1): a_k = (-1)^j (k-1)! X
-            _x_arctan.append(UniPoly((0, (-1) ** (k // 2) * factorial(k - 1))))
-            _inv_sqrt.append(UniPoly())
+    x, q, qs = UniPoly.x(), _q_cache, _qstar_cache
+    for k in range(len(q), n + 1):
+        if k < 2:
+            q.append(x if k else UniPoly.constant(1))
+            qs.append(q[k])
         else:
-            _x_arctan.append(UniPoly())
-            # (1+t^2)^(-1/2): b_0 = 1, b_2j = (-1)^j ((2j-1)!!)^2 = -(2j-1)^2 b_2j-2
-            b = -(k - 1) ** 2 * _inv_sqrt[k - 2] if k else UniPoly.constant(1)
-            _inv_sqrt.append(b)
-    series_exp(_x_arctan, _qstar_cache)
-    series_mul(_inv_sqrt, _qstar_cache, _q_cache)
+            m = k - 1
+            q.append(x * q[m] - m * m * q[m - 1])
+            qs.append(x * qs[m] - m * (m - 1) * qs[m - 1])
 
 
 def meixner_q(n: int) -> UniPoly:
-    """Q_n from the EGF (1+t^2)^(-1/2) exp(X arctan t)."""
+    """Q_n, the coefficient of t^n/n! in (1+t^2)^(-1/2) exp(X arctan t)."""
     if n < 0:
         raise ValueError("n must be >= 0")
     with _lock:
@@ -56,7 +49,7 @@ def meixner_q(n: int) -> UniPoly:
 
 
 def meixner_qstar(n: int) -> UniPoly:
-    """Q_n* from the EGF exp(X arctan t)."""
+    """Q_n*, the coefficient of t^n/n! in exp(X arctan t)."""
     if n < 0:
         raise ValueError("n must be >= 0")
     with _lock:

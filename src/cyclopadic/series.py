@@ -1,13 +1,15 @@
-"""Exponential generating functions over Z[X], extended one degree at a time.
+"""Exponential generating functions over Z[X]: the integer EGF test oracle.
 
 A series A(t) = sum_k a_k t^k / k! is held as the list [a_0, a_1, ...] of its
 EGF coefficients a_k = k! [t^k] A, each a :class:`UniPoly`. The product and the
 exponential of EGFs are binomial convolutions (Flajolet & Sedgewick, *Analytic
 Combinatorics*, ch. II), so each coefficient is a sum of integer polynomials
-times binomial coefficients: nothing is divided and nothing is truncated.
+times binomial coefficients: nothing is divided and nothing is truncated. Both
+operations append to the list they extend only the degrees it lacks.
 
-Both operations take the list they extend and append only the degrees it
-lacks, so a cache built on them grows to exactly the degree asked for.
+The package does not import this module. ``tests/oracles.py`` builds its
+integer EGF route for Q_n and Q_n* on it, and the benchmark names it:
+``perfbench/spans.py`` wraps ``series_mul`` and ``series_exp``.
 """
 from __future__ import annotations
 

@@ -12,18 +12,19 @@ routes here share none of that code and are compared against it:
 * :func:`cycle_indicator_via_egf` -- truncated exponential generating
   function over exact rationals.
 
-The package builds Q_n and Q_n* by binomial convolution of integer EGF
-coefficients (``cyclopadic.meixner``); three routes here are compared with it:
+The package builds Q_n and Q_n* by their three-term recurrences
+Q_{m+1} = X Q_m - m^2 Q_{m-1} and Q*_{m+1} = X Q*_m - m(m-1) Q*_{m-1}
+(``cyclopadic.meixner``); three routes here are compared with it:
 
+* :func:`meixner_by_integer_egf` -- the EGFs over Z[X]: exp(X arctan t) by
+  the binomial convolution of ``cyclopadic.series.series_exp``, times
+  (1+t^2)^(-1/2) by ``series_mul``; nothing is divided.
 * :func:`meixner_by_rational_series` -- the literal EGFs
   (1+t^2)^(-1/2) exp(X arctan t) and exp(X arctan t), as power series
   truncated at t^n whose t-coefficients are polynomials in X over Q; n! times
   each coefficient is checked to be integral.
 * :func:`meixner_qstar_by_substitution` -- C_n at x_i = 0 for even i and
   x_i = (-1)^((i-1)/2) X for odd i.
-* :func:`meixner_q_recurrence`, :func:`meixner_qstar_recurrence` -- the
-  three-term recurrences, from the differential relations of the EGFs,
-  (1+t^2) F' = (X - t) F for Q and (1+t^2) F' = X F for Q*.
 
 The scalar p-adic identities have standalone routes too:
 :func:`check_gamma_congruence` and :func:`check_binomial_lift` decide one
@@ -41,6 +42,7 @@ from typing import List, Sequence, Tuple
 from cyclopadic.cycle_index import coefficient, cycle_indicator, enumerate_cycle_types
 from cyclopadic.padic import PadicContext, Valuation, binomial
 from cyclopadic.polyring import MultiPoly, UniPoly, substitute_univariate
+from cyclopadic.series import series_exp, series_mul
 
 DETERMINANT_BOUND_DEFAULT = 8
 
@@ -289,6 +291,24 @@ def _to_unipoly(qcoeffs: QPoly, scale: int) -> UniPoly:
     return UniPoly(out)
 
 
+def meixner_by_integer_egf(n: int) -> Tuple[List[UniPoly], List[UniPoly]]:
+    """[Q_0, ..., Q_n] and [Q*_0, ..., Q*_n] from their EGFs over Z[X]."""
+    x_arctan: List[UniPoly] = []
+    inv_sqrt: List[UniPoly] = []
+    for k in range(n + 1):
+        if k % 2:
+            # X arctan t = sum_j (-1)^j X t^(2j+1) / (2j+1): a_k = (-1)^j (k-1)! X
+            x_arctan.append(UniPoly((0, (-1) ** (k // 2) * factorial(k - 1))))
+            inv_sqrt.append(UniPoly())
+        else:
+            x_arctan.append(UniPoly())
+            # (1+t^2)^(-1/2): b_0 = 1, b_2j = (-1)^j ((2j-1)!!)^2 = -(2j-1)^2 b_2j-2
+            b = -(k - 1) ** 2 * inv_sqrt[k - 2] if k else UniPoly.constant(1)
+            inv_sqrt.append(b)
+    stars = series_exp(x_arctan, [])
+    return series_mul(inv_sqrt, stars, []), stars
+
+
 def meixner_by_rational_series(n: int) -> Tuple[List[UniPoly], List[UniPoly]]:
     """[Q_0, ..., Q_n] and [Q*_0, ..., Q*_n] from their EGFs over Q."""
     g = rational_exp(rational_arctan(n).scaled_by_x())
@@ -309,28 +329,6 @@ def meixner_qstar_by_substitution(n: int) -> UniPoly:
         for i in range(1, n + 1)
     }
     return substitute_univariate(cycle_indicator(n), images)
-
-
-def meixner_q_recurrence(nmax: int) -> List[UniPoly]:
-    """Q_0..Q_nmax via Q_{m+1} = X Q_m - m^2 Q_{m-1}."""
-    x = UniPoly.x()
-    qs = [UniPoly.constant(1)]
-    if nmax >= 1:
-        qs.append(x)
-    for m in range(1, nmax):
-        qs.append(x * qs[m] - m * m * qs[m - 1])
-    return qs[: nmax + 1]
-
-
-def meixner_qstar_recurrence(nmax: int) -> List[UniPoly]:
-    """Q*_0..Q*_nmax via Q*_{m+1} = X Q*_m - m(m-1) Q*_{m-1}."""
-    x = UniPoly.x()
-    qs = [UniPoly.constant(1)]
-    if nmax >= 1:
-        qs.append(x)
-    for m in range(1, nmax):
-        qs.append(x * qs[m] - m * (m - 1) * qs[m - 1])
-    return qs[: nmax + 1]
 
 
 # -- the scalar p-adic identities ------------------------------------------

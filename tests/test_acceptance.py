@@ -25,10 +25,9 @@ from oracles import (
     cycle_indicator_direct,
     cycle_indicator_via_determinant,
     cycle_indicator_via_egf,
+    meixner_by_integer_egf,
     meixner_by_rational_series,
-    meixner_q_recurrence,
     meixner_qstar_by_substitution,
-    meixner_qstar_recurrence,
 )
 
 
@@ -197,13 +196,12 @@ def test_criterion_09_meixner_routes():
         assert meixner_qstar_by_substitution(n) == mx.meixner_qstar(n) == stars[n]
         q = mx.meixner_q(n)
         assert q == qs[n] and q.degree() == n and q.coeffs[-1] == 1
-    fast_q = meixner_q_recurrence(24)
-    fast_star = meixner_qstar_recurrence(24)
+    egf_q, egf_star = meixner_by_integer_egf(24)
     for n in range(0, 25):
-        assert fast_q[n].to_json() == mx.meixner_q(n).to_json()
-        assert fast_star[n].to_json() == mx.meixner_qstar(n).to_json()
-    _announce(9, "Q* substitution = rational series = integer EGF; Q integral+"
-                 "monic; recurrences byte-identical, n <= 24")
+        assert egf_q[n].to_json() == mx.meixner_q(n).to_json()
+        assert egf_star[n].to_json() == mx.meixner_qstar(n).to_json()
+    _announce(9, "Q* substitution = rational series = recurrence; Q integral+"
+                 "monic; integer EGF byte-identical, n <= 24")
 
 
 def test_criterion_10_junod_lemma_property():

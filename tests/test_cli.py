@@ -4,6 +4,7 @@ import io
 import json
 import os
 import pathlib
+import resource
 import signal
 import subprocess
 import sys
@@ -84,6 +85,27 @@ class TestCompute:
             capsys.readouterr()
             code, _ = run(tmp_path, "compute", "coeff", *argv)
             assert code == 2 and capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("entries,message", [
+        ("1", "sum of i*m_i must equal n"),
+        ("1000000002,-1", "multiplicities must be nonnegative"),
+    ])
+    def test_oversized_cycle_type_exit2(self, entries, message):
+        # the entries are refused before they are padded to N = 10^9 entries,
+        # which under a 1 GB address space would end in MemoryError, exit 3
+        def limit():
+            hard = resource.getrlimit(resource.RLIMIT_AS)[1]
+            soft = 2**30 if hard == resource.RLIM_INFINITY else min(2**30, hard)
+            resource.setrlimit(resource.RLIMIT_AS, (soft, hard))
+
+        src = os.path.dirname(os.path.dirname(cyclopadic.__file__))
+        proc = subprocess.run(
+            [sys.executable, "-m", "cyclopadic.cli", "compute", "coeff", "1000000000",
+             entries],
+            env=dict(os.environ, PYTHONPATH=src), preexec_fn=limit,
+            capture_output=True, text=True, timeout=60,
+        )
+        assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", f"error: {message}\n")
 
     def test_text_format(self, tmp_path):
         # every one of C_6's p(6) = 11 terms; the repr of a MultiPoly stops after 8
@@ -750,7 +772,8 @@ def test_cli_import_loads_no_code_generator():
     # a fresh interpreter, since pytest itself imports both modules
     src = os.path.dirname(os.path.dirname(cyclopadic.__file__))
     probe = ("import sys; before = set(sys.modules); import cyclopadic.cli; "
-             "print(sorted({'dataclasses', 'inspect'} & set(sys.modules) - before))")
+             "print(sorted({'dataclasses', 'inspect', 'cyclopadic.series'}"
+             " & set(sys.modules) - before))")
     proc = subprocess.run([sys.executable, "-c", probe], capture_output=True,
                           env=dict(os.environ, PYTHONPATH=src), text=True, timeout=60)
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")

@@ -17,17 +17,16 @@ from cyclopadic.meixner import (
 from cyclopadic.padic import PadicContext
 from cyclopadic.polyring import UniPoly
 from oracles import (
+    meixner_by_integer_egf,
     meixner_by_rational_series,
-    meixner_q_recurrence,
     meixner_qstar_by_substitution,
-    meixner_qstar_recurrence,
 )
 
 X = UniPoly.x()
 
 
 def empty_caches(monkeypatch):
-    for name in ("_x_arctan", "_inv_sqrt", "_qstar_cache", "_q_cache"):
+    for name in ("_qstar_cache", "_q_cache"):
         monkeypatch.setattr(mx, name, [])
 
 
@@ -63,8 +62,8 @@ class TestConstruction:
                     assert c == 0
 
     def test_recurrence_fast_paths_match_series(self):
-        assert [meixner_q(n) for n in range(201)] == meixner_q_recurrence(200)
-        stars = meixner_qstar_recurrence(200)
+        qs, stars = meixner_by_integer_egf(200)
+        assert [meixner_q(n) for n in range(201)] == qs
         assert [meixner_qstar(n) for n in range(201)] == stars
 
     def test_integer_route_equals_rational_oracle(self):
@@ -96,7 +95,7 @@ class TestConstruction:
         finally:
             sys.setswitchinterval(interval)
         assert got == expected
-        assert len(mx._x_arctan) == len(mx._q_cache) == len(mx._qstar_cache) == 61
+        assert len(mx._q_cache) == len(mx._qstar_cache) == 61
 
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
@@ -200,7 +199,7 @@ MEIXNER_CHECKS = [
 
 
 class TestMutationTwoSided:
-    @pytest.mark.parametrize("p", [3, 5])
+    @pytest.mark.parametrize("p", [3, 5, 13])
     @pytest.mark.parametrize("check,args,degree", MEIXNER_CHECKS)
     def test_boundary_delta(self, check, args, degree, p):
         ctx = PadicContext(p)
