@@ -8,11 +8,10 @@ Two subcommands:
   newline-delimited JSON report per (checker, p, n, r) task.
 
 ``CHECKER_TABLE`` has one row per checker. The ``verify`` choices, ``verify
-all``, the p = 2 handling and the size guard all read it. The guard runs
-before any task is built. It refuses a grid in which a checker sized by p(N)
-reaches an N with more than 100,000 cycle types, in which a Meixner checker
-builds a polynomial of degree over 200, or in which another checker's largest
-n passes 1000 (junod-lemma's trial count is not bounded).
+all``, the p = 2 handling and the size guard all read it. The guard sizes an
+instance by the N = r + np of the C_N, Q_N or N! it computes, and ``_refuse``
+holds a grid's largest N, or that of a ``compute`` object, to its row's
+limit before any task is built (junod-lemma's trial count is not bounded).
 
 Exit codes: 0 all checks passed, 1 at least one violation, 2 usage error,
 a refused grid, a grid that holds no task, a --primes entry that is not
@@ -56,30 +55,36 @@ from .cycle_index import CycleType, coefficient, cycle_indicator, partition_coun
 from .padic import PadicContext, is_prime
 from .reports import CongruenceReport
 
-# `compute cycle-index N` refuses N whose C_N has more terms than this (C_N has
-# p(N) terms); p(45) = 89,134 is the largest admitted. On a 2-core VM C_45 is
-# built in 0.3 s and 99 MB, and `compute cycle-index 45` takes 0.9 s and 110 MB
-# with its JSON. `verify` refuses a grid in which a checker sized by p(N) would
-# reach such an N. The tests and the benchmark grids reach at most N = 39
-# (p(39) = 31,185). For the polynomial checkers, which build C_N, the limit
-# is that cost. For carlitz-coeff, prop-coeff and corollary1 it is
-# conservative: their walk visits only the classes that a valuation bound does
-# not clear and counts the rest. prop-coeff at p = n = 11 (p(121) ~ 2e9)
+# `verify` refuses a grid in which a checker sized by p(N) reaches an N = r + np
+# whose C_N has more terms than this (C_N has p(N) terms), and `compute
+# cycle-index N` refuses such an N; p(45) = 89,134 is the largest admitted. On
+# a 2-core VM C_45 is built in 0.3 s and 99 MB, and `compute cycle-index 45`
+# takes 0.9 s and 110 MB with its JSON. The tests and the benchmark grids reach
+# at most N = 39 (p(39) = 31,185). For the polynomial checkers, which build
+# C_N, the limit is that cost. For carlitz-coeff, prop-coeff and corollary1 it
+# is conservative: their walk visits only the classes that a valuation bound
+# does not clear and counts the rest. prop-coeff at p = n = 11 (p(121) ~ 2e9)
 # takes about 10 ms on a 2-core VM. corollary1's visited classes grow like
 # p(r): 504 of them at p = n = 11, r = 10. A limit on N measured for those
 # walks would replace p(N) for them.
 MAX_CYCLE_INDEX_TERMS = 100_000
 
-# `verify` refuses a grid in which another checker's largest n (or m) is over
-# this. binomial-lift, gamma-ratio and remark1 grow about as n^2.5: at n = 1000
-# one instance takes 0.3 to 11 s for p = 3 to 7 on a 2-core VM, like C_45
-# above. The acceptance module lifts binomials to n = 200, and the CLI tests
-# stay under 500. junod-lemma's trials are not bounded: their memory does not
-# grow with them. On a 2-core VM 1000 of them take 0.09 s at one prime, and
-# 0.14 s at p = 3, 5, 7 serially or 0.11 s with 2 workers (see the README).
-MAX_SCALAR_SIZE = 1000
+# `verify` refuses a grid in which a checker sized by N reaches an N over this,
+# and `compute coeff N` refuses such an N. Their instances compute N! or a
+# class of S_N: binomial-lift binomial(np, pm), gamma-identity (mp)!,
+# gamma-ratio and remark1 classes of np and r + np, wilson-sharpness a class of
+# np, gamma-congruence Gamma_p(pm + 1). The bound is remark1's N at p = 7,
+# n = 1000, r = 6, so that every grid at p <= 7 that the bound n <= 1000 before
+# it admitted stays admitted. On a 2-core VM one instance at N = 7000 to 7006
+# takes 0.6 s (p = 7) and 1.6 s (p = 3) for binomial-lift, 5.9 and 12.7 s for
+# gamma-ratio and 7.5 and 18.4 s for remark1, which walk n classes, and at most
+# 0.01 s for the others. The acceptance module lifts binomials to np = 1400.
+# junod-lemma's trials are not bounded: their memory does not grow with them.
+# On a 2-core VM 1000 of them take 0.09 s at one prime, and 0.14 s at p = 3, 5,
+# 7 serially or 0.11 s with 2 workers (see the README).
+MAX_SCALAR_SIZE = 7 * 1000 + 6
 
-# `verify` refuses a grid in which a Meixner checker builds a Q_d of degree d
+# `verify` refuses a grid in which a Meixner checker builds a Q_N of degree N
 # over this: corollary2 and meixner-qstar-q build degree np, meixner-qp degree
 # p, and `compute meixner-q N` or `meixner-qstar N` refuses N over it. The
 # Meixner caches grow one degree at a time, to the largest degree asked
@@ -87,6 +92,10 @@ MAX_SCALAR_SIZE = 1000
 # Q_0..Q_400 0.17 s. `verify corollary2 --primes 3,5,7,11,13,17,19 --n-max 1000
 # --degree-cap 200` takes 0.18 to 0.27 s. The acceptance module reaches np = 125.
 MAX_MEIXNER_DEGREE = 200
+
+# the size of each `compute` object's N, see _refuse
+COMPUTE_SIZES = {"cycle-index": "p(N)", "coeff": "N", "meixner-q": "degree",
+                 "meixner-qstar": "degree"}
 
 
 class UsageError(Exception):
@@ -102,8 +111,8 @@ class Checker:
     PadicContext and the mutation; on "trials" with (start, stop, trials,
     seed, ctxs, mutation), see build_all_tasks.
     grid: the (n, r) of its tasks at p, see _grid.
-    size: its largest instance: "p(N)" at N = r + np, degree "np" or "p", or
-    n, m or trials.
+    size: the limit that the N of its largest instance is held to, see
+    _refuse: "p(N)", "degree", "N" or "trials" (none).
     p2: at p = 2, "advisory", "asserted", or "odd" (no task).
     forks: False if even its largest admitted grid runs no slower
     in-process, so that without --threads it does (see _default_threads).
@@ -124,21 +133,21 @@ class Checker:
 
 # One row per checker, in report order (tasks sort by checker name first).
 CHECKER_TABLE = [
-    Checker("binomial-lift", cg, "report_binomial_lift", "n", "n", "asserted"),
+    Checker("binomial-lift", cg, "report_binomial_lift", "n", "N", "asserted"),
     Checker("carlitz-coeff", cg, "check_carlitz_coeff", "np", "p(N)", forks=False),
     Checker("carlitz-poly", cg, "check_carlitz_poly", "rnp0", "p(N)"),
     Checker("corollary1", cg, "check_corollary1", "rnp1", "p(N)"),
-    Checker("corollary2", mx, "check_corollary2", "np", "np", "odd"),
-    Checker("gamma-congruence", cg, "report_gamma_congruence", "cap", "m", "odd"),
-    Checker("gamma-identity", cg, "report_gamma_identity", "n", "m", "asserted"),
-    Checker("gamma-ratio", cg, "check_formula_gamma_ratio", "n", "n", "asserted"),
+    Checker("corollary2", mx, "check_corollary2", "np", "degree", "odd"),
+    Checker("gamma-congruence", cg, "report_gamma_congruence", "cap", "N", "odd"),
+    Checker("gamma-identity", cg, "report_gamma_identity", "n", "N", "asserted"),
+    Checker("gamma-ratio", cg, "check_formula_gamma_ratio", "n", "N", "asserted"),
     Checker("junod-lemma", cg, "junod_lemma_trials", "trials", "trials", "asserted"),
-    Checker("meixner-qp", mx, "check_junod_qp", "once", "p", "odd"),
-    Checker("meixner-qstar-q", mx, "check_junod_qstar_q", "np", "np", "odd"),
+    Checker("meixner-qp", mx, "check_junod_qp", "once", "degree", "odd"),
+    Checker("meixner-qstar-q", mx, "check_junod_qstar_q", "np", "degree", "odd"),
     Checker("prop-coeff", cg, "check_prop_coeff", "np", "p(N)", forks=False),
     Checker("prop-poly", cg, "check_prop_poly", "rnp0", "p(N)"),
-    Checker("remark1", cg, "check_remark1", "rnp1", "n"),
-    Checker("wilson-sharpness", cg, "check_wilson_sharpness", "pn", "n", "odd"),
+    Checker("remark1", cg, "check_remark1", "rnp1", "N"),
+    Checker("wilson-sharpness", cg, "check_wilson_sharpness", "pn", "N", "odd"),
 ]
 CHECKERS = [row.name for row in CHECKER_TABLE] + ["all"]
 
@@ -178,34 +187,33 @@ def _primes(spec: Namespace, row: Checker) -> List[int]:
 
 
 def _largest(spec: Namespace, row: Checker, p: int) -> int:
-    """The N = r + np, degree np or p, n or m of row's largest instance at p.
-
-    0 for no task.
-    """
+    """The N = r + np of row's largest instance at p: mp on "cap", and p for
+    the one task of "once", which builds Q_p. 0 for no task."""
     ns, r_of = _grid(spec, row, p)
     rs = r_of(ns[-1]) if ns else ()
-    if not rs:
-        return 0
-    n, r = ns[-1], rs[-1]
-    return {"p(N)": r + n * p, "np": n * p, "p": p}.get(row.size, n)
+    return max(rs[-1] + ns[-1] * p, p) if rs else 0
+
+
+def _refuse(name: str, size: str, N: int) -> None:
+    """Raise UsageError if name reaches an N over the limit of its size: p(N)
+    cycle types over MAX_CYCLE_INDEX_TERMS, a "degree" over MAX_MEIXNER_DEGREE
+    or an "N" over MAX_SCALAR_SIZE."""
+    limit = {"p(N)": MAX_CYCLE_INDEX_TERMS, "degree": MAX_MEIXNER_DEGREE,
+             "N": MAX_SCALAR_SIZE}[size]
+    value, terms = N, ""
+    if size == "p(N)":
+        value = partition_count(N)
+        terms = f", and S_{N} has p({N}) = {value} cycle types"
+    if value > limit:
+        raise UsageError(f"{name} reaches N = {N}{terms}, over the limit of {limit}")
 
 
 def _check_sizes(spec: Namespace) -> None:
     """Refuse a grid whose largest instance of some checker is over its limit."""
     for row in _rows(spec):
-        if row.size == "trials":
-            continue
-        big = max((_largest(spec, row, p) for p in _primes(spec, row)), default=0)
-        if row.size != "p(N)":
-            limit = MAX_MEIXNER_DEGREE if row.size in ("np", "p") else MAX_SCALAR_SIZE
-            if big > limit:
-                raise UsageError(f"{row.name} reaches {row.size} = {big}, over "
-                                 f"the limit of {limit}")
-        elif (terms := partition_count(big)) > MAX_CYCLE_INDEX_TERMS:
-            raise UsageError(
-                f"{row.name} reaches N = {big}, and S_{big} has p({big}) = "
-                f"{terms} cycle types, over the limit of {MAX_CYCLE_INDEX_TERMS}"
-            )
+        if row.size != "trials":
+            _refuse(row.name, row.size, max(
+                (_largest(spec, row, p) for p in _primes(spec, row)), default=0))
 
 
 def _advisory(thunk: Callable) -> CongruenceReport:
@@ -494,15 +502,8 @@ def _parse_cycle_type(n: int, text: str) -> CycleType:
         m = tuple(int(x) for x in text.split(","))
     except ValueError:
         raise UsageError(f"malformed cycle type {text!r}")
-    if len(m) < n:
-        # refused before the padding, which a huge n would make huge
-        if min(m) < 0:
-            raise UsageError("multiplicities must be nonnegative")
-        if sum(i * x for i, x in enumerate(m, start=1)) != n:
-            raise UsageError("sum of i*m_i must equal n")
-        m = m + (0,) * (n - len(m))
     try:
-        return CycleType(n, m)
+        return CycleType(n, m + (0,) * (n - len(m)))
     except ValueError as exc:
         raise UsageError(str(exc))
 
@@ -512,28 +513,19 @@ def run_compute(args) -> Iterable[str]:
     is formatted one term at a time, as it is written."""
     obj = args.object
     n = args.n
+    if obj not in COMPUTE_SIZES:
+        raise UsageError(f"unknown object {obj!r}")
     if n < 0:
         raise UsageError("n must be >= 0")
-    if obj == "cycle-index":
-        terms = partition_count(n)
-        if terms > MAX_CYCLE_INDEX_TERMS:
-            raise UsageError(
-                f"C_{n} has p({n}) = {terms} terms, over the limit of "
-                f"{MAX_CYCLE_INDEX_TERMS}"
-            )
-        poly = cycle_indicator(n)
-    elif obj == "coeff":
+    _refuse(obj, COMPUTE_SIZES[obj], n)
+    if obj == "coeff":
         if args.cycle_type is None:
             raise UsageError("coeff requires a cycle type, e.g. 1,1,0")
-        ct = _parse_cycle_type(n, args.cycle_type)
-        return [str(coefficient(ct)) + "\n"]
-    elif obj in ("meixner-q", "meixner-qstar"):
-        if n > MAX_MEIXNER_DEGREE:
-            raise UsageError(f"{obj} of degree {n} is over the limit of "
-                             f"{MAX_MEIXNER_DEGREE}")
-        poly = (mx.meixner_q if obj == "meixner-q" else mx.meixner_qstar)(n)
+        return [str(coefficient(_parse_cycle_type(n, args.cycle_type))) + "\n"]
+    if obj == "cycle-index":
+        poly = cycle_indicator(n)
     else:
-        raise UsageError(f"unknown object {obj!r}")
+        poly = (mx.meixner_q if obj == "meixner-q" else mx.meixner_qstar)(n)
     if args.format == "text":
         return [poly.to_text() + "\n"]
     return chain(poly.json_chunks() if obj == "cycle-index" else [poly.to_json()],
@@ -564,9 +556,7 @@ def build_parser() -> ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     pc = sub.add_parser("compute", help="print one object")
-    pc.add_argument(
-        "object", choices=["cycle-index", "coeff", "meixner-q", "meixner-qstar"]
-    )
+    pc.add_argument("object", choices=list(COMPUTE_SIZES))
     pc.add_argument("n", type=int)
     pc.add_argument("cycle_type", nargs="?", default=None)
     pc.add_argument("--format", choices=["json", "text"], default="json")
@@ -653,16 +643,22 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.command == "verify":
+            args = _checked(args)
+        # str() refuses an int past 4,300 digits from Python 3.10.7 on, but a
+        # coefficient or a witness can be longer. Lifted once the arguments
+        # are checked, so that one that long stays refused; workers inherit it
+        if hasattr(sys, "set_int_max_str_digits"):
+            sys.set_int_max_str_digits(0)
         if args.command == "compute":
             text = run_compute(args)
             with _output(args.out) as out:
                 _emit(out, text, args.out)
             return 0
 
-        spec = _checked(args)
-        jobs = build_all_tasks(spec)
+        jobs = build_all_tasks(args)
         with _output(args.out) as out:
-            return run_verify(spec, jobs, out)
+            return run_verify(args, jobs, out)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

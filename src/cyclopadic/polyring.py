@@ -18,7 +18,7 @@ Two representations:
   most half the term pairs squaring would form, bounded by the sizes of the
   partial powers P^j: at most C(j+s-1, s-1) terms, and at most
   prod (j e_i + 1) for e_i the top exponent of X_i. The choice reads only
-  s, n and the e_i, and is memoized by them. Few-term sparse bases are
+  s, n and the nonzero e_i in increasing order, and is memoized by them. Few-term sparse bases are
   expanded from about n = 4 on, dense and many-term bases at small n are
   squared. Python's three-argument ``pow(P, n, q)`` gives P^n in Z/q: P is
   reduced into [0, q), the same choice is made for the reduced base, and
@@ -186,8 +186,11 @@ def _multinomial_power(terms: dict, n: int, q: Optional[int] = None) -> dict:
 
 
 def _tops(terms: dict) -> tuple:
-    """The largest exponent of each X_i in the keys of terms, X_1 first."""
-    return tuple(map(max, zip_longest(*map(_unpack, terms), fillvalue=0)))
+    """The nonzero largest exponents of the X_i in the keys of terms, in
+    increasing order: the kernel choice reads them only through
+    prod (j e_i + 1), which sees neither their order nor the zeros."""
+    tops = map(max, zip_longest(*map(_unpack, terms), fillvalue=0))
+    return tuple(sorted(filter(None, tops)))
 
 
 def _squaring_pairs(s: int, tops: tuple, n: int) -> int:

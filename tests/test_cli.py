@@ -2,6 +2,7 @@ import errno
 import hashlib
 import io
 import json
+import math
 import os
 import pathlib
 import resource
@@ -25,7 +26,7 @@ from cyclopadic.cli import (
     main,
     verify_spec,
 )
-from cyclopadic.padic import is_prime
+from cyclopadic.padic import PadicContext, is_prime
 from cyclopadic.reports import CongruenceReport
 
 pytestmark = pytest.mark.filterwarnings("ignore")
@@ -36,6 +37,28 @@ def cpus(monkeypatch):
     """Ten CPUs, so that --threads K up to 10 forks K workers, however many
     CPUs run the tests (verify takes at most the CPU count)."""
     monkeypatch.setattr(os, "cpu_count", lambda: 10)
+
+
+@pytest.fixture
+def no_digit_limit():
+    """str() and int() of any length in this process, as the CLI has them;
+    Python 3.10.7 on refuses more than 4,300 digits by default."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        yield
+        return
+    before = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    yield
+    sys.set_int_max_str_digits(before)
+
+
+def cli_process(*argv):
+    """argv run by ``python -m cyclopadic.cli`` in a fresh interpreter, which
+    keeps the default digit limit; text output."""
+    src = os.path.dirname(os.path.dirname(cyclopadic.__file__))
+    return subprocess.run([sys.executable, "-m", "cyclopadic.cli", *argv],
+                          env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, timeout=120)
 
 
 def run(tmp_path, *argv):
@@ -86,13 +109,11 @@ class TestCompute:
             code, _ = run(tmp_path, "compute", "coeff", *argv)
             assert code == 2 and capsys.readouterr().err == f"error: {message}\n"
 
-    @pytest.mark.parametrize("entries,message", [
-        ("1", "sum of i*m_i must equal n"),
-        ("1000000002,-1", "multiplicities must be nonnegative"),
-    ])
-    def test_oversized_cycle_type_exit2(self, entries, message):
-        # the entries are refused before they are padded to N = 10^9 entries,
-        # which under a 1 GB address space would end in MemoryError, exit 3
+    @pytest.mark.parametrize("entries", ["1", "1000000002,-1", "1000000000"])
+    def test_oversized_cycle_type_exit2(self, entries):
+        # N is refused before the entries are padded to N = 10^9 entries,
+        # which under a 1 GB address space would end in MemoryError, exit 3;
+        # "1000000000" is the identity class, a valid cycle type
         def limit():
             hard = resource.getrlimit(resource.RLIMIT_AS)[1]
             soft = 2**30 if hard == resource.RLIM_INFINITY else min(2**30, hard)
@@ -105,7 +126,15 @@ class TestCompute:
             env=dict(os.environ, PYTHONPATH=src), preexec_fn=limit,
             capture_output=True, text=True, timeout=60,
         )
-        assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", f"error: {message}\n")
+        assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", (
+            f"error: coeff reaches N = 1000000000, over the limit of {MAX_SCALAR_SIZE}\n"))
+
+    @pytest.mark.usefixtures("no_digit_limit")
+    def test_coeff_past_4300_digits(self):
+        # the 1600-cycle's class has 1599! elements, about 4,430 digits
+        proc = cli_process("compute", "coeff", "1600", "0," * 1599 + "1")
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert proc.stdout == f"{math.factorial(1599)}\n"
 
     def test_text_format(self, tmp_path):
         # every one of C_6's p(6) = 11 terms; the repr of a MultiPoly stops after 8
@@ -132,7 +161,7 @@ class TestCompute:
         code = main(["compute", obj, str(MAX_MEIXNER_DEGREE + 1)])
         assert time.monotonic() - start < 1.0
         assert code == 2 and capsys.readouterr() == ("", (
-            f"error: {obj} of degree {MAX_MEIXNER_DEGREE + 1} is over the limit "
+            f"error: {obj} reaches N = {MAX_MEIXNER_DEGREE + 1}, over the limit "
             f"of {MAX_MEIXNER_DEGREE}\n"))
 
     def test_unwritable_out_exit2(self, tmp_path, capsys):
@@ -562,6 +591,49 @@ def test_thread_count_does_not_change_cli_output(mutate, code):
     assert (digest == VERIFY_ALL_SHA256) == (not mutate)
 
 
+@pytest.mark.usefixtures("cpus")
+def test_three_workers_give_the_pinned_digest(tmp_path, monkeypatch):
+    # in-process, so that the cpus fixture lets --threads 3 fork 3 workers on
+    # any machine, and junod-lemma is cut into 3 slices
+    seen = {}
+    build, forked = cli.build_all_tasks, cli._run_forked
+
+    def spy_build(spec):
+        seen["jobs"] = build(spec)
+        return seen["jobs"]
+
+    def spy_forked(jobs, labels, workers):
+        seen["workers"] = workers
+        return forked(jobs, labels, workers)
+
+    monkeypatch.setattr(cli, "build_all_tasks", spy_build)
+    monkeypatch.setattr(cli, "_run_forked", spy_forked)
+    out = tmp_path / "out.txt"
+    assert main([*VERIFY_ALL, "--threads", "3", "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == VERIFY_ALL_SHA256
+    slices = [label for label, _, _ in seen["jobs"] if label[0] == "junod-lemma"]
+    assert seen["workers"] == 3 and len(slices) == 3
+    assert_no_children()
+
+
+@pytest.mark.usefixtures("no_digit_limit")
+def test_witness_past_4300_digits():
+    # --mutate 0:1 adds 1 to each report's only instance, Gamma_5(5m + 1) + 1,
+    # so every m is flagged with the difference Gamma_5(5m + 1) + 2; the
+    # largest m have more than 4,300 digits
+    proc = cli_process("verify", "gamma-congruence", "--primes", "5",
+                       "--degree-cap", "2000", "--mutate", "0:1", "--threads", "1")
+    assert (proc.returncode, proc.stderr) == (1, "")
+    reports = [json.loads(line) for line in proc.stdout.splitlines()]
+    ctx = PadicContext(5)
+    assert [r["params"]["m"] for r in reports] == list(range(1, 401))
+    for report in reports:
+        m = report["params"]["m"]
+        (violation,) = report["violations"]
+        assert int(violation["difference"]) == ctx.morita_gamma(5 * m + 1) + 2
+    assert len(reports[-1]["violations"][0]["difference"]) > 4300
+
+
 def test_closed_stdout_ends_quietly():
     # the reader is gone before the first report is written
     src = os.path.dirname(os.path.dirname(cyclopadic.__file__))
@@ -826,6 +898,10 @@ def test_threads_help_names_the_in_process_rows(capsys):
             in " ".join(capsys.readouterr().out.split()))
 
 
+# a prime over MAX_SCALAR_SIZE and a small n
+LARGE_P = ["--primes", "1000003", "--n-max", "2"]
+
+
 class TestCheckerTable:
     def test_rows_are_in_report_order(self):
         names = [row.name for row in CHECKER_TABLE]
@@ -869,24 +945,36 @@ class TestCheckerTable:
         # r + 3n <= 12: r = 0..2 for n = 1..3, and (n, r) = (4, 0)
         assert huge[0] == 0 and len(huge[1].splitlines()) == 10
 
-    def test_scalar_ceiling(self, tmp_path, capsys):
+    @pytest.mark.parametrize("checker, argv, N", [
+        ("binomial-lift", ["--primes", "3,5", "--n-max", "1000000"], 5000000),
+        # a large p at n <= 2: N = np, which the bound on n alone let through
+        ("binomial-lift", LARGE_P, 2000006),
+        ("gamma-identity", LARGE_P, 2000006),
+        ("gamma-ratio", LARGE_P, 2000006),
+        # r + p <= cap with r <= p - 1 at n = 1, m = 2 at cap // p
+        ("remark1", [*LARGE_P, "--degree-cap", "2000006"], 2000005),
+        ("gamma-congruence", [*LARGE_P, "--degree-cap", "2000006"], 2000006),
+    ])
+    def test_scalar_ceiling(self, tmp_path, capsys, checker, argv, N):
         start = time.monotonic()
-        code, text = run(tmp_path, "verify", "binomial-lift", "--primes", "3,5",
-                         "--n-max", "1000000")
+        code, text = run(tmp_path, "verify", checker, *argv)
         assert time.monotonic() - start < 1.0
         assert code == 2 and text == ""
         assert capsys.readouterr().err == (
-            "error: binomial-lift reaches n = 1000000, over the limit of "
-            f"{MAX_SCALAR_SIZE}\n"
+            f"error: {checker} reaches N = {N}, over the limit of {MAX_SCALAR_SIZE}\n"
         )
 
-    @pytest.mark.parametrize("checker, field, top", [
-        ("binomial-lift", "n-max", MAX_SCALAR_SIZE),
-        ("wilson-sharpness", "n-max", MAX_SCALAR_SIZE // 3),  # n = 3j
-        ("gamma-congruence", "degree-cap", 3 * MAX_SCALAR_SIZE + 2),  # m <= cap // 3
+    @pytest.mark.parametrize("argv, field, top", [
+        (["binomial-lift", "--primes", "3"], "n-max", MAX_SCALAR_SIZE // 3),
+        # the largest p <= 7 grid that the bound n <= 1000 admitted
+        (["binomial-lift", "--primes", "7"], "n-max", 1000),
+        (["remark1", "--primes", "7", "--degree-cap", "10000"], "n-max", 1000),
+        (["wilson-sharpness", "--primes", "3"], "n-max", MAX_SCALAR_SIZE // 9),  # N = 9j
+        (["gamma-congruence", "--primes", "3"], "degree-cap",
+         3 * (MAX_SCALAR_SIZE // 3) + 2),  # N = 3m, m <= cap // 3
     ])
-    def test_scalar_ceiling_boundary(self, checker, field, top):
-        spec = verify_spec([checker, "--primes", "3", f"--{field}", str(top)])
+    def test_scalar_ceiling_boundary(self, argv, field, top):
+        spec = verify_spec([*argv, f"--{field}", str(top)])
         assert build_all_tasks(spec)
         setattr(spec, field.replace("-", "_"), top + 1)
         with pytest.raises(UsageError, match=f"over the limit of {MAX_SCALAR_SIZE}"):
@@ -905,7 +993,7 @@ class TestCheckerTable:
         assert code == 2 and text == ""
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err == (
-            "error: corollary2 reaches np = 900, over the limit of "
+            "error: corollary2 reaches N = 900, over the limit of "
             f"{MAX_MEIXNER_DEGREE}\n"
         )
 
@@ -916,7 +1004,7 @@ class TestCheckerTable:
                             "--degree-cap", str(10**6)])
         assert len(build_all_tasks(spec)) == top
         spec.n_max = top + 1
-        with pytest.raises(UsageError, match=f"{checker} reaches np = {5 * top + 5}, "
+        with pytest.raises(UsageError, match=f"{checker} reaches N = {5 * top + 5}, "
                            f"over the limit of {MAX_MEIXNER_DEGREE}"):
             build_all_tasks(spec)
 
@@ -938,5 +1026,5 @@ class TestCheckerTable:
         spec = verify_spec(["meixner-qp", "--primes", str(below)])
         assert len(build_all_tasks(spec)) == 1
         spec.primes = [above]
-        with pytest.raises(UsageError, match=f"meixner-qp reaches p = {above},"):
+        with pytest.raises(UsageError, match=f"meixner-qp reaches N = {above},"):
             build_all_tasks(spec)

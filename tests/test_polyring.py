@@ -334,12 +334,23 @@ CHOICE_BASES = [
 
 
 class TestKernelChoice:
-    """__pow__ reads its kernel from a memo keyed by (s, n, top exponents)."""
+    """__pow__ reads its kernel from a memo keyed by (s, n, the sorted nonzero
+    top exponents)."""
 
     @staticmethod
     def check(base, n):
         expected = choice_rule(base, n)
+        # base with its variables in reverse order and X_1 unused: its top
+        # exponents permuted and padded with a zero, the same rule and memo key
+        terms = base.sorted_terms()
+        width = max(len(e) for e, _ in terms)
+        moved = MultiPoly({
+            (0, *(e[i] if i < len(e) else 0 for i in reversed(range(width)))): c
+            for e, c in terms
+        })
+        assert choice_rule(moved, n) == expected
         key = (len(base), n, polyring._tops(base.terms))
+        assert polyring._tops(moved.terms) == key[2]
         assert polyring._expands(*key) == expected
         hits = polyring._expands.cache_info().hits
         assert polyring._expands(*key) == expected  # now from the memo
