@@ -29,7 +29,8 @@ Each task is exact, CPU-bound and independent, so ``verify`` runs up to
 ``--threads`` of them at once in worker processes forked from the CLI, at
 most ``os.cpu_count()``: more workers than CPUs only take turns. The default
 is ``os.cpu_count()``, or 1 for a grid whose checkers all cost less than
-forking a worker (see ``_default_threads``). The CLI process only
+forking a worker: carlitz-coeff, prop-coeff, carlitz-poly and prop-poly (see
+``_default_threads``). The CLI process only
 coordinates: it keeps two task indices queued in each worker's pipe, largest
 task first, and reads the worker's pickled reports back over another.
 junod-lemma's trials run as slices, each at every prime (see
@@ -60,14 +61,19 @@ from .reports import CongruenceReport
 # cycle-index N` refuses such an N; p(45) = 89,134 is the largest admitted. On
 # a 2-core VM C_45 is built in 0.3 s and 99 MB, and `compute cycle-index 45`
 # takes 0.9 s and 110 MB with its JSON. The tests and the benchmark grids reach
-# at most N = 39 (p(39) = 31,185). For the polynomial checkers, which build
-# C_N, the limit is that cost. For carlitz-coeff, prop-coeff and corollary1 it
-# is conservative: their walk visits only the classes that a valuation bound
-# does not clear and counts the rest. prop-coeff at p = n = 11 (p(121) ~ 2e9)
-# takes about 10 ms on a 2-core VM. corollary1's visited classes grow like
-# p(r): 504 of them at p = n = 11, r = 10. A limit on N measured for those
-# walks would replace p(N) for them.
+# at most N = 39 (p(39) = 31,185). For every checker sized by p(N) the limit is
+# now conservative. carlitz-poly and prop-poly decide C_N mod p^e and build
+# C_m exactly only for m <= p, plus C_N itself for its key order when
+# mutated. carlitz-coeff, prop-coeff and corollary1 visit only the classes
+# that a valuation bound does not clear and count the rest: prop-coeff at
+# p = n = 11 (p(121) ~ 2e9) takes about 10 ms on a 2-core VM, and
+# corollary1's visited classes grow like p(r), 504 of them at p = n = 11,
+# r = 10. A limit on N measured for these routes would replace p(N).
 MAX_CYCLE_INDEX_TERMS = 100_000
+# the first N with p(N) over MAX_CYCLE_INDEX_TERMS: p(45) = 89,134 and
+# p(46) = 105,558, which a test checks. p(N) grows with N, so _refuse compares
+# N with this and computes no p(N) of the N it is given
+FIRST_N_PAST_TERMS = 46
 
 # `verify` refuses a grid in which a checker sized by N reaches an N over this,
 # and `compute coeff N` refuses such an N. Their instances compute N! or a
@@ -135,7 +141,7 @@ class Checker:
 CHECKER_TABLE = [
     Checker("binomial-lift", cg, "report_binomial_lift", "n", "N", "asserted"),
     Checker("carlitz-coeff", cg, "check_carlitz_coeff", "np", "p(N)", forks=False),
-    Checker("carlitz-poly", cg, "check_carlitz_poly", "rnp0", "p(N)"),
+    Checker("carlitz-poly", cg, "check_carlitz_poly", "rnp0", "p(N)", forks=False),
     Checker("corollary1", cg, "check_corollary1", "rnp1", "p(N)"),
     Checker("corollary2", mx, "check_corollary2", "np", "degree", "odd"),
     Checker("gamma-congruence", cg, "report_gamma_congruence", "cap", "N", "odd"),
@@ -145,7 +151,7 @@ CHECKER_TABLE = [
     Checker("meixner-qp", mx, "check_junod_qp", "once", "degree", "odd"),
     Checker("meixner-qstar-q", mx, "check_junod_qstar_q", "np", "degree", "odd"),
     Checker("prop-coeff", cg, "check_prop_coeff", "np", "p(N)", forks=False),
-    Checker("prop-poly", cg, "check_prop_poly", "rnp0", "p(N)"),
+    Checker("prop-poly", cg, "check_prop_poly", "rnp0", "p(N)", forks=False),
     Checker("remark1", cg, "check_remark1", "rnp1", "N"),
     Checker("wilson-sharpness", cg, "check_wilson_sharpness", "pn", "N", "odd"),
 ]
@@ -196,16 +202,19 @@ def _largest(spec: Namespace, row: Checker, p: int) -> int:
 
 def _refuse(name: str, size: str, N: int) -> None:
     """Raise UsageError if name reaches an N over the limit of its size: p(N)
-    cycle types over MAX_CYCLE_INDEX_TERMS, a "degree" over MAX_MEIXNER_DEGREE
-    or an "N" over MAX_SCALAR_SIZE."""
-    limit = {"p(N)": MAX_CYCLE_INDEX_TERMS, "degree": MAX_MEIXNER_DEGREE,
-             "N": MAX_SCALAR_SIZE}[size]
-    value, terms = N, ""
+    cycle types over MAX_CYCLE_INDEX_TERMS (N >= FIRST_N_PAST_TERMS), a
+    "degree" over MAX_MEIXNER_DEGREE or an "N" over MAX_SCALAR_SIZE."""
     if size == "p(N)":
-        value = partition_count(N)
-        terms = f", and S_{N} has p({N}) = {value} cycle types"
-    if value > limit:
-        raise UsageError(f"{name} reaches N = {N}{terms}, over the limit of {limit}")
+        if N >= FIRST_N_PAST_TERMS:
+            first = FIRST_N_PAST_TERMS
+            raise UsageError(
+                f"{name} reaches N = {N}, and S_{N} has p({N}) >= p({first}) = "
+                f"{partition_count(first)} cycle types, over the limit of "
+                f"{MAX_CYCLE_INDEX_TERMS}")
+        return
+    limit = {"degree": MAX_MEIXNER_DEGREE, "N": MAX_SCALAR_SIZE}[size]
+    if N > limit:
+        raise UsageError(f"{name} reaches N = {N}, over the limit of {limit}")
 
 
 def _check_sizes(spec: Namespace) -> None:
@@ -535,13 +544,18 @@ def run_compute(args) -> Iterable[str]:
 def _default_threads(checker: str = "all") -> int:
     """The number of workers when ``--threads`` is not given.
 
-    1 for a grid of carlitz-coeff or prop-coeff, whose walk visits so few
-    classes that forking costs more than it saves: on a 2-core VM their
-    largest grid the size guard admits (every prime to 43, np <= 45, 47
-    tasks) takes 30 to 35 ms in-process and no less with 2 workers, and the
-    25 tasks of ``--primes 3,5,7 --n-max 13`` take 15 ms in-process against
-    20 to 30 ms with 2 workers, most of it the fork and the pipes. Otherwise
-    ``os.cpu_count()``.
+    1 for a grid whose rows all have ``forks`` False, where forking costs
+    more than it saves. carlitz-coeff and prop-coeff walk so few classes
+    that on a 2-core VM their largest grid the size guard admits (every
+    prime to 43, np <= 45, 47 tasks) takes 30 to 35 ms in-process and no
+    less with 2 workers, and the 25 tasks of ``--primes 3,5,7 --n-max 13``
+    take 15 ms in-process against 20 to 30 ms with 2 workers, most of it
+    the fork and the pipes. carlitz-poly and prop-poly decide C_N mod p^e:
+    on the same VM the 96 tasks of ``prop-poly --primes 3,5,7 --n-max 12
+    --degree-cap 36`` take 21 ms in-process against 33 ms with 2 workers,
+    and their largest admitted grid (every prime to 43, r + np <= 45)
+    0.34 s against 0.41 s, most of it building C_0..C_43 exactly for the
+    rows up to p. Otherwise ``os.cpu_count()``.
     """
     if not any(row.forks for row in CHECKER_TABLE if checker in (row.name, "all")):
         return 1

@@ -23,10 +23,21 @@ divisible by p^vp(modulus) (see ``_class_walk``). Where p | n that leaves
 the n + 1 pure 1/p classes of prop-coeff, out of p(np). A subtree that
 holds the ``--mutate`` index is visited, so every report, clean or
 mutated, is the one a visit of all p(N) classes gives.
+
+carlitz-poly and prop-poly compare C_N with (X_1^p -+ X_p)^n C_r mod
+m*Z_p, and reduction mod q = p^vp(m) is a ring map, so residues decide the
+compare exactly (``compare_indicator``). C_N mod q comes from the
+division-free recurrence of ``cycle_index.cycle_indicator_mod``, and the
+right-hand side, at most (n+1)*p(r) terms, is built over Z. A witness's
+exact difference is ``class_size`` of its class minus the right-hand side's
+coefficient; a mutated compare reads only the key order of C_N, its terms
+in graded revlex order, to place the fault. The instances are still the
+p(N) terms of C_N, and the reports are those of the exact compare.
 """
 from __future__ import annotations
 
 import random
+from functools import lru_cache
 from math import prod
 from typing import Optional, Tuple
 
@@ -34,10 +45,19 @@ from .cycle_index import (
     class_size,
     class_sizes,
     cycle_indicator,
+    cycle_indicator_mod,
     multiplicity_vector,
+    partition_count,
 )
 from .padic import PadicContext, binomial, factorial
-from .polyring import MultiPoly, Poly, UniPoly, congruence_witnesses
+from .polyring import (
+    MultiPoly,
+    Poly,
+    UniPoly,
+    _grevlex_sorted,
+    _unpack,
+    congruence_witnesses,
+)
 from .reports import CongruenceReport
 
 
@@ -60,6 +80,15 @@ def _perturb(poly: Poly, like: Poly, hit: Optional[Tuple[int, int]]) -> Poly:
     return poly + MultiPoly.monomial(terms[i][0] if terms else (), delta)
 
 
+def _add_witnesses(report: CongruenceReport, bad: list, modulus: int,
+                   ctx: PadicContext, tag: str) -> None:
+    """One violation per (place, difference, required vp) of bad, tagged
+    with ``form`` if tag is given."""
+    for place, c, req in bad:
+        report.add_violation(dict(place, form=tag) if tag else place, c, modulus,
+                             ctx, req)
+
+
 def compare_polys(
     report: CongruenceReport,
     lhs: Poly,
@@ -67,27 +96,73 @@ def compare_polys(
     modulus: int,
     ctx: PadicContext,
     tag: str = "",
-    clean: Optional[list] = None,
-) -> Optional[list]:
+) -> None:
     """Compare two MultiPolys or two UniPolys coefficientwise mod modulus*Z_p.
 
     Counts the longer operand's coefficients as instances and adds one
     violation per coefficient that differs, tagged with ``form`` if given.
-    ``clean``, what an earlier call on the same lhs, rhs and modulus
-    returned, is taken for the witnesses unless the mutation lands here.
-    Returns the witnesses of the unperturbed operands, or None if the
-    mutation landed here.
     """
     size = len if isinstance(lhs, MultiPoly) else (lambda u: len(u.coeffs))
     longer = lhs if size(lhs) >= size(rhs) else rhs
     hit = report.count(size(longer))
+    _add_witnesses(report, congruence_witnesses(_perturb(lhs, longer, hit), rhs,
+                                                modulus, ctx), modulus, ctx, tag)
+
+
+@lru_cache(maxsize=None)
+def _indicator_keys(n: int) -> tuple:
+    """The keys of C_n's terms in witness order (graded revlex)."""
+    return tuple(_grevlex_sorted(cycle_indicator(n).terms))
+
+
+def compare_indicator(
+    report: CongruenceReport,
+    n: int,
+    rhs: MultiPoly,
+    modulus: int,
+    ctx: PadicContext,
+    tag: str = "",
+    clean: Optional[list] = None,
+) -> Optional[list]:
+    """``compare_polys(report, cycle_indicator(n), rhs, modulus, ctx, tag)``
+    for a rhs whose terms are classes of n, decided on residues.
+
+    Reduction mod q = p^vp(modulus) is a ring map, so C_n and rhs agree mod
+    modulus*Z_p at a class exactly where ``cycle_indicator_mod(n, q)`` and
+    rhs mod q do. C_n's p(n) terms are counted as instances; the mutation
+    adds its delta at the key of C_n's i-th term in witness order, which
+    only a mutated compare builds C_n for. A class where the residues differ
+    is a witness, with the exact difference ``class_size(n, class)`` minus
+    rhs's coefficient. ``clean``, what an earlier call on the same n, rhs
+    and modulus returned, is taken for the witnesses unless the mutation
+    lands here. Returns the witnesses of the unperturbed operands, or None
+    if the mutation landed here.
+    """
+    hit = report.count(partition_count(n))
     if hit is None and clean is not None:
         bad = clean
     else:
-        bad = congruence_witnesses(_perturb(lhs, longer, hit), rhs, modulus, ctx)
-    for place, c, req in bad:
-        report.add_violation(dict(place, form=tag) if tag else place, c, modulus,
-                             ctx, req)
+        req = ctx.vp(modulus)
+        q = ctx.p**req
+        lhs = cycle_indicator_mod(n, q).terms
+        rt = rhs.terms
+        get = lhs.get
+        keys = {k for k in lhs if k not in rt}
+        keys.update(k for k, c in rt.items() if (get(k, 0) - c) % q)
+        key, delta = None, 0
+        if hit:
+            key, delta = _indicator_keys(n)[hit[0]], hit[1]
+            if (get(key, 0) + delta - rt.get(key, 0)) % q:
+                keys.add(key)
+            else:
+                keys.discard(key)
+        bad = []
+        for k in _grevlex_sorted(keys):
+            exps = _unpack(k)
+            c = class_size(n, [(i, x) for i, x in enumerate(exps, 1) if x])
+            bad.append(({"exponents": list(exps)},
+                        c + (delta if k == key else 0) - rt.get(k, 0), req))
+    _add_witnesses(report, bad, modulus, ctx, tag)
     return None if hit else bad
 
 
@@ -199,18 +274,19 @@ def _poly_congruence_report(
     report = CongruenceReport(
         name, {"p": p, "n": n, "r": r, "modulus": modulus}, mutation=mutation
     )
-    lhs = cycle_indicator(r + n * p)
+    big_n = r + n * p
     cr = cycle_indicator(r)
     x1p = MultiPoly.variable(1) ** p
     xp = MultiPoly.variable(p)
     rhs = (x1p - xp) ** n * cr
-    clean = compare_polys(report, lhs, rhs, modulus, ctx)
+    clean = compare_indicator(report, big_n, rhs, modulus, ctx)
     if strengthened:
         if p % 2:  # X_1^p + (-1)^p X_p is X_1^p - X_p: the same compare again
-            compare_polys(report, lhs, rhs, modulus, ctx, tag="signed", clean=clean)
+            compare_indicator(report, big_n, rhs, modulus, ctx, tag="signed",
+                              clean=clean)
         else:
             rhs2 = (x1p + xp) ** n * cr
-            compare_polys(report, lhs, rhs2, modulus, ctx, tag="signed")
+            compare_indicator(report, big_n, rhs2, modulus, ctx, tag="signed")
     return report
 
 

@@ -31,18 +31,23 @@ they name, and :func:`coefficient` calls it on the ``parts`` of a
 
 :func:`cycle_indicator` is the one production route to C_n: memoized, it
 builds each class of n once, from the cached class of n - k that lacks one
-copy of the largest part k. Independent routes (the shifted-sum recurrence,
-the sum over cycle types, the determinant and the truncated EGF) are test
-oracles in ``tests/oracles.py``.
+copy of the largest part k. :func:`cycle_indicator_mod` is C_n mod q, for
+the polynomial checkers, which decide their compares mod q = p^e: its rows
+up to p are C_m reduced, and the rows past p follow the shifted-sum
+recurrence mod q, which keeps only the classes whose size q does not divide.
+Independent routes over Z (the shifted-sum recurrence, the sum over cycle
+types, the determinant and the truncated EGF) are test oracles in
+``tests/oracles.py``.
 """
 from __future__ import annotations
 
 import threading
+from functools import lru_cache
 from itertools import accumulate
 from math import factorial
 from typing import Callable, Iterable, Iterator, List, Optional, Tuple
 
-from .polyring import MAX_DEGREE, SLOT_BITS, MultiPoly, _check_degree
+from .polyring import MAX_DEGREE, SLOT_BITS, MultiPoly, _check_degree, _reduced
 
 
 class CycleType:
@@ -228,8 +233,10 @@ def enumerate_cycle_types(n: int) -> Iterator[CycleType]:
         yield ct
 
 
+@lru_cache(maxsize=None)
 def partition_count(n: int) -> int:
-    """p(n) by Euler's pentagonal-number recurrence (enumeration oracle)."""
+    """p(n) by Euler's pentagonal-number recurrence (enumeration oracle),
+    memoized: a polynomial compare counts p(N) instances."""
     p = [1] + [0] * n
     for m in range(1, n + 1):
         total = 0
@@ -319,3 +326,56 @@ def cycle_indicator(n: int) -> MultiPoly:
                 )
             _indicator_cache.append(MultiPoly(acc, _raw=True))
         return _indicator_cache[n]
+
+
+_residue_lock = threading.Lock()
+# q -> {m: C_m mod q} for the rows built so far
+_residue_cache: dict = {}
+
+
+def cycle_indicator_mod(n: int, q: int) -> MultiPoly:
+    """C_n with every coefficient reduced into [0, q) and the zeros dropped,
+    that is ``pow(cycle_indicator(n), 1, q)``, memoized for each q >= 2.
+
+    For p the least prime factor of q, a row m <= p is cycle_indicator(m)
+    reduced: no class of S_m with m < p has a size that p divides, so
+    residues would drop nothing there, and the exact builder makes one term
+    per class. A row m > p follows the shifted-sum recurrence
+    C_m = sum_k (m-1)!/(m-k)! X_k C_{m-k}, which divides nothing and so
+    runs mod q. The sum stops at the first k whose falling factorial is 0
+    mod q, as every later one is its multiple, so the rows up to p are
+    reduced only where a sum reaches them: at q = p, row p alone. The
+    residue caches have their own lock; cycle_indicator takes
+    ``_cache_lock``.
+    """
+    if n < 0:
+        raise ValueError("n must be >= 0")
+    if q < 2:
+        raise ValueError(f"q must be >= 2, got {q}")
+    _check_degree(n)
+    with _residue_lock:
+        rows = _residue_cache.setdefault(q, {})
+        # p, or n if p is larger: the rows up to n are then all exact
+        p = next((d for d in range(2, n + 1) if not q % d), n)
+
+        def row(m: int) -> MultiPoly:
+            if m not in rows:
+                rows[m] = MultiPoly(_reduced(cycle_indicator(m).terms, q), _raw=True)
+            return rows[m]
+
+        for m in range(p + 1, n + 1):
+            if m in rows:
+                continue
+            acc: dict = {}
+            get = acc.get
+            falling = 1  # (m-1)!/(m-k)! mod q
+            for k in range(1, m + 1):
+                step = 1 | 1 << SLOT_BITS * k
+                for key, c in row(m - k).terms.items():
+                    key += step
+                    acc[key] = get(key, 0) + falling * c
+                falling = falling * (m - k) % q
+                if not falling:
+                    break
+            rows[m] = MultiPoly(_reduced(acc, q), _raw=True)
+        return row(n)

@@ -26,6 +26,7 @@ from cyclopadic.cli import (
     main,
     verify_spec,
 )
+from cyclopadic.cycle_index import partition_count
 from cyclopadic.padic import PadicContext, is_prime
 from cyclopadic.reports import CongruenceReport
 
@@ -151,7 +152,19 @@ class TestCompute:
         assert time.monotonic() - start < 1.0
         assert code == 2 and text == ""
         err = capsys.readouterr().err
-        assert "p(120) = 1844349560" in err and str(MAX_CYCLE_INDEX_TERMS) in err
+        assert "p(120) >= p(46) = 105558" in err and str(MAX_CYCLE_INDEX_TERMS) in err
+
+    @pytest.mark.parametrize("n", [46, 60000, 10**9])
+    def test_cycle_index_size_guard_computes_no_p_of_n(self, tmp_path, capsys, n):
+        # p(N) grows with N, so N >= 46 is refused without computing p(N):
+        # p(60000) alone took about 3.7 s, and N = 10^9 a list of 10^9 entries
+        start = time.monotonic()
+        code, text = run(tmp_path, "compute", "cycle-index", str(n))
+        assert time.monotonic() - start < 0.5
+        assert code == 2 and text == ""
+        assert capsys.readouterr().err == (
+            f"error: cycle-index reaches N = {n}, and S_{n} has p({n}) >= "
+            f"p(46) = 105558 cycle types, over the limit of {MAX_CYCLE_INDEX_TERMS}\n")
 
     @pytest.mark.parametrize("obj", ["meixner-q", "meixner-qstar"])
     def test_meixner_degree_ceiling(self, tmp_path, capsys, obj):
@@ -281,10 +294,13 @@ class TestVerify:
         largest = 119 if checker == "corollary1" else 120
         err = capsys.readouterr().err
         assert err.startswith(f"error: {checker} reaches N = {largest},")
-        assert f"p({largest}) = " in err and str(MAX_CYCLE_INDEX_TERMS) in err
+        assert f"p({largest}) >= p(46) = " in err and str(MAX_CYCLE_INDEX_TERMS) in err
 
     def test_size_guard_boundary(self, tmp_path):
         # p(45) = 89,134 is admitted, p(46) = 105,558 is not
+        first = cli.FIRST_N_PAST_TERMS
+        assert partition_count(first - 1) <= MAX_CYCLE_INDEX_TERMS
+        assert partition_count(first) > MAX_CYCLE_INDEX_TERMS
         code, text = run(tmp_path, "verify", "prop-coeff", "--primes", "5",
                          "--n-max", "9", "--degree-cap", "45")
         assert code == 0 and json.loads(text.splitlines()[-1])["params"]["n"] == 9
@@ -444,30 +460,32 @@ class TestVerify:
                    for line in outputs[0].splitlines())
         assert_no_children()
 
-    @pytest.mark.parametrize("checker, forks", [
-        ("carlitz-coeff", False), ("prop-coeff", False),
-        ("corollary1", True), ("all", True),
+    @pytest.mark.parametrize("checker, forks, tasks", [
+        ("carlitz-coeff", False, 6), ("prop-coeff", False, 6),
+        ("carlitz-poly", False, 24), ("prop-poly", False, 24),
+        ("corollary1", True, 0), ("all", True, 0),
     ])
     def test_default_threads_fork_only_where_it_pays(
-        self, tmp_path, monkeypatch, checker, forks
+        self, tmp_path, monkeypatch, checker, forks, tasks
     ):
         pids = set()
 
         def records_pid(check):
-            def checked(n, ctx, mutation):
+            def checked(*args):
                 pids.add(os.getpid())
-                return check(n, ctx, mutation)
+                return check(*args)
             return checked
 
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
-        for name in ("check_carlitz_coeff", "check_prop_coeff"):
+        for name in ("check_carlitz_coeff", "check_prop_coeff",
+                     "check_carlitz_poly", "check_prop_poly"):
             monkeypatch.setattr(congruences, name,
                                 records_pid(getattr(congruences, name)))
         assert cli._default_threads(checker) == (2 if forks else 1)
         if not forks:
             code, text = run(tmp_path, "verify", checker, "--primes", "3,5",
                              "--n-max", "3")
-            assert code == 0 and len(text.splitlines()) == 6
+            assert code == 0 and len(text.splitlines()) == tasks
             assert pids == {os.getpid()}
             assert_no_children()
 

@@ -18,7 +18,7 @@ from cyclopadic.cycle_index import (
     partition_count,
 )
 from cyclopadic.padic import PadicContext
-from cyclopadic.polyring import MultiPoly
+from cyclopadic.polyring import MultiPoly, congruence_witnesses
 from cyclopadic.reports import CongruenceReport
 
 
@@ -406,6 +406,86 @@ COEFF_SWEEPS = [
     (cg.check_prop_coeff, lambda p: (p,), lambda p: p * p),
     (cg.check_corollary1, lambda p: (1, p), lambda p: 1 + p * p),
 ]
+
+
+# every (p, n, r) of `verify prop-poly --primes 2,3,5,7 --n-max 6 --degree-cap 24`
+POLY_POINTS = [key[1:] for key, _, _ in build_all_tasks(verify_spec(
+    ["prop-poly", "--primes", "2,3,5,7", "--allow-p2", "--n-max", "6",
+     "--degree-cap", "24"]))]
+
+
+class TestResidueCompare:
+    """compare_indicator decides C_N against a right-hand side on residues
+    mod p^vp(modulus); it must give what the exact compare gives."""
+
+    @staticmethod
+    def forms(p, n, r):
+        """(X_1^p - X_p)^n C_r, the theorem's, and (X_1^p + X_p)^n C_r, which
+        is false at odd p and the signed form at p = 2."""
+        x1p, xp = MultiPoly.variable(1) ** p, MultiPoly.variable(p)
+        cr = ci.cycle_indicator(r)
+        return (x1p - xp) ** n * cr, (x1p + xp) ** n * cr
+
+    @staticmethod
+    def compare(route, lhs, rhs, p, n, r, modulus, mutation=None):
+        """The report's JSON, and the witnesses compare_indicator returns."""
+        ctx = PadicContext(p)
+        report = CongruenceReport(
+            "prop-poly", {"p": p, "n": n, "r": r, "modulus": modulus},
+            mutation=mutation)
+        if route == "residue":
+            bad = cg.compare_indicator(report, r + n * p, rhs, modulus, ctx)
+        else:
+            cg.compare_polys(report, lhs, rhs, modulus, ctx)
+            bad = None if mutation else congruence_witnesses(lhs, rhs, modulus, ctx)
+        return report.to_json(), bad
+
+    @pytest.mark.parametrize("p, n, r", POLY_POINTS)
+    def test_perturbed_rhs_sound_both_ways(self, p, n, r):
+        modulus = cg.n_star(n) * p
+        lhs = ci.cycle_indicator(r + n * p)
+        # a class of C_N that neither form has, if there is one
+        spare = [e for e, _ in lhs.sorted_terms()
+                 if not any(f.coefficient(e) for f in self.forms(p, n, r))][:1]
+        for true_form, rhs in zip((p > 2, False), self.forms(p, n, r)):
+            _, clean = got = self.compare("residue", lhs, rhs, p, n, r, modulus)
+            assert got == self.compare("exact", lhs, rhs, p, n, r, modulus)
+            assert not clean if true_form else p == 2 or clean
+            clean_places = [w[0]["exponents"] for w in clean]
+            keys = [e for e, _ in rhs.sorted_terms()]
+            for exps in (keys[0], keys[-1], *spare):
+                for delta in (1, modulus):
+                    bumped = rhs + MultiPoly.monomial(exps, delta)
+                    got = self.compare("residue", lhs, bumped, p, n, r, modulus)
+                    assert got == self.compare("exact", lhs, bumped, p, n, r,
+                                               modulus)
+                    places = [w[0]["exponents"] for w in got[1]]
+                    key = list(exps)
+                    if delta == modulus:  # no fault: the same places
+                        assert places == clean_places
+                    else:  # a fault at key, flagged unless key failed before
+                        assert ([e for e in places if e != key]
+                                == [e for e in clean_places if e != key])
+                        assert key in places or key in clean_places
+                        if true_form:
+                            assert places == [key]
+
+    @pytest.mark.parametrize("p, n, r", POLY_POINTS)
+    def test_mutated_lhs_sound_both_ways(self, p, n, r):
+        modulus = cg.n_star(n) * p
+        lhs = ci.cycle_indicator(r + n * p)
+        size = partition_count(r + n * p)
+        rhs = self.forms(p, n, r)[0]
+        for index in (0, size // 2, size - 1, size):
+            for delta in (1, modulus):
+                mutation = (index, delta)
+                text, _ = self.compare("residue", lhs, rhs, p, n, r, modulus,
+                                       mutation)
+                assert text == self.compare("exact", lhs, rhs, p, n, r, modulus,
+                                            mutation)[0]
+                if p > 2:
+                    flagged = json.loads(text)["violations"]
+                    assert len(flagged) == (delta == 1 and index < size)
 
 
 class TestCoeffMutationTwoSided:

@@ -13,6 +13,7 @@ from cyclopadic.cycle_index import (
     class_size,
     coefficient,
     cycle_indicator,
+    cycle_indicator_mod,
     enumerate_cycle_types,
     multiplicity_vector,
     partition_count,
@@ -313,6 +314,35 @@ class TestIndicatorRoutes:
             images = {i: one for i in range(1, n + 1)}
             val = substitute_univariate(cycle_indicator(n), images)
             assert val == UniPoly.constant(math.factorial(n))
+
+
+RESIDUE_MODULI = [2, 4, 8, 3, 9, 27, 81, 5, 25, 7, 49, 11, 23, 43]
+
+
+class TestResidueRows:
+    @pytest.mark.parametrize("q", RESIDUE_MODULI)
+    def test_rows_equal_the_exact_ones_reduced(self, q, recurrence_table):
+        for m in range(46):
+            row = cycle_indicator_mod(m, q)
+            assert row.terms == pow(cycle_indicator(m), 1, q).terms
+            if m <= 30:  # the shifted-sum recurrence over Z
+                assert row.terms == pow(recurrence_table[m], 1, q).terms
+
+    @pytest.mark.parametrize("q", [9, 7, 43])
+    def test_cache_state_does_not_change_the_rows(self, q, monkeypatch):
+        # rows up to p are reduced only where a sum reaches them, so a cache
+        # filled downwards or upwards must give the same rows
+        monkeypatch.setattr(cycle_index, "_residue_cache", {})
+        down = [cycle_indicator_mod(m, q) for m in range(45, -1, -1)][::-1]
+        monkeypatch.setattr(cycle_index, "_residue_cache", {})
+        assert [cycle_indicator_mod(m, q) for m in range(46)] == down
+
+    def test_q_must_be_at_least_2(self):
+        for q in (1, 0, -3):
+            with pytest.raises(ValueError, match="q must be >= 2"):
+                cycle_indicator_mod(5, q)
+        with pytest.raises(ValueError, match="n must be >= 0"):
+            cycle_indicator_mod(-1, 3)
 
 
 class TestGoldenFiles:
