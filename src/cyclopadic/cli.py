@@ -552,10 +552,10 @@ def _default_threads(checker: str = "all") -> int:
     take 15 ms in-process against 20 to 30 ms with 2 workers, most of it
     the fork and the pipes. carlitz-poly and prop-poly decide C_N mod p^e:
     on the same VM the 96 tasks of ``prop-poly --primes 3,5,7 --n-max 12
-    --degree-cap 36`` take 21 ms in-process against 33 ms with 2 workers,
+    --degree-cap 36`` take 12 ms in-process against 25 ms with 2 workers,
     and their largest admitted grid (every prime to 43, r + np <= 45)
-    0.34 s against 0.41 s, most of it building C_0..C_43 exactly for the
-    rows up to p. Otherwise ``os.cpu_count()``.
+    0.21 to 0.23 s against 0.24 to 0.27 s, most of it building C_0..C_43
+    exactly for the rows up to p. Otherwise ``os.cpu_count()``.
     """
     if not any(row.forks for row in CHECKER_TABLE if checker in (row.name, "all")):
         return 1
