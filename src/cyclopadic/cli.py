@@ -29,15 +29,16 @@ Each task is exact, CPU-bound and independent, so ``verify`` runs up to
 ``--threads`` of them at once in worker processes forked from the CLI, at
 most ``os.cpu_count()``: more workers than CPUs only take turns. The default
 is ``os.cpu_count()``, or 1 for a grid whose checkers all cost less than
-forking a worker: carlitz-coeff, prop-coeff, carlitz-poly and prop-poly (see
-``_default_threads``). The CLI process only
+forking a worker: carlitz-coeff, prop-coeff, carlitz-poly, prop-poly and
+junod-lemma (see ``_default_threads``). The CLI process only
 coordinates: it keeps two task indices queued in each worker's pipe, largest
 task first, and reads the worker's pickled reports back over another.
-junod-lemma's trials run as slices, each at every prime (see
-``build_all_tasks``). Every worker has exited before a report is written.
-Where the platform cannot fork, or only one worker would run, the tasks run
-serially in-process. Report emission is ordered by parameter sort regardless
-of completion order, so output is byte-identical for any ``--threads`` value.
+junod-lemma's trials run as one job at every prime, at any ``--threads``
+(see ``build_all_tasks``). Every worker has exited before a report is
+written. Where the platform cannot fork, or only one worker would run, the
+tasks run serially in-process. Report emission is ordered by parameter sort
+regardless of completion order, so output is byte-identical for any
+``--threads`` value.
 """
 from __future__ import annotations
 
@@ -86,8 +87,9 @@ FIRST_N_PAST_TERMS = 46
 # gamma-ratio and 7.5 and 18.4 s for remark1, which walk n classes, and at most
 # 0.01 s for the others. The acceptance module lifts binomials to np = 1400.
 # junod-lemma's trials are not bounded: their memory does not grow with them.
-# On a 2-core VM 1000 of them take 0.09 s at one prime, and 0.14 s at p = 3, 5,
-# 7 serially or 0.11 s with 2 workers (see the README).
+# They run as one job, and a trial whose binomial row vanishes builds no
+# polynomial. On a 2-core VM 1000 of them take 0.011 to 0.020 s at one prime
+# or at p = 3, 5, 7 (see the README).
 MAX_SCALAR_SIZE = 7 * 1000 + 6
 
 # `verify` refuses a grid in which a Meixner checker builds a Q_N of degree N
@@ -114,8 +116,8 @@ class Checker:
     name: its ``verify`` name.
     function: looked up in module when the jobs are built, and called with
     (r, n) on an "rnp" grid, () on "once", (n,) on the others, then the
-    PadicContext and the mutation; on "trials" with (start, stop, trials,
-    seed, ctxs, mutation), see build_all_tasks.
+    PadicContext and the mutation; on "trials" with (trials, seed, ctxs,
+    mutation), see build_all_tasks.
     grid: the (n, r) of its tasks at p, see _grid.
     size: the limit that the N of its largest instance is held to, see
     _refuse: "p(N)", "degree", "N" or "trials" (none).
@@ -147,7 +149,8 @@ CHECKER_TABLE = [
     Checker("gamma-congruence", cg, "report_gamma_congruence", "cap", "N", "odd"),
     Checker("gamma-identity", cg, "report_gamma_identity", "n", "N", "asserted"),
     Checker("gamma-ratio", cg, "check_formula_gamma_ratio", "n", "N", "asserted"),
-    Checker("junod-lemma", cg, "junod_lemma_trials", "trials", "trials", "asserted"),
+    Checker("junod-lemma", cg, "junod_lemma_trials", "trials", "trials", "asserted",
+            forks=False),
     Checker("meixner-qp", mx, "check_junod_qp", "once", "degree", "odd"),
     Checker("meixner-qstar-q", mx, "check_junod_qstar_q", "np", "degree", "odd"),
     Checker("prop-coeff", cg, "check_prop_coeff", "np", "p(N)", forks=False),
@@ -237,10 +240,10 @@ def build_all_tasks(spec: Namespace) -> list:
 
     A task is one job: keys holds its sort key (checker, p, n, r), which is
     also its label, and thunk() returns its report. A row whose grid is
-    "trials" runs as one slice of its trials per worker (one if the run
-    does not fork), each returning a report per prime of keys. The tasks
-    come in key order, as the table is in report order, and the slices last:
-    the pool hands out jobs from the last, so it starts the largest first.
+    "trials" runs as one job at every prime, labelled (checker, "trials"),
+    whose thunk returns a report per prime of keys. The tasks come in key
+    order, as the table is in report order, and the trials last: the pool
+    hands out jobs from the last, so it starts the largest first.
 
     A grid with an entry of ``primes`` that is not prime, with p = 2 but not
     ``allow_p2``, or over a size limit, and a grid that holds no task, raise
@@ -256,21 +259,16 @@ def build_all_tasks(spec: Namespace) -> list:
         if p == 2 and not spec.allow_p2:
             raise UsageError("p=2 sweeps require --allow-p2")
     _check_sizes(spec)
-    jobs, slices = [], []
+    jobs, trial_jobs = [], []
     for row in _rows(spec):
         fn = getattr(row.module, row.function)
         primes = _primes(spec, row)
         if row.grid == "trials":
-            keys = [(row.name, p, 0, 0) for p in primes]
-            ctxs = [PadicContext(p) for p in primes]
-            trials = spec.trials
-            count = max(1, min(spec.threads, trials))
-            for part in range(count if primes else 0):
-                start, stop = trials * part // count, trials * (part + 1) // count
-                thunk = partial(fn, start, stop, trials, spec.seed, ctxs,
-                                spec.mutation)
-                slices.append(((row.name, f"trials {start}..{stop - 1}"), keys,
-                               thunk))
+            if primes:
+                ctxs = [PadicContext(p) for p in primes]
+                thunk = partial(fn, spec.trials, spec.seed, ctxs, spec.mutation)
+                keys = [(row.name, p, 0, 0) for p in primes]
+                trial_jobs.append(((row.name, "trials"), keys, thunk))
             continue
         for p in primes:
             ctx = PadicContext(p)
@@ -284,9 +282,9 @@ def build_all_tasks(spec: Namespace) -> list:
                         thunk = partial(_advisory, thunk)
                     key = (row.name, p, n, r)
                     jobs.append((key, [key], thunk))
-    if not jobs and not slices:
+    if not jobs and not trial_jobs:
         raise UsageError(f"the {spec.checker} grid holds no task")
-    return jobs + slices
+    return jobs + trial_jobs
 
 
 def _run_job(spec: Namespace, thunk: Callable) -> list:
@@ -484,8 +482,8 @@ def _emit(out, lines, path: Optional[str]) -> None:
 
 def run_verify(spec: Namespace, jobs: list, out) -> int:
     """Run the jobs ``build_all_tasks(spec)`` built and write their reports
-    in the order of their keys; the reports of a key's slices are joined in
-    job order. Exit code 1 if a report that is not advisory has a violation.
+    in the order of their keys. Exit code 1 if a report that is not advisory
+    has a violation.
     """
     runs = [partial(_run_job, spec, thunk) for _, _, thunk in jobs]
     workers = min(spec.threads, len(jobs))
@@ -493,14 +491,9 @@ def run_verify(spec: Namespace, jobs: list, out) -> int:
         results = _run_forked(runs, [label for label, _, _ in jobs], workers)
     else:
         results = [run() for run in runs]
-    joined: dict = {}
-    for (_, keys, _), result in zip(jobs, results):
-        for key, report in zip(keys, result):
-            if key in joined:
-                joined[key].extend(report)
-            else:
-                joined[key] = report
-    reports = [joined[key] for key in sorted(joined)]
+    by_key = {key: report for (_, keys, _), result in zip(jobs, results)
+              for key, report in zip(keys, result)}
+    reports = [by_key[key] for key in sorted(by_key)]
     _emit(out, ((report.to_json() if spec.format == "json" else report.to_text())
                 + "\n" for report in reports), spec.out)
     return int(any(r.violations and not r.advisory for r in reports))
@@ -555,7 +548,12 @@ def _default_threads(checker: str = "all") -> int:
     --degree-cap 36`` take 12 ms in-process against 25 ms with 2 workers,
     and their largest admitted grid (every prime to 43, r + np <= 45)
     0.21 to 0.23 s against 0.24 to 0.27 s, most of it building C_0..C_43
-    exactly for the rows up to p. Otherwise ``os.cpu_count()``.
+    exactly for the rows up to p. junod-lemma decides a trial by its
+    binomial row, so its draws are nearly all its cost, and a slice of its
+    trials would have to replay every draw before it: at p = 3, 5, 7 the
+    draws of 20,000 trials take 0.13 s of the run's 0.14 s (fastest of 7),
+    and 1000 trials take 0.011 to 0.023 s in-process. Otherwise
+    ``os.cpu_count()``.
     """
     if not any(row.forks for row in CHECKER_TABLE if checker in (row.name, "all")):
         return 1

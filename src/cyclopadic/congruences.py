@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import random
 from functools import lru_cache
-from math import prod
+from math import comb, prod
 from typing import Optional, Tuple
 
 from .cycle_index import (
@@ -351,8 +351,7 @@ def _randint(bits, lo: int, hi: int) -> int:
 
 def _junod_draws(rng: random.Random) -> tuple:
     """One trial's draws, the same at every p: the terms of a and gamma, the
-    k of m = p*k and the exponent n. Replaying a slice's earlier trials and
-    running its own both draw through here, so the stream cannot drift."""
+    k of m = p*k and the exponent n."""
     bits = rng.getrandbits
     alpha, gamma = {}, {}
     for terms in (alpha, gamma):  # 1 to 3 terms in up to 3 variables
@@ -362,74 +361,77 @@ def _junod_draws(rng: random.Random) -> tuple:
     return alpha, gamma, _randint(bits, 1, 20), _randint(bits, 1, 12)
 
 
+def _lemma_row(n: int, moduli: dict) -> tuple:
+    """(Q, M, vanishes) for the exponent n and each prime's q -> m, the q
+    pairwise coprime.
+
+    Q is the product of the q, and M = m (mod q) at each of them (CRT, TAOCP
+    2, 4.3.2). For b = a + M*gamma, b^n - a^n is the sum over j = 1..n of
+    C(n, j)*M^j a^(n-j) gamma^j, so where every C(n, j)*M^j of that row is 0
+    mod Q, ``pow(a, n, Q) == pow(b, n, Q)`` holds for every a and gamma: the
+    row vanishes exactly where the universal instance (A + M*G)^n = A^n
+    (mod Q) holds.
+    """
+    big_q = prod(moduli)
+    big_m = sum(m * pow(big_q // q, -1, q) * (big_q // q) for q, m in moduli.items())
+    vanishes = all(comb(n, j) * pow(big_m, j, big_q) % big_q == 0
+                   for j in range(1, n + 1))
+    return big_q, big_m, vanishes
+
+
 def junod_lemma_trials(
-    start: int,
-    stop: int,
     trials: int,
     seed: int,
     ctxs: list,
     mutation: Optional[Tuple[int, int]] = None,
 ) -> list:
-    """Trials start..stop-1 of the randomized lemma test of ``trials``, at
-    every prime of ctxs: one report per prime, in the order of ctxs.
+    """Randomized lemma test: m in pZ, a = b (mod m) implies a^n = b^n (mod
+    mn), at every prime of ctxs: one report per prime, in the order of ctxs.
 
-    A trial draws a, gamma, k and n once, and at each p compares a^n with
-    b^n, b = a + m*gamma and m = p*k, mod m*n, which their residues mod q_p
-    = p^vp(m*n) decide. The q_p are pairwise coprime, so for Q their product
-    and M = m (mod q_p) at each p, one ``pow(a, n, Q) == pow(a + M*gamma, n,
-    Q)`` decides every prime. Only a trial that fails it or that the
-    mutation names builds a^n and each b^n over Z, for the exact witness. A
-    slice first replays the draws of trials 0..start-1; ``mutation`` and the
-    violations number trials in the whole run, and consecutive slices'
-    reports, joined by ``CongruenceReport.extend``, are their trials'.
+    Instances live in the commutative ring Z[X_1,X_2,X_3], one per trial. A
+    trial draws a, gamma, k and n once, and at each p compares a^n with b^n,
+    b = a + m*gamma and m = p*k, mod m*n, which their residues mod q_p =
+    p^vp(m*n) decide. By the binomial theorem the row of ``_lemma_row`` for
+    (k, n) decides them all, once per (k, n) of the run: vp(C(n, j)*m^j) >=
+    vp(m*n) for every j >= 1 and p | m, so the row vanishes and no
+    polynomial is built. Where it does not, ``pow(a, n, Q) == pow(a + M*gamma,
+    n, Q)`` decides every prime. Only a trial that fails it or that the
+    mutation names builds a^n and each b^n over Z, for the exact witness; a
+    mutation perturbs the leading term of its a^n. The seed is recorded so
+    any run is reproducible.
     """
     rng = random.Random(seed)
-    for _ in range(start):
-        _junod_draws(rng)
-    if mutation:  # the whole run's index, counted from this slice's first trial
-        index, delta = mutation
-        mutation = None if 0 <= index < start else (index - start, delta)
     reports = [
         CongruenceReport("junod-lemma", {"p": ctx.p, "trials": trials}, seed=seed,
                          mutation=mutation)
         for ctx in ctxs
     ]
-    for trial in range(start, stop):
+    hits = [report.count(trials) for report in reports]  # the same at every p
+    mutated, delta = hits[0] if hits and hits[0] else (-1, 0)
+    rows: dict = {}
+    for trial in range(trials):
         alpha_terms, gamma_terms, k, n = _junod_draws(rng)
+        row = rows.get((k, n))
+        if row is None:
+            row = rows[k, n] = _lemma_row(
+                n, {ctx.p ** ctx.vp(ctx.p * k * n): ctx.p * k for ctx in ctxs})
+        big_q, big_m, vanishes = row
+        if trial != mutated and vanishes:
+            continue
         alpha, gamma = MultiPoly(alpha_terms), MultiPoly(gamma_terms)
-        hits = [report.count(1) for report in reports]
-        qs = {ctx.p: ctx.p ** ctx.vp(ctx.p * k * n) for ctx in ctxs}  # all coprime
-        big_q = prod(qs.values())  # big_m = p*k mod each q (CRT, TAOCP 2, 4.3.2)
-        big_m = sum(p * k * pow(big_q // q, -1, q) * (big_q // q)
-                    for p, q in qs.items())
-        beta = alpha + big_m * gamma  # each b = a + p*k*gamma, mod its q_p
-        if not any(hits) and pow(alpha, n, big_q) == pow(beta, n, big_q):
+        if trial != mutated and (pow(alpha, n, big_q)
+                                 == pow(alpha + big_m * gamma, n, big_q)):
             continue
         power = alpha**n
-        for ctx, report, hit in zip(ctxs, reports, hits):
+        if trial == mutated:
+            power = _perturb(power, power, (0, delta))
+        for ctx, report in zip(ctxs, reports):
             m = ctx.p * k
-            bad = congruence_witnesses(_perturb(power, power, hit),
-                                       (alpha + m * gamma) ** n, m * n, ctx)
+            bad = congruence_witnesses(power, (alpha + m * gamma) ** n, m * n, ctx)
             for place, c, req in bad[:1]:
                 report.add_violation(dict(place, trial=trial, m=m, n=n), c, m * n,
                                      ctx, req)
     return reports
-
-
-def check_junod_lemma(
-    trials: int,
-    seed: int,
-    ctx: PadicContext,
-    mutation: Optional[Tuple[int, int]] = None,
-) -> CongruenceReport:
-    """Randomized lemma test: m in pZ, a = b (mod m) implies a^n = b^n (mod mn).
-
-    Instances live in the commutative ring Z[X_1,X_2,X_3], one per trial; a
-    mutation perturbs the leading term of its a^n. The seed is recorded so
-    any run is reproducible. ``junod_lemma_trials`` runs a slice of the
-    trials at several primes at once.
-    """
-    return junod_lemma_trials(0, trials, trials, seed, [ctx], mutation)[0]
 
 
 def check_formula_gamma_ratio(

@@ -100,14 +100,6 @@ class CongruenceReport:
         self.instances = start + k
         return True
 
-    def extend(self, later: "CongruenceReport") -> None:
-        """Append the report of the instances that follow this report's: its
-        instances and violations, and its elapsed_ms if both are timed."""
-        self.instances += later.instances
-        self.violations.extend(later.violations)
-        if self.elapsed_ms is not None and later.elapsed_ms is not None:
-            self.elapsed_ms += later.elapsed_ms
-
     def add_violation(
         self,
         instance: dict,

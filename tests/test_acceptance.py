@@ -209,8 +209,8 @@ def test_criterion_10_junod_lemma_property():
     reports = []
     for p in (3, 5):
         ctx = PadicContext(p)
-        first = cg.check_junod_lemma(500, seed, ctx)
-        again = cg.check_junod_lemma(500, seed, ctx)
+        first = cg.junod_lemma_trials(500, seed, [ctx])[0]
+        again = cg.junod_lemma_trials(500, seed, [ctx])[0]
         assert first.to_json() == again.to_json()
         assert first.seed == seed
         reports.append(first)

@@ -14,7 +14,7 @@ import time
 import pytest
 
 import cyclopadic
-from cyclopadic import cli, congruences
+from cyclopadic import cli, congruences, meixner
 from cyclopadic.cli import (
     CHECKER_TABLE,
     MAX_CYCLE_INDEX_TERMS,
@@ -370,21 +370,24 @@ class TestVerify:
         assert_no_children()
 
     @pytest.mark.usefixtures("cpus")
-    def test_worker_death_names_the_trial_slice(self, tmp_path, capsys, monkeypatch):
-        trials = congruences.junod_lemma_trials
+    def test_worker_death_in_a_forking_row_names_its_task(self, tmp_path, capsys,
+                                                          monkeypatch):
+        # corollary2 forks without --threads; one of its tasks kills its worker
+        corollary2 = meixner.check_corollary2
 
-        def dies(start, stop, *args):
-            if start:
+        def dies(n, ctx, mutation):
+            if (ctx.p, n) == (5, 2):
                 os._exit(3)
-            return trials(start, stop, *args)
+            return corollary2(n, ctx, mutation)
 
-        monkeypatch.setattr(congruences, "junod_lemma_trials", dies)
-        code = main(["verify", "junod-lemma", "--primes", "3,5", "--trials", "8",
-                     "--threads", "2", "--out", str(tmp_path / "out.txt")])
+        monkeypatch.setattr(meixner, "check_corollary2", dies)
+        assert verify_spec(["corollary2"]).threads == 10
+        code = main(["verify", "corollary2", "--primes", "3,5", "--n-max", "2",
+                     "--out", str(tmp_path / "out.txt")])
         assert code == 3
-        err = capsys.readouterr().err
-        assert "RuntimeError: the worker running task ('junod-lemma', 'trials " in err
-        assert err.endswith("exited with status 3\n")
+        assert capsys.readouterr().err.endswith(
+            "RuntimeError: the worker running task ('corollary2', 5, 2, 0) "
+            "exited with status 3\n")
         assert_no_children()
 
     @pytest.mark.usefixtures("cpus")
@@ -612,7 +615,7 @@ def test_thread_count_does_not_change_cli_output(mutate, code):
 @pytest.mark.usefixtures("cpus")
 def test_three_workers_give_the_pinned_digest(tmp_path, monkeypatch):
     # in-process, so that the cpus fixture lets --threads 3 fork 3 workers on
-    # any machine, and junod-lemma is cut into 3 slices
+    # any machine; junod-lemma's trials are one job, handed out first
     seen = {}
     build, forked = cli.build_all_tasks, cli._run_forked
 
@@ -629,8 +632,9 @@ def test_three_workers_give_the_pinned_digest(tmp_path, monkeypatch):
     out = tmp_path / "out.txt"
     assert main([*VERIFY_ALL, "--threads", "3", "--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == VERIFY_ALL_SHA256
-    slices = [label for label, _, _ in seen["jobs"] if label[0] == "junod-lemma"]
-    assert seen["workers"] == 3 and len(slices) == 3
+    labels = [label for label, _, _ in seen["jobs"]]
+    assert seen["workers"] == 3 and labels[-1] == ("junod-lemma", "trials")
+    assert [label[0] for label in labels].count("junod-lemma") == 1
     assert_no_children()
 
 
@@ -688,8 +692,9 @@ def test_failed_write_is_a_usage_error(argv):
 
 
 @pytest.mark.usefixtures("cpus")
-class TestTrialSlices:
-    """junod-lemma runs as trial slices, each at every prime, one per worker."""
+class TestTrialsAsOneJob:
+    """junod-lemma runs its trials as one job at every prime, at any
+    --threads."""
 
     PRIMES = ["--primes", "3,5,7"]
 
@@ -700,20 +705,10 @@ class TestTrialSlices:
         (1001, ["0:1", "333:1", "500:1", "667:1", "1000:1", "1001:1"]),
     ])
     def test_reports_do_not_depend_on_the_thread_count(
-        self, tmp_path, monkeypatch, trials, mutations
+        self, tmp_path, trials, mutations
     ):
-        # at 1001 trials every exponent n is 1, to keep the test short; the
-        # draws are those of the seed. 500 opens the second slice at 2
-        # workers, 333 and 667 the second and third at 3, and 1000 is the
-        # last trial
-        if trials > 100:
-            draws = congruences._junod_draws
-
-            def first_powers(rng):
-                alpha, gamma, k, _ = draws(rng)
-                return alpha, gamma, k, 1
-
-            monkeypatch.setattr(congruences, "_junod_draws", first_powers)
+        # 0 and 1000 are the first and last of 1001 trials, 333, 500 and 667
+        # lie between, and 1001 is past them
         for mutate in [None, *mutations]:
             argv = ["verify", "junod-lemma", *self.PRIMES, "--trials", str(trials),
                     "--seed", "3"] + (["--mutate", mutate] if mutate else [])
@@ -731,53 +726,54 @@ class TestTrialSlices:
             assert hit == [[index] if index < trials else []] * len(reports)
             assert code == int(index < trials)
 
-    def test_slices_join_in_trial_order(self, tmp_path, monkeypatch):
-        # a lemma that fails at every trial: each report lists every trial,
-        # in order, however many slices ran it and in whatever order they ended.
-        # Every trial is named by a mutation of delta 1, which no q_p divides,
-        # so none takes the combined compare and each fails at every prime
-        count = CongruenceReport.count
-        monkeypatch.setattr(CongruenceReport, "count",
-                            lambda report, k: count(report, k) or (0, 1))
+    def test_failures_are_listed_in_trial_order(self, tmp_path, monkeypatch):
+        # contexts that ask one more power of p than the lemma gives: no
+        # binomial row vanishes, most trials fail at every prime, and each
+        # report lists them in trial order, the same at every thread count
+        class Stricter(PadicContext):
+            def vp(self, x):
+                return super().vp(x) + 1
+
+        monkeypatch.setattr(cli, "PadicContext", Stricter)
         outputs = set()
         for threads in ("1", "2", "3"):
             code, text = run(tmp_path, "verify", "junod-lemma", *self.PRIMES,
                              "--trials", "30", "--threads", threads)
             assert code == 1
             for line in text.splitlines():
-                violations = json.loads(line)["violations"]
-                assert [v["instance"]["trial"] for v in violations] == list(range(30))
+                trials = [v["instance"]["trial"]
+                          for v in json.loads(line)["violations"]]
+                assert 10 < len(trials) and trials == sorted(set(trials))
             outputs.add(text)
         assert len(outputs) == 1
         assert_no_children()
 
-    def test_slices_of_every_prime_share_the_jobs(self, monkeypatch):
-        # one slice per worker when the run forks, one where it cannot
+    def test_every_prime_shares_one_job(self, monkeypatch):
+        # the last job, handed out first, at any thread count and where the
+        # platform cannot fork; on its own the row runs in-process
         argv = ["all", "--primes", "3,5,7", "--n-max", "1", "--degree-cap", "6",
                 "--trials", "10", "--threads"]
         shared = [("junod-lemma", p, 0, 0) for p in (3, 5, 7)]
-        for threads, count in (("1", 1), ("2", 2), ("3", 3), ("10", 10)):
+        for threads in ("1", "2", "3", "10"):
             jobs = build_all_tasks(verify_spec([*argv, threads]))
             tasks = {key for _, keys, _ in jobs for key in keys}
-            assert len(jobs) == len(tasks) - 3 + count
-            labels = [label for label, _, _ in jobs]
-            sliced = labels[len(jobs) - count:]  # handed out first
-            assert sliced[0] == ("junod-lemma", "trials 0..%d" % (10 // count - 1))
-            assert all(label[0] == "junod-lemma" for label in sliced)
-            assert "junod-lemma" not in {label[0] for label in labels[:-count]}
-            assert all(keys == shared for _, keys, _ in jobs[-count:])
+            assert len(jobs) == len(tasks) - 2
+            label, keys, thunk = jobs[-1]
+            assert (label, keys) == (("junod-lemma", "trials"), shared)
+            assert thunk.args[:2] == (10, 0)
+            assert "junod-lemma" not in {label[0] for label, _, _ in jobs[:-1]}
+        assert verify_spec(["junod-lemma"]).threads == 1
         monkeypatch.delattr(os, "fork")
         spec = verify_spec([*argv, "3"])
         assert spec.threads == 1
         assert [label for label, _, _ in build_all_tasks(spec)
-                if label[0] == "junod-lemma"] == [("junod-lemma", "trials 0..9")]
+                if label[0] == "junod-lemma"] == [("junod-lemma", "trials")]
 
-    @pytest.mark.parametrize("threads, slices", [("1", 1), ("3", 3)])
-    def test_every_trial_is_mutated_in_its_slice(self, monkeypatch, threads,
-                                                 slices):
-        # the whole-run index of each trial, in whichever slice holds it, is
-        # one violation per prime that names the trial, and a delta of its
-        # modulus m*n is none; the slices run in-process, joined by run_verify
+    @pytest.mark.parametrize("threads", ["1", "3"])
+    def test_every_trial_is_mutated(self, monkeypatch, threads):
+        # the index of each trial is one violation per prime that names the
+        # trial, and a delta of its modulus m*n is none; the job runs
+        # in-process
         monkeypatch.setattr(cli, "_run_forked",
                             lambda runs, labels, workers: [run() for run in runs])
         argv = ["junod-lemma", "--primes", "3,5", "--trials", "20",
@@ -786,7 +782,7 @@ class TestTrialSlices:
         def reports(mutate):
             spec = verify_spec([*argv, "--mutate", mutate])
             jobs = build_all_tasks(spec)
-            assert len(jobs) == slices
+            assert len(jobs) == 1
             out = io.StringIO()
             cli.run_verify(spec, jobs, out)
             return [json.loads(line) for line in out.getvalue().splitlines()]
@@ -798,12 +794,12 @@ class TestTrialSlices:
                 modulus = violation["required_modulus"]
                 assert reports(f"{trial}:{modulus}")[i]["violations"] == []
 
-    @pytest.mark.parametrize("threads, slices", [("1", 1), ("3", 3)])
+    @pytest.mark.parametrize("threads", ["1", "3"])
     def test_residues_decide_at_the_trials_own_valuation(self, monkeypatch,
-                                                         threads, slices):
+                                                         threads):
         # a trial is decided mod q = p^e, e = vp(m*n) at each prime: a delta
         # of p^e holds there and a delta of p^(e-1) is flagged, so a q one
-        # power too small or too large fails; the slices run in-process
+        # power too small or too large fails; the job runs in-process
         monkeypatch.setattr(cli, "_run_forked",
                             lambda runs, labels, workers: [run() for run in runs])
         primes = (3, 5, 7)
@@ -813,7 +809,7 @@ class TestTrialSlices:
         def violations(mutate):
             spec = verify_spec([*argv, "--mutate", mutate])
             jobs = build_all_tasks(spec)
-            assert len(jobs) == slices
+            assert len(jobs) == 1
             out = io.StringIO()
             cli.run_verify(spec, jobs, out)
             return [json.loads(line)["violations"] for line in out.getvalue().splitlines()]
@@ -831,19 +827,20 @@ class TestTrialSlices:
                 assert flagged["observed_vp"] == e - 1
         assert max(seen) >= 3
 
-    def test_timing_sums_the_slices(self, tmp_path, monkeypatch):
-        # every job takes one second, so a report takes one per slice
+    def test_timing_gives_every_prime_the_jobs_time(self, tmp_path, monkeypatch):
+        # every job takes one second, and junod-lemma's one job gives its
+        # time to the report of every prime
         clock = iter(range(10**6))
         monkeypatch.setattr(cli.time, "monotonic", lambda: next(clock))
-        for threads, slices in (("1", 1), ("2", 2), ("3", 3)):
+        for threads in ("1", "2", "3"):
             code, text = run(tmp_path, "verify", "all", "--primes", "3,5",
                              "--n-max", "1", "--degree-cap", "6", "--trials", "20",
                              "--timing", "--threads", threads)
             assert code == 0
             elapsed = {(r["checker"], r["params"]["p"]): r["elapsed_ms"]
                        for r in map(json.loads, text.splitlines())}
-            for (checker, _), ms in elapsed.items():
-                assert ms == (slices if checker == "junod-lemma" else 1) * 1000
+            assert set(elapsed.values()) == {1000}
+            assert ("junod-lemma", 5) in elapsed
         assert_no_children()
 
 
@@ -888,12 +885,12 @@ def test_verify_spec_defaults():
 
 
 def test_threads_are_capped_at_the_cpu_count(monkeypatch):
-    # more workers than CPUs only take turns; junod-lemma's slices follow
+    # more workers than CPUs only take turns; junod-lemma stays one job
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     argv = ["junod-lemma", "--primes", "3", "--trials", "20", "--threads"]
     for threads in ("2", "16"):
         spec = verify_spec([*argv, threads])
-        assert spec.threads == 2 and len(build_all_tasks(spec)) == 2
+        assert spec.threads == 2 and len(build_all_tasks(spec)) == 1
     monkeypatch.setattr(os, "cpu_count", lambda: None)
     assert verify_spec([*argv, "16"]).threads == 1
 

@@ -32,6 +32,13 @@ def ctx5():
     return PadicContext(5)
 
 
+class _Stricter(PadicContext):
+    """A context that asks one more power of p than the lemma gives."""
+
+    def vp(self, x):
+        return super().vp(x) + 1
+
+
 class TestNStar:
     def test_values(self):
         assert cg.n_star(1) == 1
@@ -159,40 +166,31 @@ class TestJunodLemma:
         assert ok
 
     def test_seeded_run_stable(self, ctx3):
-        a = cg.check_junod_lemma(50, 1234, ctx3)
-        b = cg.check_junod_lemma(50, 1234, ctx3)
+        a = cg.junod_lemma_trials(50, 1234, [ctx3])[0]
+        b = cg.junod_lemma_trials(50, 1234, [ctx3])[0]
         assert a.passed and b.passed
         assert a.to_json() == b.to_json()
         assert a.seed == 1234
 
     def test_500_trials(self, ctx3, ctx5):
-        assert cg.check_junod_lemma(500, 0, ctx3).passed
-        assert cg.check_junod_lemma(500, 0, ctx5).passed
+        assert cg.junod_lemma_trials(500, 0, [ctx3])[0].passed
+        assert cg.junod_lemma_trials(500, 0, [ctx5])[0].passed
 
     @pytest.mark.parametrize("index", [None, 0, 12, 13, 39, 40])
-    def test_slices_join_to_the_whole_run(self, index):
-        # slices of 0..39 at three primes at once, joined in order, are the
-        # one-prime reports of all 40 trials, clean or mutated at trial index
+    def test_primes_at_once_are_the_one_prime_runs(self, index):
+        # a run at three primes at once gives each prime the report of a run
+        # at that prime alone, clean or mutated at trial index
         ctxs = [PadicContext(p) for p in (3, 5, 7)]
         mutation = None if index is None else (index, 1)
-        alone = [cg.check_junod_lemma(40, 9, ctx, mutation) for ctx in ctxs]
+        alone = [cg.junod_lemma_trials(40, 9, [ctx], mutation)[0] for ctx in ctxs]
         hit = [index] if index is not None and index < 40 else []
         assert [[v["instance"]["trial"] for v in r.violations] for r in alone] == [hit] * 3
-        for cuts in [(), (1,), (13,), (5, 6, 30), (0, 0, 40)]:
-            bounds = [0, *cuts, 40]
-            joined = None
-            for start, stop in zip(bounds, bounds[1:]):
-                part = cg.junod_lemma_trials(start, stop, 40, 9, ctxs, mutation)
-                if joined is None:
-                    joined = part
-                else:
-                    for whole, later in zip(joined, part):
-                        whole.extend(later)
-            assert [r.to_json() for r in joined] == [r.to_json() for r in alone]
+        together = cg.junod_lemma_trials(40, 9, ctxs, mutation)
+        assert [r.to_json() for r in together] == [r.to_json() for r in alone]
 
     def test_only_a_failing_trial_builds_exact_witnesses(self, monkeypatch):
-        # residues mod p^vp(m*n) decide a trial; the exact compare runs only
-        # for a trial that fails, once at each prime
+        # the binomial row decides a trial; the exact compare runs only for a
+        # trial that fails, once at each prime
         ctxs = [PadicContext(p) for p in (3, 5, 7, 11)]
         calls = []
         witnesses = cg.congruence_witnesses
@@ -200,47 +198,61 @@ class TestJunodLemma:
             cg, "congruence_witnesses",
             lambda a, b, m, ctx: calls.append(ctx.p) or witnesses(a, b, m, ctx),
         )
-        reports = cg.junod_lemma_trials(0, 60, 60, 2, ctxs)
+        reports = cg.junod_lemma_trials(60, 2, ctxs)
         assert calls == [] and all(r.passed for r in reports)
         for index in (0, 17, 59):
             calls.clear()
-            reports = cg.junod_lemma_trials(0, 60, 60, 2, ctxs, (index, 1))
+            reports = cg.junod_lemma_trials(60, 2, ctxs, (index, 1))
             assert calls == [3, 5, 7, 11]
             assert [[v["instance"]["trial"] for v in r.violations]
                     for r in reports] == [[index]] * 4
 
-    @pytest.mark.parametrize("start", [0, 9])
-    def test_a_delta_that_some_q_p_divide_holds_at_those_p_alone(self, start):
-        # a mutated trial skips the one compare mod Q = q_3 q_5 q_7 and is
-        # decided prime by prime: a delta that is a multiple of some q_p's
-        # holds at exactly those p, in a slice that starts later too
+    def test_a_clean_run_builds_no_polynomial(self, monkeypatch):
+        # every row of a clean run vanishes, so no MultiPoly is built and none
+        # is raised to a power; a mutated trial builds its exact operands
+        built, powered = [], []
+        init, power = MultiPoly.__init__, MultiPoly.__pow__
+        monkeypatch.setattr(MultiPoly, "__init__",
+                            lambda *a, **kw: built.append(1) or init(*a, **kw))
+        monkeypatch.setattr(MultiPoly, "__pow__",
+                            lambda *a: powered.append(1) or power(*a))
+        ctxs = [PadicContext(p) for p in (3, 5, 7)]
+        reports = cg.junod_lemma_trials(500, 0, ctxs)
+        assert all(r.passed and r.instances == 500 for r in reports)
+        assert (built, powered) == ([], [])
+        cg.junod_lemma_trials(500, 0, ctxs, (250, 1))
+        assert built and len(powered) == 1 + len(ctxs)
+
+    def test_a_delta_that_some_q_p_divide_holds_at_those_p_alone(self):
+        # a mutated trial skips the binomial row and is decided prime by
+        # prime: a delta that is a multiple of some q_p's holds at exactly
+        # those p
         primes = (3, 5, 7)
         ctxs = [PadicContext(p) for p in primes]
         rng = random.Random(11)
         for trial in range(24):
             _, _, k, n = cg._junod_draws(rng)
-            if trial < start:
-                continue
             q = {p: p ** ctx.vp(p * k * n) for p, ctx in zip(primes, ctxs)}
             for held in [(3,), (5,), (7,), (3, 5), (3, 5, 7)]:
                 delta = math.prod(q[p] for p in held)
-                reports = cg.junod_lemma_trials(start, 24, 24, 11, ctxs,
-                                                (trial, delta))
+                reports = cg.junod_lemma_trials(24, 11, ctxs, (trial, delta))
                 for p, report in zip(primes, reports):
-                    assert report.instances == 24 - start
+                    assert report.instances == 24
                     flagged = [v["instance"]["trial"] for v in report.violations]
                     assert flagged == ([] if p in held else [trial])
 
-    def test_the_combined_compare_fails_at_one_prime(self):
+    def test_the_combined_compare_fails_at_one_prime(self, monkeypatch):
         # a context that asks one more power of 5 than the lemma gives makes
-        # real failures at 5 alone; the one compare mod Q must send exactly
-        # the trials whose exact a^n - b^n misses 5^(e+1) to the reports
-        class Stricter(PadicContext):
-            def vp(self, x):
-                return super().vp(x) + 1
-
-        ctxs = [PadicContext(3), Stricter(5), PadicContext(7)]
-        reports = cg.junod_lemma_trials(0, 40, 40, 6, ctxs)
+        # real failures at 5 alone: their rows do not vanish, and the compare
+        # mod Q must send exactly the trials whose exact a^n - b^n misses
+        # 5^(e+1) to the reports
+        powered = []
+        power = MultiPoly.__pow__
+        monkeypatch.setattr(MultiPoly, "__pow__",
+                            lambda *a: powered.append(1) or power(*a))
+        ctxs = [PadicContext(3), _Stricter(5), PadicContext(7)]
+        reports = cg.junod_lemma_trials(40, 6, ctxs)
+        assert powered
         five = PadicContext(5)
         rng, expected = random.Random(6), []
         for trial in range(40):
@@ -252,6 +264,65 @@ class TestJunodLemma:
         assert 0 < len(expected) < 40
         assert reports[0].passed and reports[2].passed
         assert [v["instance"]["trial"] for v in reports[1].violations] == expected
+
+    @pytest.mark.parametrize("stricter", [False, True], ids=["exact", "stricter"])
+    def test_the_row_decides_as_the_compare_mod_q(self, stricter):
+        # on every trial of seeds 0..9, a vanishing binomial row implies the
+        # compare pow(a, n, Q) == pow(a + M*gamma, n, Q) that decided every
+        # trial before it, with Q and M built here prime by prime (Garner's
+        # CRT). Every row vanishes at the exact contexts; none does at the
+        # stricter one, where j = 1 gives C(n, 1)*m = m*n, so the compare
+        # decides. The reports flag exactly the trials that fail it (every
+        # seed at the exact contexts; seed 0 at the stricter one, where most
+        # trials build their exact operands)
+        primes = (2, 3, 5, 7, 11, 13)
+        ctxs = [_Stricter(p) if stricter and p == 5 else PadicContext(p)
+                for p in primes]
+        for seed in range(10):
+            rng, failed = random.Random(seed), []
+            for trial in range(500):
+                alpha_terms, gamma_terms, k, n = cg._junod_draws(rng)
+                big_q, big_m = 1, 0
+                for ctx in ctxs:
+                    q = ctx.p ** ctx.vp(ctx.p * k * n)
+                    big_m += big_q * ((ctx.p * k - big_m) * pow(big_q, -1, q) % q)
+                    big_q *= q
+                moduli = {ctx.p ** ctx.vp(ctx.p * k * n): ctx.p * k for ctx in ctxs}
+                row_q, row_m, vanishes = cg._lemma_row(n, moduli)
+                assert (row_q, row_m % row_q) == (big_q, big_m)
+                assert vanishes != stricter
+                alpha, gamma = MultiPoly(alpha_terms), MultiPoly(gamma_terms)
+                if pow(alpha, n, big_q) != pow(alpha + big_m * gamma, n, big_q):
+                    failed.append(trial)
+            assert (failed != []) == stricter
+            if seed and stricter:
+                continue
+            reports = cg.junod_lemma_trials(500, seed, ctxs)
+            flagged = [[v["instance"]["trial"] for v in r.violations] for r in reports]
+            assert flagged == [failed if p == 5 else [] for p in primes]
+
+    def test_the_row_is_the_universal_instance(self):
+        # for m = p*k, (A + m*G)^n = A^n (mod q = p^vp(m*n)) in Z[A, G] holds
+        # exactly where the row vanishes, since its terms are C(n, j)*m^j
+        # A^(n-j) G^j. It holds at all 1,440 points p <= 13, k <= 20, n <= 12
+        # that the trials draw from; with m = 1, 2 or 4 at p = 3, which p does
+        # not divide, and n = 3 or 9, the row does not vanish and the
+        # polynomial compare is flagged
+        a, g = MultiPoly.variable(1), MultiPoly.variable(2)
+
+        def row_and_compare(p, m, n):
+            q = p ** PadicContext(p).vp(m * n)
+            _, big_m, vanishes = cg._lemma_row(n, {q: m})
+            assert big_m % q == m % q
+            return vanishes, pow(a, n, q) == pow(a + m * g, n, q)
+
+        points = [(p, p * k, n) for p in (2, 3, 5, 7, 11, 13)
+                  for k in range(1, 21) for n in range(1, 13)]
+        assert len(points) == 1440
+        assert all(row_and_compare(*point) == (True, True) for point in points)
+        for m in (1, 2, 4):
+            for n in (3, 9):
+                assert row_and_compare(3, m, n) == (False, False)
 
     def test_draws_follow_randint(self):
         # the getrandbits draw is randint's, and leaves the stream where
@@ -285,15 +356,9 @@ class TestJunodLemma:
         # the one compare takes each prime's q once; pairwise coprime q_p
         # are what the Chinese remainder theorem needs
         for mutation in (None, (7, 1)):
-            alone = cg.check_junod_lemma(20, 1, ctx3, mutation)
-            twice = cg.junod_lemma_trials(0, 20, 20, 1, [ctx3, ctx3], mutation)
+            alone = cg.junod_lemma_trials(20, 1, [ctx3], mutation)[0]
+            twice = cg.junod_lemma_trials(20, 1, [ctx3, ctx3], mutation)
             assert [r.to_json() for r in twice] == [alone.to_json()] * 2
-
-    def test_a_slice_replays_the_draws_before_it(self, ctx3):
-        whole = cg.check_junod_lemma(30, 5, ctx3, (20, 1))
-        (tail,) = cg.junod_lemma_trials(20, 30, 30, 5, [ctx3], (20, 1))
-        assert tail.instances == 10
-        assert tail.violations == whole.violations
 
 
 class TestGammaRatio:
@@ -374,8 +439,8 @@ class TestMutationDetection:
     def test_junod_lemma_mutation_is_two_sided(self, ctx3, ctx5):
         # m <= 20p and n <= 12 keep the required valuation vp(m*n) below 10
         for ctx in (ctx3, ctx5):
-            assert cg.check_junod_lemma(50, 0, ctx, (0, ctx.p**10)).passed
-            report = cg.check_junod_lemma(50, 0, ctx, (0, 1))
+            assert cg.junod_lemma_trials(50, 0, [ctx], (0, ctx.p**10))[0].passed
+            report = cg.junod_lemma_trials(50, 0, [ctx], (0, 1))[0]
             assert [v["instance"]["trial"] for v in report.violations] == [0]
 
     def test_negative_index_refused(self, ctx3):
@@ -384,8 +449,8 @@ class TestMutationDetection:
         for mutation in ((-1, 1), (-30, 1)):
             with pytest.raises(ValueError):
                 cg.report_gamma_identity(2, ctx3, mutation)
-            with pytest.raises(ValueError):  # also in a slice that starts later
-                cg.junod_lemma_trials(10, 20, 20, 0, [ctx3], mutation)
+            with pytest.raises(ValueError):
+                cg.junod_lemma_trials(20, 0, [ctx3], mutation)
         with pytest.raises(UsageError) as info:
             verify_spec(["carlitz-coeff", "--mutate=-1:1"])
         assert str(info.value) == "malformed --mutate '-1:1'"
@@ -807,15 +872,15 @@ class TestScalarMutationTwoSided:
         for ctx in (ctx3, ctx5):
             for trial in (7, 49):
                 keep = (trial, ctx.p**10)
-                assert cg.check_junod_lemma(50, 0, ctx, keep).passed
-                report = cg.check_junod_lemma(50, 0, ctx, (trial, 1))
+                assert cg.junod_lemma_trials(50, 0, [ctx], keep)[0].passed
+                report = cg.junod_lemma_trials(50, 0, [ctx], (trial, 1))[0]
                 assert [v["instance"]["trial"] for v in report.violations] == [trial]
                 assert report.violations[0]["observed_vp"] == 0
 
 
 @pytest.mark.parametrize("checker", [row.name for row in CHECKER_TABLE])
 def test_index_past_the_instances_injects_nothing(checker):
-    # one job per task, and junod-lemma's trials in one slice at both primes
+    # one job per task, and junod-lemma's trials in one job at both primes
     jobs = build_all_tasks(verify_spec([checker, "--primes", "3,5", "--n-max", "2",
                                         "--degree-cap", "12", "--trials", "20",
                                         "--threads", "1"]))
@@ -890,19 +955,6 @@ class TestReportShape:
     def test_text_mode(self, ctx3):
         report = cg.check_prop_coeff(2, ctx3)
         assert report.to_text().startswith("PASS")
-
-    def test_extend_appends_the_later_instances(self, ctx3):
-        first = CongruenceReport("x", {"p": 3}, instances=2)
-        first.add_violation({"i": 1}, 1, 9, ctx3, 2)
-        later = CongruenceReport("x", {"p": 3}, instances=3)
-        later.add_violation({"i": 4}, 2, 9, ctx3, 2)
-        first.extend(later)
-        assert first.instances == 5
-        assert [v["instance"]["i"] for v in first.violations] == [1, 4]
-        assert first.elapsed_ms is None
-        first.elapsed_ms, later.elapsed_ms = 4, 6
-        first.extend(later)
-        assert first.elapsed_ms == 10
 
     def test_report_pickles_with_its_violations(self, ctx3):
         r = CongruenceReport("x", {"p": 3, "n": 2}, seed=5, advisory=True,
