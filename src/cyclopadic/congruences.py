@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import random
 from functools import lru_cache
-from math import comb, prod
+from math import comb
 from typing import Optional, Tuple
 
 from .cycle_index import (
@@ -361,22 +361,17 @@ def _junod_draws(rng: random.Random) -> tuple:
     return alpha, gamma, _randint(bits, 1, 20), _randint(bits, 1, 12)
 
 
-def _lemma_row(n: int, moduli: dict) -> tuple:
-    """(Q, M, vanishes) for the exponent n and each prime's q -> m, the q
-    pairwise coprime.
+def _row_vanishes(n: int, moduli: dict) -> bool:
+    """Whether C(n, j)*m^j = 0 (mod q) for every j = 1..n, at each prime's
+    q -> m.
 
-    Q is the product of the q, and M = m (mod q) at each of them (CRT, TAOCP
-    2, 4.3.2). For b = a + M*gamma, b^n - a^n is the sum over j = 1..n of
-    C(n, j)*M^j a^(n-j) gamma^j, so where every C(n, j)*M^j of that row is 0
-    mod Q, ``pow(a, n, Q) == pow(b, n, Q)`` holds for every a and gamma: the
-    row vanishes exactly where the universal instance (A + M*G)^n = A^n
-    (mod Q) holds.
+    For b = a + m*gamma, b^n - a^n is the sum over j = 1..n of
+    C(n, j)*m^j a^(n-j) gamma^j, so where every term of that row is 0 mod q,
+    a^n = b^n (mod q) holds for every a and gamma: the row vanishes exactly
+    where the universal instance (A + m*G)^n = A^n (mod q) holds.
     """
-    big_q = prod(moduli)
-    big_m = sum(m * pow(big_q // q, -1, q) * (big_q // q) for q, m in moduli.items())
-    vanishes = all(comb(n, j) * pow(big_m, j, big_q) % big_q == 0
-                   for j in range(1, n + 1))
-    return big_q, big_m, vanishes
+    return all(comb(n, j) * pow(m, j, q) % q == 0
+               for q, m in moduli.items() for j in range(1, n + 1))
 
 
 def junod_lemma_trials(
@@ -391,14 +386,14 @@ def junod_lemma_trials(
     Instances live in the commutative ring Z[X_1,X_2,X_3], one per trial. A
     trial draws a, gamma, k and n once, and at each p compares a^n with b^n,
     b = a + m*gamma and m = p*k, mod m*n, which their residues mod q_p =
-    p^vp(m*n) decide. By the binomial theorem the row of ``_lemma_row`` for
-    (k, n) decides them all, once per (k, n) of the run: vp(C(n, j)*m^j) >=
-    vp(m*n) for every j >= 1 and p | m, so the row vanishes and no
-    polynomial is built. Where it does not, ``pow(a, n, Q) == pow(a + M*gamma,
-    n, Q)`` decides every prime. Only a trial that fails it or that the
-    mutation names builds a^n and each b^n over Z, for the exact witness; a
-    mutation perturbs the leading term of its a^n. The seed is recorded so
-    any run is reproducible.
+    p^vp(m*n) decide. By the binomial theorem the row of ``_row_vanishes``
+    for (k, n) decides them all, once per (k, n) of the run: vp(C(n, j)*m^j)
+    >= vp(m*n) for every j >= 1 and p | m, so the row vanishes and no
+    polynomial is built. Only a trial whose row does not vanish (a context
+    that asks more than the lemma gives) or that the mutation names builds
+    a^n and each b^n over Z, and is decided prime by prime on those exact
+    operands; a mutation perturbs the leading term of its a^n. The seed is
+    recorded so any run is reproducible.
     """
     rng = random.Random(seed)
     reports = [
@@ -408,20 +403,16 @@ def junod_lemma_trials(
     ]
     hits = [report.count(trials) for report in reports]  # the same at every p
     mutated, delta = hits[0] if hits and hits[0] else (-1, 0)
-    rows: dict = {}
+    rows: dict = {}  # (k, n) -> whether its row vanishes
     for trial in range(trials):
         alpha_terms, gamma_terms, k, n = _junod_draws(rng)
-        row = rows.get((k, n))
-        if row is None:
-            row = rows[k, n] = _lemma_row(
+        vanishes = rows.get((k, n))
+        if vanishes is None:
+            vanishes = rows[k, n] = _row_vanishes(
                 n, {ctx.p ** ctx.vp(ctx.p * k * n): ctx.p * k for ctx in ctxs})
-        big_q, big_m, vanishes = row
-        if trial != mutated and vanishes:
+        if vanishes and trial != mutated:
             continue
         alpha, gamma = MultiPoly(alpha_terms), MultiPoly(gamma_terms)
-        if trial != mutated and (pow(alpha, n, big_q)
-                                 == pow(alpha + big_m * gamma, n, big_q)):
-            continue
         power = alpha**n
         if trial == mutated:
             power = _perturb(power, power, (0, delta))

@@ -5,6 +5,7 @@ import json
 import math
 import os
 import pathlib
+import random
 import resource
 import signal
 import subprocess
@@ -28,6 +29,7 @@ from cyclopadic.cli import (
 )
 from cyclopadic.cycle_index import partition_count
 from cyclopadic.padic import PadicContext, is_prime
+from cyclopadic.polyring import MultiPoly, congruence_witnesses
 from cyclopadic.reports import CongruenceReport
 
 pytestmark = pytest.mark.filterwarnings("ignore")
@@ -728,25 +730,38 @@ class TestTrialsAsOneJob:
 
     def test_failures_are_listed_in_trial_order(self, tmp_path, monkeypatch):
         # contexts that ask one more power of p than the lemma gives: no
-        # binomial row vanishes, most trials fail at every prime, and each
-        # report lists them in trial order, the same at every thread count
+        # binomial row vanishes, and each report lists exactly the trials
+        # whose exact operands miss p^(e+1), in trial order, the same at
+        # every thread count
         class Stricter(PadicContext):
             def vp(self, x):
                 return super().vp(x) + 1
 
+        primes = (3, 5, 7)
+        rng, expected = random.Random(0), {p: [] for p in primes}
+        for trial in range(30):
+            alpha_terms, gamma_terms, k, n = congruences._junod_draws(rng)
+            alpha, gamma = MultiPoly(alpha_terms), MultiPoly(gamma_terms)
+            for p in primes:
+                beta = (alpha + p * k * gamma) ** n
+                if congruence_witnesses(alpha**n, beta, p * k * n, Stricter(p)):
+                    expected[p].append(trial)
+        assert all(10 < len(trials) < 30 for trials in expected.values())
         monkeypatch.setattr(cli, "PadicContext", Stricter)
         outputs = set()
         for threads in ("1", "2", "3"):
             code, text = run(tmp_path, "verify", "junod-lemma", *self.PRIMES,
                              "--trials", "30", "--threads", threads)
             assert code == 1
-            for line in text.splitlines():
-                trials = [v["instance"]["trial"]
-                          for v in json.loads(line)["violations"]]
-                assert 10 < len(trials) and trials == sorted(set(trials))
             outputs.add(text)
         assert len(outputs) == 1
         assert_no_children()
+        (text,) = outputs
+        for p, line in zip(primes, text.splitlines()):
+            report = json.loads(line)
+            assert report["params"]["p"] == p
+            flagged = [v["instance"]["trial"] for v in report["violations"]]
+            assert flagged == expected[p]
 
     def test_every_prime_shares_one_job(self, monkeypatch):
         # the last job, handed out first, at any thread count and where the

@@ -243,9 +243,9 @@ class TestJunodLemma:
 
     def test_the_combined_compare_fails_at_one_prime(self, monkeypatch):
         # a context that asks one more power of 5 than the lemma gives makes
-        # real failures at 5 alone: their rows do not vanish, and the compare
-        # mod Q must send exactly the trials whose exact a^n - b^n misses
-        # 5^(e+1) to the reports
+        # real failures at 5 alone: no row vanishes, every trial is decided on
+        # its exact operands, and exactly the trials whose a^n - b^n misses
+        # 5^(e+1) reach the report at 5
         powered = []
         power = MultiPoly.__pow__
         monkeypatch.setattr(MultiPoly, "__pow__",
@@ -271,10 +271,10 @@ class TestJunodLemma:
         # compare pow(a, n, Q) == pow(a + M*gamma, n, Q) that decided every
         # trial before it, with Q and M built here prime by prime (Garner's
         # CRT). Every row vanishes at the exact contexts; none does at the
-        # stricter one, where j = 1 gives C(n, 1)*m = m*n, so the compare
-        # decides. The reports flag exactly the trials that fail it (every
-        # seed at the exact contexts; seed 0 at the stricter one, where most
-        # trials build their exact operands)
+        # stricter one, where j = 1 gives C(n, 1)*m = m*n, so every trial is
+        # decided on its exact operands. The reports flag exactly the trials
+        # that fail the compare (every seed at the exact contexts; seed 0 at
+        # the stricter one)
         primes = (2, 3, 5, 7, 11, 13)
         ctxs = [_Stricter(p) if stricter and p == 5 else PadicContext(p)
                 for p in primes]
@@ -288,9 +288,7 @@ class TestJunodLemma:
                     big_m += big_q * ((ctx.p * k - big_m) * pow(big_q, -1, q) % q)
                     big_q *= q
                 moduli = {ctx.p ** ctx.vp(ctx.p * k * n): ctx.p * k for ctx in ctxs}
-                row_q, row_m, vanishes = cg._lemma_row(n, moduli)
-                assert (row_q, row_m % row_q) == (big_q, big_m)
-                assert vanishes != stricter
+                assert cg._row_vanishes(n, moduli) != stricter
                 alpha, gamma = MultiPoly(alpha_terms), MultiPoly(gamma_terms)
                 if pow(alpha, n, big_q) != pow(alpha + big_m * gamma, n, big_q):
                     failed.append(trial)
@@ -306,15 +304,14 @@ class TestJunodLemma:
         # exactly where the row vanishes, since its terms are C(n, j)*m^j
         # A^(n-j) G^j. It holds at all 1,440 points p <= 13, k <= 20, n <= 12
         # that the trials draw from; with m = 1, 2 or 4 at p = 3, which p does
-        # not divide, and n = 3 or 9, the row does not vanish and the
-        # polynomial compare is flagged
+        # not divide, and n = 3 or 9, the row does not vanish and neither
+        # does the polynomial compare hold
         a, g = MultiPoly.variable(1), MultiPoly.variable(2)
 
         def row_and_compare(p, m, n):
             q = p ** PadicContext(p).vp(m * n)
-            _, big_m, vanishes = cg._lemma_row(n, {q: m})
-            assert big_m % q == m % q
-            return vanishes, pow(a, n, q) == pow(a + m * g, n, q)
+            compare = pow(a, n, q) == pow(a + m * g, n, q)
+            return cg._row_vanishes(n, {q: m}), compare
 
         points = [(p, p * k, n) for p in (2, 3, 5, 7, 11, 13)
                   for k in range(1, 21) for n in range(1, 13)]
@@ -353,8 +350,8 @@ class TestJunodLemma:
             assert ours.getstate() == theirs.getstate()
 
     def test_a_prime_given_twice_gets_two_equal_reports(self, ctx3):
-        # the one compare takes each prime's q once; pairwise coprime q_p
-        # are what the Chinese remainder theorem needs
+        # the row takes each prime's q once, and each context gets its own
+        # report
         for mutation in (None, (7, 1)):
             alone = cg.junod_lemma_trials(20, 1, [ctx3], mutation)[0]
             twice = cg.junod_lemma_trials(20, 1, [ctx3, ctx3], mutation)
