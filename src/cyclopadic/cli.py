@@ -18,27 +18,16 @@ a refused grid, a grid that holds no task, a --primes entry that is not
 prime or too large for ``is_prime`` to certify, a negative --n-max,
 --degree-cap, --threads or --trials, a malformed --mutate or one with a
 negative index and a failed write to --out or stdout included, 3 internal
-error: an exception raised by a checker, in this process or in a worker, or
-a worker that died, with the traceback on stderr. A reader that closes
-stdout early ends the run quietly with 141, the status of a process that
-SIGPIPE ends. ``--out`` is opened only after every usage check has passed,
-so a usage error other than a failed write leaves an existing file as it
-was.
+error: an exception raised by a checker, with the traceback on stderr. A
+reader that closes stdout early ends the run quietly with 141, the status of
+a process that SIGPIPE ends. ``--out`` is opened only after every usage check
+has passed, so a usage error other than a failed write leaves an existing
+file as it was.
 
-Each task is exact, CPU-bound and independent, so ``verify`` runs up to
-``--threads`` of them at once in worker processes forked from the CLI, at
-most ``os.cpu_count()``: more workers than CPUs only take turns. The default
-is ``os.cpu_count()``, or 1 for a grid whose checkers all cost less than
-forking a worker: carlitz-coeff, prop-coeff, carlitz-poly, prop-poly and
-junod-lemma (see ``_default_threads``). The CLI process only
-coordinates: it keeps two task indices queued in each worker's pipe, largest
-task first, and reads the worker's pickled reports back over another.
-junod-lemma's trials run as one job at every prime, at any ``--threads``
-(see ``build_all_tasks``). Every worker has exited before a report is
-written. Where the platform cannot fork, or only one worker would run, the
-tasks run serially in-process. Report emission is ordered by parameter sort
-regardless of completion order, so output is byte-identical for any
-``--threads`` value.
+Each task is exact, CPU-bound and independent, and ``verify`` runs them one
+after another in the CLI process. ``--threads K`` is accepted and ignored.
+junod-lemma's trials run as one job at every prime (see ``build_all_tasks``).
+Reports are written in parameter sort order once every task has run.
 """
 from __future__ import annotations
 
@@ -122,39 +111,35 @@ class Checker:
     size: the limit that the N of its largest instance is held to, see
     _refuse: "p(N)", "degree", "N" or "trials" (none).
     p2: at p = 2, "advisory", "asserted", or "odd" (no task).
-    forks: False if even its largest admitted grid runs no slower
-    in-process, so that without --threads it does (see _default_threads).
     """
 
-    __slots__ = ("name", "module", "function", "grid", "size", "p2", "forks")
+    __slots__ = ("name", "module", "function", "grid", "size", "p2")
 
     def __init__(self, name: str, module: ModuleType, function: str, grid: str,
-                 size: str, p2: str = "advisory", forks: bool = True):
+                 size: str, p2: str = "advisory"):
         self.name = name
         self.module = module
         self.function = function
         self.grid = grid
         self.size = size
         self.p2 = p2
-        self.forks = forks
 
 
 # One row per checker, in report order (tasks sort by checker name first).
 CHECKER_TABLE = [
     Checker("binomial-lift", cg, "report_binomial_lift", "n", "N", "asserted"),
-    Checker("carlitz-coeff", cg, "check_carlitz_coeff", "np", "p(N)", forks=False),
-    Checker("carlitz-poly", cg, "check_carlitz_poly", "rnp0", "p(N)", forks=False),
+    Checker("carlitz-coeff", cg, "check_carlitz_coeff", "np", "p(N)"),
+    Checker("carlitz-poly", cg, "check_carlitz_poly", "rnp0", "p(N)"),
     Checker("corollary1", cg, "check_corollary1", "rnp1", "p(N)"),
     Checker("corollary2", mx, "check_corollary2", "np", "degree", "odd"),
     Checker("gamma-congruence", cg, "report_gamma_congruence", "cap", "N", "odd"),
     Checker("gamma-identity", cg, "report_gamma_identity", "n", "N", "asserted"),
     Checker("gamma-ratio", cg, "check_formula_gamma_ratio", "n", "N", "asserted"),
-    Checker("junod-lemma", cg, "junod_lemma_trials", "trials", "trials", "asserted",
-            forks=False),
+    Checker("junod-lemma", cg, "junod_lemma_trials", "trials", "trials", "asserted"),
     Checker("meixner-qp", mx, "check_junod_qp", "once", "degree", "odd"),
     Checker("meixner-qstar-q", mx, "check_junod_qstar_q", "np", "degree", "odd"),
-    Checker("prop-coeff", cg, "check_prop_coeff", "np", "p(N)", forks=False),
-    Checker("prop-poly", cg, "check_prop_poly", "rnp0", "p(N)", forks=False),
+    Checker("prop-coeff", cg, "check_prop_coeff", "np", "p(N)"),
+    Checker("prop-poly", cg, "check_prop_poly", "rnp0", "p(N)"),
     Checker("remark1", cg, "check_remark1", "rnp1", "N"),
     Checker("wilson-sharpness", cg, "check_wilson_sharpness", "pn", "N", "odd"),
 ]
@@ -236,14 +221,11 @@ def _advisory(thunk: Callable) -> CongruenceReport:
 
 
 def build_all_tasks(spec: Namespace) -> list:
-    """The jobs of a ``verify`` run, ``(label, keys, thunk)`` each.
+    """The jobs of a ``verify`` run, ``(keys, thunk)`` each.
 
-    A task is one job: keys holds its sort key (checker, p, n, r), which is
-    also its label, and thunk() returns its report. A row whose grid is
-    "trials" runs as one job at every prime, labelled (checker, "trials"),
-    whose thunk returns a report per prime of keys. The tasks come in key
-    order, as the table is in report order, and the trials last: the pool
-    hands out jobs from the last, so it starts the largest first.
+    A task is one job: keys holds its sort key (checker, p, n, r), and
+    thunk() returns its report. A row whose grid is "trials" runs as one job
+    at every prime, whose thunk returns a report per prime of keys.
 
     A grid with an entry of ``primes`` that is not prime, with p = 2 but not
     ``allow_p2``, or over a size limit, and a grid that holds no task, raise
@@ -259,7 +241,7 @@ def build_all_tasks(spec: Namespace) -> list:
         if p == 2 and not spec.allow_p2:
             raise UsageError("p=2 sweeps require --allow-p2")
     _check_sizes(spec)
-    jobs, trial_jobs = [], []
+    jobs = []
     for row in _rows(spec):
         fn = getattr(row.module, row.function)
         primes = _primes(spec, row)
@@ -267,8 +249,7 @@ def build_all_tasks(spec: Namespace) -> list:
             if primes:
                 ctxs = [PadicContext(p) for p in primes]
                 thunk = partial(fn, spec.trials, spec.seed, ctxs, spec.mutation)
-                keys = [(row.name, p, 0, 0) for p in primes]
-                trial_jobs.append(((row.name, "trials"), keys, thunk))
+                jobs.append(([(row.name, p, 0, 0) for p in primes], thunk))
             continue
         for p in primes:
             ctx = PadicContext(p)
@@ -280,11 +261,10 @@ def build_all_tasks(spec: Namespace) -> list:
                     thunk = partial(fn, *args, ctx, spec.mutation)
                     if p == 2 and row.p2 == "advisory":
                         thunk = partial(_advisory, thunk)
-                    key = (row.name, p, n, r)
-                    jobs.append((key, [key], thunk))
-    if not jobs and not trial_jobs:
+                    jobs.append(([(row.name, p, n, r)], thunk))
+    if not jobs:
         raise UsageError(f"the {spec.checker} grid holds no task")
-    return jobs + trial_jobs
+    return jobs
 
 
 def _run_job(spec: Namespace, thunk: Callable) -> list:
@@ -299,155 +279,6 @@ def _run_job(spec: Namespace, thunk: Callable) -> list:
         for report in reports:
             report.elapsed_ms = elapsed
     return reports
-
-
-class WorkerTraceback(Exception):
-    """The formatted traceback of an exception raised in a worker process."""
-
-
-def _write_all(fd: int, data: bytes) -> None:
-    view = memoryview(data)
-    while view:
-        view = view[os.write(fd, view):]
-
-
-def _read_exactly(fd: int, size: int) -> bytes:
-    """size bytes from fd, or fewer if its writer closed it first."""
-    chunks = []
-    while size:
-        chunk = os.read(fd, min(size, 1 << 20))
-        if not chunk:
-            break
-        chunks.append(chunk)
-        size -= len(chunk)
-    return b"".join(chunks)
-
-
-def _serve(jobs: List[Callable[[], list]], labels: list, commands: int,
-           results: int) -> None:
-    """A worker's loop: run the job at each index read from commands, and
-    write a length-prefixed pickle of ``(None, result)`` or ``(exception,
-    traceback)`` to results, until commands reaches end of file."""
-    import pickle
-
-    while head := os.read(commands, 8):
-        i = int.from_bytes(head, "little")
-        try:
-            message = pickle.dumps((None, jobs[i]()))
-        except Exception as exc:
-            import traceback
-
-            tb = traceback.format_exc()
-            try:
-                message = pickle.dumps((exc, tb))
-                pickle.loads(message)
-            except Exception:
-                message = pickle.dumps((RuntimeError(
-                    f"task {labels[i]} raised an exception that cannot be sent "
-                    f"from its worker process:\n{tb}"), tb))
-        _write_all(results, len(message).to_bytes(8, "little") + message)
-
-
-def _run_forked(jobs: List[Callable[[], list]], labels: list, workers: int) -> list:
-    """Run every job in ``workers`` processes forked from this one; their
-    results in job order.
-
-    Each worker inherits ``jobs`` through the fork and reads job indices from
-    its own command pipe. This process keeps two indices queued in each
-    worker's pipe, so that a worker starts its next job without waiting for
-    this process to be scheduled: it polls the result pipes and sends the
-    next index, from the last job to the first, to whichever worker sent back
-    a result. It runs no job itself. A worker writes nothing to the standard
-    streams and leaves through ``os._exit``. Every worker is reaped before
-    this returns or raises; on an error the busy ones are terminated first.
-    """
-    import pickle
-    import select
-    import signal
-    from collections import deque
-
-    todo = list(range(len(jobs)))  # popped from the end: a sweep's tasks grow
-    # with n and p, so the large ones go first and the workers finish together
-    pids: List[int] = []
-    commands = {}  # result pipe -> command pipe of each worker
-    busy = {}  # result pipe -> (pid, job indices queued, the running first)
-    results: list = [None] * len(jobs)
-    ready = select.poll()
-
-    def send(fd: int) -> None:
-        i = todo.pop()
-        busy[fd][1].append(i)
-        try:
-            _write_all(commands[fd], i.to_bytes(8, "little"))
-        except BrokenPipeError:  # the worker died; its result pipe says how
-            pass
-
-    # SIGINT is held while workers are forked, so that no KeyboardInterrupt
-    # comes between a fork and the bookkeeping that reaps its worker; the
-    # workers keep it blocked and leave the interrupt to this process
-    mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
-    try:
-        for _ in range(workers):
-            cmd_r, cmd_w = os.pipe()
-            res_r, res_w = os.pipe()
-            pid = os.fork()
-            if pid == 0:  # the worker
-                code = 1
-                try:
-                    for fd in (cmd_w, res_r, *commands, *commands.values()):
-                        os.close(fd)
-                    devnull = os.open(os.devnull, os.O_WRONLY)
-                    os.dup2(devnull, 1)
-                    os.dup2(devnull, 2)
-                    _serve(jobs, labels, cmd_r, res_w)
-                    code = 0
-                finally:
-                    os._exit(code)
-            pids.append(pid)
-            os.close(cmd_r)
-            os.close(res_w)
-            commands[res_r] = cmd_w
-            ready.register(res_r, select.POLLIN)
-            busy[res_r] = pid, deque()
-            send(res_r)
-        signal.pthread_sigmask(signal.SIG_SETMASK, mask)
-        for fd in list(busy)[:len(todo)]:  # the second index of each
-            send(fd)
-        while busy:
-            for fd, _ in ready.poll():
-                pid, queued = busy[fd]
-                size = int.from_bytes(_read_exactly(fd, 8), "little")
-                message = _read_exactly(fd, size)
-                if not size or len(message) < size:
-                    del busy[fd]
-                    _, status = os.waitpid(pid, 0)
-                    pids.remove(pid)
-                    status = os.waitstatus_to_exitcode(status)
-                    how = (f"exited with status {status}" if status >= 0
-                           else f"was killed by signal {-status}")
-                    raise RuntimeError(
-                        f"the worker running task {labels[queued[0]]} {how}")
-                exc, value = pickle.loads(message)
-                if exc is not None:
-                    raise exc from WorkerTraceback(value)
-                results[queued.popleft()] = value
-                if todo:
-                    send(fd)
-                elif not queued:  # nothing is left for this worker: let it exit
-                    del busy[fd]
-                    ready.unregister(fd)
-                    os.close(fd)
-                    os.close(commands.pop(fd))
-    finally:
-        for fd, cmd_w in commands.items():
-            os.close(fd)
-            os.close(cmd_w)
-        for pid, _ in busy.values():  # none unless this raised
-            os.kill(pid, signal.SIGTERM)
-        for pid in pids:
-            os.waitpid(pid, 0)
-        signal.pthread_sigmask(signal.SIG_SETMASK, mask)
-    return results
 
 
 class OutputClosed(Exception):
@@ -485,14 +316,8 @@ def run_verify(spec: Namespace, jobs: list, out) -> int:
     in the order of their keys. Exit code 1 if a report that is not advisory
     has a violation.
     """
-    runs = [partial(_run_job, spec, thunk) for _, _, thunk in jobs]
-    workers = min(spec.threads, len(jobs))
-    if workers > 1:
-        results = _run_forked(runs, [label for label, _, _ in jobs], workers)
-    else:
-        results = [run() for run in runs]
-    by_key = {key: report for (_, keys, _), result in zip(jobs, results)
-              for key, report in zip(keys, result)}
+    by_key = {key: report for keys, thunk in jobs
+              for key, report in zip(keys, _run_job(spec, thunk))}
     reports = [by_key[key] for key in sorted(by_key)]
     _emit(out, ((report.to_json() if spec.format == "json" else report.to_text())
                 + "\n" for report in reports), spec.out)
@@ -534,32 +359,6 @@ def run_compute(args) -> Iterable[str]:
                  ["\n"])
 
 
-def _default_threads(checker: str = "all") -> int:
-    """The number of workers when ``--threads`` is not given.
-
-    1 for a grid whose rows all have ``forks`` False, where forking costs
-    more than it saves. carlitz-coeff and prop-coeff walk so few classes
-    that on a 2-core VM their largest grid the size guard admits (every
-    prime to 43, np <= 45, 47 tasks) takes 30 to 35 ms in-process and no
-    less with 2 workers, and the 25 tasks of ``--primes 3,5,7 --n-max 13``
-    take 15 ms in-process against 20 to 30 ms with 2 workers, most of it
-    the fork and the pipes. carlitz-poly and prop-poly decide C_N mod p^e:
-    on the same VM the 96 tasks of ``prop-poly --primes 3,5,7 --n-max 12
-    --degree-cap 36`` take 12 ms in-process against 25 ms with 2 workers,
-    and their largest admitted grid (every prime to 43, r + np <= 45)
-    0.21 to 0.23 s against 0.24 to 0.27 s, most of it building C_0..C_43
-    exactly for the rows up to p. junod-lemma decides a trial by its
-    binomial row, so its draws are nearly all its cost, and a slice of its
-    trials would have to replay every draw before it: at p = 3, 5, 7 the
-    draws of 20,000 trials take 0.13 s of the run's 0.14 s (fastest of 7),
-    and 1000 trials take 0.011 to 0.023 s in-process. Otherwise
-    ``os.cpu_count()``.
-    """
-    if not any(row.forks for row in CHECKER_TABLE if checker in (row.name, "all")):
-        return 1
-    return os.cpu_count() or 1
-
-
 def build_parser() -> ArgumentParser:
     parser = ArgumentParser(
         prog="cyclopadic",
@@ -581,10 +380,8 @@ def build_parser() -> ArgumentParser:
     pv.add_argument("--r-range", default=None, help="LO:HI inclusive")
     pv.add_argument("--degree-cap", type=int, default=24)
     pv.add_argument("--seed", type=int, default=0)
-    in_process = " and ".join(row.name for row in CHECKER_TABLE if not row.forks)
     pv.add_argument("--threads", type=int, default=None, metavar="K",
-                    help="tasks run at once, in worker processes (0 or "
-                    f"unset: the CPU count; 1 for {in_process})")
+                    help="accepted and ignored: every task runs in this process")
     pv.add_argument("--format", choices=["json", "text"], default="json")
     pv.add_argument("--out", default=None)
     pv.add_argument("--allow-p2", action="store_true")
@@ -616,11 +413,9 @@ def verify_spec(argv: List[str]) -> Namespace:
 
 def _checked(args: Namespace) -> Namespace:
     """The parsed ``verify`` args, checked, with ``primes`` (sorted, without
-    repeats), ``r_range`` (LO, HI) or None, ``mutation`` (IDX, DELTA) or None
-    and ``threads`` filled in: ``threads`` 0 or None is the default, at most
-    the CPU count, and 1 where the platform cannot fork, so that the run forks
-    exactly when it is over 1. A negative count, a negative IDX or a malformed
-    value raises UsageError."""
+    repeats), ``r_range`` (LO, HI) or None and ``mutation`` (IDX, DELTA) or
+    None filled in. A negative count, a negative IDX or a malformed value
+    raises UsageError."""
     for flag in ("n_max", "degree_cap", "threads", "trials"):
         value = getattr(args, flag)
         if value is not None and value < 0:
@@ -646,8 +441,6 @@ def _checked(args: Namespace) -> Namespace:
             pass
         if args.mutation is None or args.mutation[0] < 0:
             raise UsageError(f"malformed --mutate {args.mutate!r}")
-    threads = min(args.threads or _default_threads(args.checker), os.cpu_count() or 1)
-    args.threads = threads if hasattr(os, "fork") else 1
     return args
 
 
@@ -659,7 +452,7 @@ def main(argv=None) -> int:
             args = _checked(args)
         # str() refuses an int past 4,300 digits from Python 3.10.7 on, but a
         # coefficient or a witness can be longer. Lifted once the arguments
-        # are checked, so that one that long stays refused; workers inherit it
+        # are checked, so that one that long stays refused
         if hasattr(sys, "set_int_max_str_digits"):
             sys.set_int_max_str_digits(0)
         if args.command == "compute":

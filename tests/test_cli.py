@@ -7,7 +7,6 @@ import os
 import pathlib
 import random
 import resource
-import signal
 import subprocess
 import sys
 import time
@@ -15,14 +14,13 @@ import time
 import pytest
 
 import cyclopadic
-from cyclopadic import cli, congruences, meixner
+from cyclopadic import cli, congruences
 from cyclopadic.cli import (
     CHECKER_TABLE,
     MAX_CYCLE_INDEX_TERMS,
     MAX_MEIXNER_DEGREE,
     MAX_SCALAR_SIZE,
     UsageError,
-    WorkerTraceback,
     build_all_tasks,
     main,
     verify_spec,
@@ -33,13 +31,6 @@ from cyclopadic.polyring import MultiPoly, congruence_witnesses
 from cyclopadic.reports import CongruenceReport
 
 pytestmark = pytest.mark.filterwarnings("ignore")
-
-
-@pytest.fixture
-def cpus(monkeypatch):
-    """Ten CPUs, so that --threads K up to 10 forks K workers, however many
-    CPUs run the tests (verify takes at most the CPU count)."""
-    monkeypatch.setattr(os, "cpu_count", lambda: 10)
 
 
 @pytest.fixture
@@ -211,8 +202,7 @@ class TestVerify:
         # p = 2^53 + 5: m = p*k and its modulus m*n are written as strings,
         # so a reader that parses numbers as doubles reads them exactly
         code, text = run(tmp_path, "verify", "junod-lemma", "--primes",
-                         "9007199254740997", "--trials", "2", "--mutate", "0:1",
-                         "--threads", "1")
+                         "9007199254740997", "--trials", "2", "--mutate", "0:1")
         assert code == 1
         report = json.loads(text, parse_int=float)  # what a JavaScript reader sees
         assert report["params"]["p"] == "9007199254740997"
@@ -310,7 +300,6 @@ class TestVerify:
                       "--n-max", "2", "--degree-cap", "46")
         assert code == 2
 
-    @pytest.mark.usefixtures("cpus")
     def test_thread_count_does_not_change_output(self, tmp_path):
         args = [
             "verify", "all", "--primes", "3,5",
@@ -318,134 +307,37 @@ class TestVerify:
         ]
         for extra, expected in (([], 0), (["--mutate", "0:1"], 1)):
             outputs = set()
-            for threads in ("1", "2", "4"):
-                code, text = run(tmp_path, *args, *extra, "--threads", threads)
+            for threads in ([], ["--threads", "4"]):
+                code, text = run(tmp_path, *args, *extra, *threads)
                 assert code == expected
                 outputs.add(text)
             assert len(outputs) == 1
 
-    @pytest.mark.usefixtures("cpus")
-    @pytest.mark.parametrize("threads", ["1", "2"])
-    def test_checker_error_propagates(self, tmp_path, capsys, monkeypatch, threads):
+    def test_checker_error_propagates(self, tmp_path, capsys, monkeypatch):
         def broken(*args):
             raise RuntimeError("injected checker fault")
 
         monkeypatch.setattr(congruences, "check_carlitz_coeff", broken)
         code = main(["verify", "carlitz-coeff", "--primes", "3", "--n-max", "2",
-                     "--threads", threads, "--out", str(tmp_path / "out.txt")])
+                     "--out", str(tmp_path / "out.txt")])
         assert code == 3
         err = capsys.readouterr().err
         assert "Traceback (most recent call last)" in err
         assert err.endswith("RuntimeError: injected checker fault\n")
-        assert_no_children()
 
-    @pytest.mark.usefixtures("cpus")
-    @pytest.mark.parametrize("threads", ["1", "2"])
-    def test_checker_value_error_is_not_a_usage_error(
-        self, tmp_path, capsys, monkeypatch, threads
-    ):
+    def test_checker_value_error_is_not_a_usage_error(self, tmp_path, capsys,
+                                                      monkeypatch):
         def broken(*args):
             raise ValueError("injected checker fault")
 
         monkeypatch.setattr(congruences, "check_carlitz_coeff", broken)
         code = main(["verify", "carlitz-coeff", "--primes", "3", "--n-max", "2",
-                     "--threads", threads, "--out", str(tmp_path / "out.txt")])
+                     "--out", str(tmp_path / "out.txt")])
         assert code == 3
         err = capsys.readouterr().err
         assert err.endswith("ValueError: injected checker fault\n")
         assert "error: " not in err
 
-    @pytest.mark.usefixtures("cpus")
-    def test_worker_death_names_the_task(self, tmp_path, capsys, monkeypatch):
-        def dies(n, ctx, mutation):
-            if n == 2:
-                os._exit(3)
-            return CongruenceReport("carlitz-coeff", {"n": n})
-
-        monkeypatch.setattr(congruences, "check_carlitz_coeff", dies)
-        code = main(["verify", "carlitz-coeff", "--primes", "3", "--n-max", "2",
-                     "--threads", "2", "--out", str(tmp_path / "out.txt")])
-        assert code == 3
-        assert capsys.readouterr().err.endswith(
-            "RuntimeError: the worker running task ('carlitz-coeff', 3, 2, 0) "
-            "exited with status 3\n")
-        assert_no_children()
-
-    @pytest.mark.usefixtures("cpus")
-    def test_worker_death_in_a_forking_row_names_its_task(self, tmp_path, capsys,
-                                                          monkeypatch):
-        # corollary2 forks without --threads; one of its tasks kills its worker
-        corollary2 = meixner.check_corollary2
-
-        def dies(n, ctx, mutation):
-            if (ctx.p, n) == (5, 2):
-                os._exit(3)
-            return corollary2(n, ctx, mutation)
-
-        monkeypatch.setattr(meixner, "check_corollary2", dies)
-        assert verify_spec(["corollary2"]).threads == 10
-        code = main(["verify", "corollary2", "--primes", "3,5", "--n-max", "2",
-                     "--out", str(tmp_path / "out.txt")])
-        assert code == 3
-        assert capsys.readouterr().err.endswith(
-            "RuntimeError: the worker running task ('corollary2', 5, 2, 0) "
-            "exited with status 3\n")
-        assert_no_children()
-
-    @pytest.mark.usefixtures("cpus")
-    def test_worker_traceback_is_the_cause(self, tmp_path, capsys, monkeypatch):
-        def broken_in_worker(*args):
-            raise ValueError("injected checker fault")
-
-        monkeypatch.setattr(congruences, "check_carlitz_coeff", broken_in_worker)
-        code = main(["verify", "carlitz-coeff", "--primes", "3", "--n-max", "2",
-                     "--threads", "2", "--out", str(tmp_path / "out.txt")])
-        assert code == 3
-        # the worker's traceback is printed as the cause of the exception
-        cause, _, effect = capsys.readouterr().err.partition(
-            "The above exception was the direct cause of the following exception")
-        assert cause.startswith(f"{WorkerTraceback.__module__}.WorkerTraceback: "
-                                "Traceback (most recent call last)")
-        assert "broken_in_worker" in cause
-        assert effect.endswith("ValueError: injected checker fault\n")
-        assert_no_children()
-
-    @pytest.mark.usefixtures("cpus")
-    def test_unpicklable_checker_error(self, tmp_path, capsys, monkeypatch):
-        class LocalError(Exception):  # a local class cannot be pickled
-            pass
-
-        def broken_in_worker(*args):
-            raise LocalError("injected checker fault")
-
-        monkeypatch.setattr(congruences, "check_carlitz_coeff", broken_in_worker)
-        code = main(["verify", "carlitz-coeff", "--primes", "3", "--n-max", "2",
-                     "--threads", "2", "--out", str(tmp_path / "out.txt")])
-        assert code == 3
-        text = capsys.readouterr().err
-        assert "RuntimeError: task ('carlitz-coeff', 3, " in text
-        assert "cannot be sent" in text
-        assert "LocalError: injected checker fault" in text
-        assert_no_children()
-
-    @pytest.mark.usefixtures("cpus")
-    def test_interrupt_terminates_busy_workers(self, tmp_path, monkeypatch):
-        def interrupts(n, ctx, mutation):
-            # n = 2 is handed out first, so the interrupt may come while
-            # the second worker is being forked
-            if n == 2:
-                os.kill(os.getppid(), signal.SIGINT)
-            time.sleep(60)
-
-        monkeypatch.setattr(congruences, "check_carlitz_coeff", interrupts)
-        start = time.monotonic()
-        with pytest.raises(KeyboardInterrupt):
-            main(["verify", "carlitz-coeff", "--primes", "3", "--n-max", "2",
-                  "--threads", "2", "--out", str(tmp_path / "out.txt")])
-        assert time.monotonic() - start < 30
-        assert_no_children()
-
-    @pytest.mark.usefixtures("cpus")
     def test_report_larger_than_a_pipe_buffer(self, tmp_path, monkeypatch):
         def many_violations(n, ctx, mutation):
             report = CongruenceReport("carlitz-coeff", {"p": ctx.p, "n": n})
@@ -454,45 +346,11 @@ class TestVerify:
             return report
 
         monkeypatch.setattr(congruences, "check_carlitz_coeff", many_violations)
-        outputs = []
-        for threads in ("1", "2"):
-            code, text = run(tmp_path, "verify", "carlitz-coeff", "--primes", "3,5",
-                             "--n-max", "2", "--threads", threads)
-            assert code == 1
-            outputs.append(text)
-        assert outputs[0] == outputs[1] and len(outputs[0]) > 4 * 65536
+        code, text = run(tmp_path, "verify", "carlitz-coeff", "--primes", "3,5",
+                         "--n-max", "2")
+        assert code == 1 and len(text) > 4 * 65536
         assert all(len(json.loads(line)["violations"]) == 20_000
-                   for line in outputs[0].splitlines())
-        assert_no_children()
-
-    @pytest.mark.parametrize("checker, forks, tasks", [
-        ("carlitz-coeff", False, 6), ("prop-coeff", False, 6),
-        ("carlitz-poly", False, 24), ("prop-poly", False, 24),
-        ("corollary1", True, 0), ("all", True, 0),
-    ])
-    def test_default_threads_fork_only_where_it_pays(
-        self, tmp_path, monkeypatch, checker, forks, tasks
-    ):
-        pids = set()
-
-        def records_pid(check):
-            def checked(*args):
-                pids.add(os.getpid())
-                return check(*args)
-            return checked
-
-        monkeypatch.setattr(os, "cpu_count", lambda: 2)
-        for name in ("check_carlitz_coeff", "check_prop_coeff",
-                     "check_carlitz_poly", "check_prop_poly"):
-            monkeypatch.setattr(congruences, name,
-                                records_pid(getattr(congruences, name)))
-        assert cli._default_threads(checker) == (2 if forks else 1)
-        if not forks:
-            code, text = run(tmp_path, "verify", checker, "--primes", "3,5",
-                             "--n-max", "3")
-            assert code == 0 and len(text.splitlines()) == tasks
-            assert pids == {os.getpid()}
-            assert_no_children()
+                   for line in text.splitlines())
 
     @pytest.mark.parametrize("text", ["x:1", "5", "1:y", ":", "-1:1"])
     def test_malformed_mutate_exit2(self, tmp_path, capsys, text):
@@ -584,12 +442,6 @@ class TestVerify:
         assert rs == [1, 2]
 
 
-def assert_no_children():
-    """No worker process outlives the sweep that forked it."""
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
 # the pinned verify-all grid and the digest of its reports
 VERIFY_ALL = ["verify", "all", "--primes", "3,5,7", "--n-max", "3",
               "--degree-cap", "24"]
@@ -598,13 +450,12 @@ VERIFY_ALL_SHA256 = "85ff808fc431ce111b00fc730fa335ac96db55a45c78f6d87a64fb99853
 
 @pytest.mark.parametrize("mutate, code", [([], 0), (["--mutate", "0:1"], 1)])
 def test_thread_count_does_not_change_cli_output(mutate, code):
-    # a subprocess, so that the workers inherit the real standard streams
+    # a subprocess, which writes to the real standard streams
     src = os.path.dirname(os.path.dirname(cyclopadic.__file__))
     outputs = set()
-    for threads in ("1", "2", "3", "8"):
+    for threads in ([], ["--threads", "8"]):
         proc = subprocess.run(
-            [sys.executable, "-m", "cyclopadic.cli", *VERIFY_ALL, *mutate,
-             "--threads", threads],
+            [sys.executable, "-m", "cyclopadic.cli", *VERIFY_ALL, *mutate, *threads],
             env=dict(os.environ, PYTHONPATH=src), capture_output=True, timeout=120,
         )
         assert proc.returncode == code and proc.stderr == b""
@@ -614,30 +465,18 @@ def test_thread_count_does_not_change_cli_output(mutate, code):
     assert (digest == VERIFY_ALL_SHA256) == (not mutate)
 
 
-@pytest.mark.usefixtures("cpus")
-def test_three_workers_give_the_pinned_digest(tmp_path, monkeypatch):
-    # in-process, so that the cpus fixture lets --threads 3 fork 3 workers on
-    # any machine; junod-lemma's trials are one job, handed out first
-    seen = {}
-    build, forked = cli.build_all_tasks, cli._run_forked
+def test_no_run_forks(tmp_path, monkeypatch):
+    # every task runs in this process, with or without --threads, however
+    # many CPUs the machine reports
+    def no_fork():
+        raise OSError("fork refused")
 
-    def spy_build(spec):
-        seen["jobs"] = build(spec)
-        return seen["jobs"]
-
-    def spy_forked(jobs, labels, workers):
-        seen["workers"] = workers
-        return forked(jobs, labels, workers)
-
-    monkeypatch.setattr(cli, "build_all_tasks", spy_build)
-    monkeypatch.setattr(cli, "_run_forked", spy_forked)
+    monkeypatch.setattr(os, "fork", no_fork)
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
     out = tmp_path / "out.txt"
-    assert main([*VERIFY_ALL, "--threads", "3", "--out", str(out)]) == 0
-    assert hashlib.sha256(out.read_bytes()).hexdigest() == VERIFY_ALL_SHA256
-    labels = [label for label, _, _ in seen["jobs"]]
-    assert seen["workers"] == 3 and labels[-1] == ("junod-lemma", "trials")
-    assert [label[0] for label in labels].count("junod-lemma") == 1
-    assert_no_children()
+    for threads in ([], ["--threads", "3"]):
+        assert main([*VERIFY_ALL, *threads, "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == VERIFY_ALL_SHA256
 
 
 @pytest.mark.usefixtures("no_digit_limit")
@@ -646,7 +485,7 @@ def test_witness_past_4300_digits():
     # so every m is flagged with the difference Gamma_5(5m + 1) + 2; the
     # largest m have more than 4,300 digits
     proc = cli_process("verify", "gamma-congruence", "--primes", "5",
-                       "--degree-cap", "2000", "--mutate", "0:1", "--threads", "1")
+                       "--degree-cap", "2000", "--mutate", "0:1")
     assert (proc.returncode, proc.stderr) == (1, "")
     reports = [json.loads(line) for line in proc.stdout.splitlines()]
     ctx = PadicContext(5)
@@ -661,16 +500,15 @@ def test_witness_past_4300_digits():
 def test_closed_stdout_ends_quietly():
     # the reader is gone before the first report is written
     src = os.path.dirname(os.path.dirname(cyclopadic.__file__))
-    for threads in ("1", "2"):
-        proc = subprocess.Popen(
-            [sys.executable, "-m", "cyclopadic.cli", "verify", "junod-lemma",
-             "--primes", "3,5", "--trials", "50", "--threads", threads],
-            env=dict(os.environ, PYTHONPATH=src), stdout=subprocess.PIPE,
-            stderr=subprocess.PIPE,
-        )
-        proc.stdout.close()
-        _, err = proc.communicate(timeout=120)
-        assert (proc.returncode, err) == (141, b"")
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "cyclopadic.cli", "verify", "junod-lemma",
+         "--primes", "3,5", "--trials", "50"],
+        env=dict(os.environ, PYTHONPATH=src), stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=120)
+    assert (proc.returncode, err) == (141, b"")
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
@@ -693,10 +531,8 @@ def test_failed_write_is_a_usage_error(argv):
             2, f"error: cannot write {name}: {reason}\n")
 
 
-@pytest.mark.usefixtures("cpus")
 class TestTrialsAsOneJob:
-    """junod-lemma runs its trials as one job at every prime, at any
-    --threads."""
+    """junod-lemma runs its trials as one job at every prime."""
 
     PRIMES = ["--primes", "3,5,7"]
 
@@ -714,12 +550,9 @@ class TestTrialsAsOneJob:
         for mutate in [None, *mutations]:
             argv = ["verify", "junod-lemma", *self.PRIMES, "--trials", str(trials),
                     "--seed", "3"] + (["--mutate", mutate] if mutate else [])
-            outputs = set()
-            for threads in ("1", "2", "3"):
-                code, text = run(tmp_path, *argv, "--threads", threads)
-                outputs.add((code, text))
+            outputs = {run(tmp_path, *argv, *threads)
+                       for threads in ([], ["--threads", "3"])}
             assert len(outputs) == 1
-            assert_no_children()
             (code, text), = outputs
             reports = [json.loads(line) for line in text.splitlines()]
             assert [r["instances"] for r in reports] == [trials] * len(reports)
@@ -731,8 +564,7 @@ class TestTrialsAsOneJob:
     def test_failures_are_listed_in_trial_order(self, tmp_path, monkeypatch):
         # contexts that ask one more power of p than the lemma gives: no
         # binomial row vanishes, and each report lists exactly the trials
-        # whose exact operands miss p^(e+1), in trial order, the same at
-        # every thread count
+        # whose exact operands miss p^(e+1), in trial order
         class Stricter(PadicContext):
             def vp(self, x):
                 return super().vp(x) + 1
@@ -748,51 +580,29 @@ class TestTrialsAsOneJob:
                     expected[p].append(trial)
         assert all(10 < len(trials) < 30 for trials in expected.values())
         monkeypatch.setattr(cli, "PadicContext", Stricter)
-        outputs = set()
-        for threads in ("1", "2", "3"):
-            code, text = run(tmp_path, "verify", "junod-lemma", *self.PRIMES,
-                             "--trials", "30", "--threads", threads)
-            assert code == 1
-            outputs.add(text)
-        assert len(outputs) == 1
-        assert_no_children()
-        (text,) = outputs
+        code, text = run(tmp_path, "verify", "junod-lemma", *self.PRIMES,
+                         "--trials", "30")
+        assert code == 1
         for p, line in zip(primes, text.splitlines()):
             report = json.loads(line)
             assert report["params"]["p"] == p
             flagged = [v["instance"]["trial"] for v in report["violations"]]
             assert flagged == expected[p]
 
-    def test_every_prime_shares_one_job(self, monkeypatch):
-        # the last job, handed out first, at any thread count and where the
-        # platform cannot fork; on its own the row runs in-process
+    def test_every_prime_shares_one_job(self):
         argv = ["all", "--primes", "3,5,7", "--n-max", "1", "--degree-cap", "6",
-                "--trials", "10", "--threads"]
-        shared = [("junod-lemma", p, 0, 0) for p in (3, 5, 7)]
-        for threads in ("1", "2", "3", "10"):
-            jobs = build_all_tasks(verify_spec([*argv, threads]))
-            tasks = {key for _, keys, _ in jobs for key in keys}
-            assert len(jobs) == len(tasks) - 2
-            label, keys, thunk = jobs[-1]
-            assert (label, keys) == (("junod-lemma", "trials"), shared)
-            assert thunk.args[:2] == (10, 0)
-            assert "junod-lemma" not in {label[0] for label, _, _ in jobs[:-1]}
-        assert verify_spec(["junod-lemma"]).threads == 1
-        monkeypatch.delattr(os, "fork")
-        spec = verify_spec([*argv, "3"])
-        assert spec.threads == 1
-        assert [label for label, _, _ in build_all_tasks(spec)
-                if label[0] == "junod-lemma"] == [("junod-lemma", "trials")]
+                "--trials", "10"]
+        jobs = build_all_tasks(verify_spec(argv))
+        tasks = {key for keys, _ in jobs for key in keys}
+        assert len(jobs) == len(tasks) - 2
+        (keys, thunk), = [job for job in jobs if job[0][0][0] == "junod-lemma"]
+        assert keys == [("junod-lemma", p, 0, 0) for p in (3, 5, 7)]
+        assert thunk.args[:2] == (10, 0)
 
-    @pytest.mark.parametrize("threads", ["1", "3"])
-    def test_every_trial_is_mutated(self, monkeypatch, threads):
+    def test_every_trial_is_mutated(self):
         # the index of each trial is one violation per prime that names the
-        # trial, and a delta of its modulus m*n is none; the job runs
-        # in-process
-        monkeypatch.setattr(cli, "_run_forked",
-                            lambda runs, labels, workers: [run() for run in runs])
-        argv = ["junod-lemma", "--primes", "3,5", "--trials", "20",
-                "--threads", threads]
+        # trial, and a delta of its modulus m*n is none
+        argv = ["junod-lemma", "--primes", "3,5", "--trials", "20"]
 
         def reports(mutate):
             spec = verify_spec([*argv, "--mutate", mutate])
@@ -809,17 +619,12 @@ class TestTrialsAsOneJob:
                 modulus = violation["required_modulus"]
                 assert reports(f"{trial}:{modulus}")[i]["violations"] == []
 
-    @pytest.mark.parametrize("threads", ["1", "3"])
-    def test_residues_decide_at_the_trials_own_valuation(self, monkeypatch,
-                                                         threads):
+    def test_residues_decide_at_the_trials_own_valuation(self):
         # a trial is decided mod q = p^e, e = vp(m*n) at each prime: a delta
         # of p^e holds there and a delta of p^(e-1) is flagged, so a q one
-        # power too small or too large fails; the job runs in-process
-        monkeypatch.setattr(cli, "_run_forked",
-                            lambda runs, labels, workers: [run() for run in runs])
+        # power too small or too large fails
         primes = (3, 5, 7)
-        argv = ["junod-lemma", "--primes", "3,5,7", "--trials", "12", "--seed",
-                "4", "--threads", threads]
+        argv = ["junod-lemma", "--primes", "3,5,7", "--trials", "12", "--seed", "4"]
 
         def violations(mutate):
             spec = verify_spec([*argv, "--mutate", mutate])
@@ -847,16 +652,13 @@ class TestTrialsAsOneJob:
         # time to the report of every prime
         clock = iter(range(10**6))
         monkeypatch.setattr(cli.time, "monotonic", lambda: next(clock))
-        for threads in ("1", "2", "3"):
-            code, text = run(tmp_path, "verify", "all", "--primes", "3,5",
-                             "--n-max", "1", "--degree-cap", "6", "--trials", "20",
-                             "--timing", "--threads", threads)
-            assert code == 0
-            elapsed = {(r["checker"], r["params"]["p"]): r["elapsed_ms"]
-                       for r in map(json.loads, text.splitlines())}
-            assert set(elapsed.values()) == {1000}
-            assert ("junod-lemma", 5) in elapsed
-        assert_no_children()
+        code, text = run(tmp_path, "verify", "all", "--primes", "3,5", "--n-max",
+                         "1", "--degree-cap", "6", "--trials", "20", "--timing")
+        assert code == 0
+        elapsed = {(r["checker"], r["params"]["p"]): r["elapsed_ms"]
+                   for r in map(json.loads, text.splitlines())}
+        assert set(elapsed.values()) == {1000}
+        assert ("junod-lemma", 5) in elapsed
 
 
 SMALL_GRID = ["--primes", "3,5", "--n-max", "2", "--degree-cap", "16",
@@ -881,11 +683,10 @@ def test_cli_import_loads_no_code_generator():
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
 
 
-@pytest.mark.usefixtures("cpus")
 def test_verify_spec_defaults():
     assert vars(verify_spec(["all"])) == dict(
         command="verify", checker="all", primes=[3, 5], n_max=4, r_range=None,
-        degree_cap=24, seed=0, threads=cli._default_threads("all"),
+        degree_cap=24, seed=0, threads=None,
         format="json", out=None, allow_p2=False, timing=False, trials=500,
         mutate=None, mutation=None,
     )
@@ -893,21 +694,6 @@ def test_verify_spec_defaults():
                         "--mutate", "1:2", "--threads", "3"])
     assert (spec.primes, spec.r_range, spec.mutation, spec.threads) == (
         [3, 7], (0, 1), (1, 2), 3)
-    assert verify_spec(["prop-coeff"]).threads == 1
-    # --threads 0 is the default
-    assert verify_spec(["all", "--threads", "0"]).threads == cli._default_threads("all")
-    assert verify_spec(["prop-coeff", "--threads", "0"]).threads == 1
-
-
-def test_threads_are_capped_at_the_cpu_count(monkeypatch):
-    # more workers than CPUs only take turns; junod-lemma stays one job
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    argv = ["junod-lemma", "--primes", "3", "--trials", "20", "--threads"]
-    for threads in ("2", "16"):
-        spec = verify_spec([*argv, threads])
-        assert spec.threads == 2 and len(build_all_tasks(spec)) == 1
-    monkeypatch.setattr(os, "cpu_count", lambda: None)
-    assert verify_spec([*argv, "16"]).threads == 1
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -918,14 +704,6 @@ def test_verify_spec_refuses(argv, message):
     with pytest.raises(UsageError) as info:
         verify_spec(["all", *argv])
     assert str(info.value) == message
-
-
-def test_threads_help_names_the_in_process_rows(capsys):
-    with pytest.raises(SystemExit):
-        main(["verify", "--help"])
-    names = " and ".join(row.name for row in CHECKER_TABLE if not row.forks)
-    assert (f"(0 or unset: the CPU count; 1 for {names})"
-            in " ".join(capsys.readouterr().out.split()))
 
 
 # a prime over MAX_SCALAR_SIZE and a small n
@@ -966,8 +744,7 @@ class TestCheckerTable:
         )
 
     def test_n_loop_stops_at_the_degree_cap(self, tmp_path):
-        args = ["verify", "prop-poly", "--primes", "3", "--degree-cap", "12",
-                "--threads", "1"]
+        args = ["verify", "prop-poly", "--primes", "3", "--degree-cap", "12"]
         start = time.monotonic()
         huge = run(tmp_path, *args, "--n-max", "3000000")
         assert time.monotonic() - start < 1.0
@@ -1012,7 +789,7 @@ class TestCheckerTable:
 
     def test_trials_are_not_bounded(self):
         spec = verify_spec(["junod-lemma", "--primes", "3",
-                            "--trials", str(100 * MAX_SCALAR_SIZE), "--threads", "1"])
+                            "--trials", str(100 * MAX_SCALAR_SIZE)])
         assert len(build_all_tasks(spec)) == 1
 
     def test_meixner_degree_ceiling(self, tmp_path, capsys):
@@ -1042,7 +819,7 @@ class TestCheckerTable:
         # reaches p = 11, n = 11 (degree 121) and p = 5, n = 25 (degree 125,
         # modulus 5^3), where the congruence is stronger than mod p
         code, text = run(tmp_path, "verify", "corollary2", "--primes", "5,11",
-                         "--n-max", "25", "--degree-cap", "125", "--threads", "1")
+                         "--n-max", "25", "--degree-cap", "125")
         reports = [json.loads(line) for line in text.splitlines()]
         assert code == 0 and len(reports) == 36
         assert {(r["params"]["p"], r["params"]["n"]) for r in reports} >= {

@@ -471,7 +471,7 @@ COEFF_SWEEPS = [
 
 
 # every (p, n, r) of `verify prop-poly --primes 2,3,5,7 --n-max 6 --degree-cap 24`
-POLY_POINTS = [key[1:] for key, _, _ in build_all_tasks(verify_spec(
+POLY_POINTS = [key[1:] for (key,), _ in build_all_tasks(verify_spec(
     ["prop-poly", "--primes", "2,3,5,7", "--allow-p2", "--n-max", "6",
      "--degree-cap", "24"]))]
 
@@ -879,10 +879,9 @@ class TestScalarMutationTwoSided:
 def test_index_past_the_instances_injects_nothing(checker):
     # one job per task, and junod-lemma's trials in one job at both primes
     jobs = build_all_tasks(verify_spec([checker, "--primes", "3,5", "--n-max", "2",
-                                        "--degree-cap", "12", "--trials", "20",
-                                        "--threads", "1"]))
+                                        "--degree-cap", "12", "--trials", "20"]))
     assert jobs
-    for _, _, thunk in jobs:
+    for _, thunk in jobs:
         fn, args = thunk.func, thunk.args[:-1]
 
         def reports(mutation):
