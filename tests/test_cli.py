@@ -338,6 +338,57 @@ class TestVerify:
         assert err.endswith("ValueError: injected checker fault\n")
         assert "error: " not in err
 
+    def test_local_checker_error_keeps_its_traceback(self, tmp_path, capsys,
+                                                     monkeypatch):
+        # an exception of a local class is printed as it was raised, with the
+        # checker's own frame in its traceback
+        class LocalError(Exception):
+            pass
+
+        def broken_in_checker(*args):
+            raise LocalError("injected checker fault")
+
+        monkeypatch.setattr(congruences, "check_carlitz_coeff", broken_in_checker)
+        code = main(["verify", "carlitz-coeff", "--primes", "3", "--n-max", "2",
+                     "--threads", "2", "--out", str(tmp_path / "out.txt")])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "broken_in_checker" in err
+        assert err.endswith("LocalError: injected checker fault\n")
+
+    def test_interrupt_stops_the_sweep(self, tmp_path, monkeypatch):
+        # the first task's interrupt ends the run: no later task starts and
+        # no report is written
+        calls = []
+
+        def interrupts(n, ctx, mutation):
+            calls.append(n)
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(congruences, "check_carlitz_coeff", interrupts)
+        out = tmp_path / "out.txt"
+        with pytest.raises(KeyboardInterrupt):
+            main(["verify", "carlitz-coeff", "--primes", "3,5", "--n-max", "2",
+                  "--threads", "2", "--out", str(out)])
+        assert len(calls) == 1
+        assert out.read_text() == ""
+
+    def test_threads_leave_the_jobs_as_they_are(self, monkeypatch):
+        # --threads K, whatever K and the CPU count, builds the jobs the
+        # default builds; junod-lemma stays one job
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        argv = ["all", "--primes", "3,5", "--n-max", "2", "--degree-cap", "12",
+                "--trials", "20"]
+
+        def keys(*threads):
+            return [keys for keys, _ in build_all_tasks(verify_spec([*argv, *threads]))]
+
+        default = keys()
+        for threads in ("0", "1", "2", "16"):
+            assert keys("--threads", threads) == default
+        assert [k for k in default if k[0][0] == "junod-lemma"] == [
+            [("junod-lemma", p, 0, 0) for p in (3, 5)]]
+
     def test_report_larger_than_a_pipe_buffer(self, tmp_path, monkeypatch):
         def many_violations(n, ctx, mutation):
             report = CongruenceReport("carlitz-coeff", {"p": ctx.p, "n": n})
@@ -722,6 +773,22 @@ class TestCheckerTable:
         mine = [line for line in all_small_grid
                 if json.loads(line)["checker"] == row.name]
         assert mine and text.splitlines() == mine
+
+    @pytest.mark.parametrize("row", CHECKER_TABLE, ids=lambda row: row.name)
+    def test_row_runs_where_fork_is_refused(self, tmp_path, monkeypatch,
+                                            all_small_grid, row):
+        # each row runs its tasks in this process, at --threads 3 on four
+        # CPUs as at the default
+        def no_fork():
+            raise OSError("fork refused")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        mine = [line for line in all_small_grid
+                if json.loads(line)["checker"] == row.name]
+        for threads in ([], ["--threads", "3"]):
+            code, text = run(tmp_path, "verify", row.name, *SMALL_GRID, *threads)
+            assert code == 0 and text.splitlines() == mine
 
     def test_p2_columns(self, tmp_path):
         code, text = run(tmp_path, "verify", "all", "--primes", "2,3", "--allow-p2",
