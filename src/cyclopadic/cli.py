@@ -27,7 +27,9 @@ file as it was.
 Each task is exact, CPU-bound and independent, and ``verify`` runs them one
 after another in the CLI process. ``--threads K`` is accepted and ignored.
 junod-lemma's trials run as one job at every prime (see ``build_all_tasks``).
-Reports are written in parameter sort order once every task has run.
+The jobs come in parameter sort order, and each job's reports are written
+as it ends; on exit 3 the output holds the reports of the jobs that ended
+before the exception.
 """
 from __future__ import annotations
 
@@ -285,16 +287,17 @@ class OutputClosed(Exception):
     """The reader of the output closed it before the end."""
 
 
-def _emit(out, lines, path: Optional[str]) -> None:
-    """Write lines to out, then close it if it is the file ``path``, else
-    flush it. A reader that closed out raises OutputClosed, another failed
-    write UsageError; out's descriptor is then pointed at /dev/null, so that
-    closing out or flushing stdout at exit does not fail again."""
+def _emit(out, lines, path: Optional[str], end: bool = True) -> None:
+    """Write lines to out; with end, then close it if it is the file
+    ``path``, else flush it. A reader that closed out raises OutputClosed,
+    another failed write UsageError; out's descriptor is then pointed at
+    /dev/null, so that closing out or flushing stdout at exit does not fail
+    again."""
     try:
         out.writelines(lines)
-        if path:
+        if end and path:
             out.close()
-        else:
+        elif end:
             out.flush()
     except OSError as exc:
         try:
@@ -312,16 +315,21 @@ def _emit(out, lines, path: Optional[str]) -> None:
 
 
 def run_verify(spec: Namespace, jobs: list, out) -> int:
-    """Run the jobs ``build_all_tasks(spec)`` built and write their reports
-    in the order of their keys. Exit code 1 if a report that is not advisory
-    has a violation.
+    """Run the jobs ``build_all_tasks(spec)`` built, in order, and write each
+    job's reports as it ends; the jobs come in the order of their keys. Exit
+    code 1 if a report that is not advisory has a violation.
+
+    A job runs outside ``_emit``, so that an OSError a checker raises is an
+    internal error, not a failed write.
     """
-    by_key = {key: report for keys, thunk in jobs
-              for key, report in zip(keys, _run_job(spec, thunk))}
-    reports = [by_key[key] for key in sorted(by_key)]
-    _emit(out, ((report.to_json() if spec.format == "json" else report.to_text())
-                + "\n" for report in reports), spec.out)
-    return int(any(r.violations and not r.advisory for r in reports))
+    failed = False
+    for _, thunk in jobs:
+        reports = _run_job(spec, thunk)
+        failed = failed or any(r.violations and not r.advisory for r in reports)
+        _emit(out, [(r.to_json() if spec.format == "json" else r.to_text()) + "\n"
+                    for r in reports], spec.out, end=False)
+    _emit(out, (), spec.out)
+    return int(failed)
 
 
 def _parse_cycle_type(n: int, text: str) -> CycleType:

@@ -47,7 +47,7 @@ from itertools import accumulate
 from math import factorial
 from typing import Callable, Iterable, Iterator, List, Optional, Tuple
 
-from .polyring import MAX_DEGREE, SLOT_BITS, MultiPoly, _check_degree, _reduced
+from .polyring import MAX_DEGREE, SLOT_BITS, MultiPoly, _check_degree
 
 
 class CycleType:
@@ -333,9 +333,15 @@ _residue_lock = threading.Lock()
 _residue_cache: dict = {}
 
 
+def _reduced(terms: dict, q: int) -> MultiPoly:
+    """The polynomial of terms with every coefficient reduced into [0, q)
+    and the zeros dropped."""
+    return MultiPoly({k: r for k, c in terms.items() if (r := c % q)}, _raw=True)
+
+
 def cycle_indicator_mod(n: int, q: int) -> MultiPoly:
     """C_n with every coefficient reduced into [0, q) and the zeros dropped,
-    that is ``pow(cycle_indicator(n), 1, q)``, memoized for each q >= 2.
+    memoized for each q >= 2.
 
     For p the least prime factor of q, a row m <= p is cycle_indicator(m)
     reduced: no class of S_m with m < p has a size that p divides, so
@@ -360,7 +366,7 @@ def cycle_indicator_mod(n: int, q: int) -> MultiPoly:
 
         def row(m: int) -> MultiPoly:
             if m not in rows:
-                rows[m] = MultiPoly(_reduced(cycle_indicator(m).terms, q), _raw=True)
+                rows[m] = _reduced(cycle_indicator(m).terms, q)
             return rows[m]
 
         for m in range(p + 1, n + 1):
@@ -377,5 +383,5 @@ def cycle_indicator_mod(n: int, q: int) -> MultiPoly:
                 falling = falling * (m - k) % q
                 if not falling:
                     break
-            rows[m] = MultiPoly(_reduced(acc, q), _raw=True)
+            rows[m] = _reduced(acc, q)
         return row(n)

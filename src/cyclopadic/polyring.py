@@ -11,20 +11,7 @@ Two representations:
   straight from the key. The public API takes and returns exponent tuples;
   keys are unpacked only for sorting, serialization and witnesses.
   Deterministic term order is graded revlex, leading term first.
-  A power P^n of an s-term P is either expanded by the multinomial
-  theorem, one pass over the C(n+s-1, s-1) compositions of n where the key
-  of prod t_i^k_i is sum k_i key_i, or squared and multiplied. The
-  expansion is taken when its steps (compositions plus prefixes) number at
-  most half the term pairs squaring would form, bounded by the sizes of the
-  partial powers P^j: at most C(j+s-1, s-1) terms, and at most
-  prod (j e_i + 1) for e_i the top exponent of X_i. The choice reads only
-  s, n and the nonzero e_i in increasing order, and is memoized by them. Few-term sparse bases are
-  expanded from about n = 4 on, dense and many-term bases at small n are
-  squared. Python's three-argument ``pow(P, n, q)`` gives P^n in Z/q: P is
-  reduced into [0, q), the same choice is made for the reduced base, and
-  both kernels reduce as they go, the expansion its tables and prefix
-  coefficients (a prefix that is 0 mod q is dropped) and squaring each
-  product. Every coefficient of the result lies in [0, q).
+  Powers are squared and multiplied on the same kernel as products.
 * :class:`UniPoly` -- dense univariate polynomials, coefficient list
   indexed by degree.
 
@@ -37,9 +24,6 @@ from __future__ import annotations
 
 import json
 from codecs import utf_16_le_decode
-from functools import lru_cache
-from itertools import zip_longest
-from math import comb
 from typing import Iterable, Iterator, Mapping, Optional, Union
 
 from .padic import PadicContext
@@ -90,9 +74,8 @@ def _check_degree(degree: int) -> None:
         )
 
 
-def _mul_terms(a: dict, b: dict, q: Optional[int] = None) -> dict:
-    """Product of two term maps whose degrees sum to at most MAX_DEGREE:
-    exact, or with every coefficient reduced into [0, q) if q is given."""
+def _mul_terms(a: dict, b: dict) -> dict:
+    """Product of two term maps whose degrees sum to at most MAX_DEGREE."""
     if len(a) < len(b):
         a, b = b, a
     out: dict = {}
@@ -101,129 +84,9 @@ def _mul_terms(a: dict, b: dict, q: Optional[int] = None) -> dict:
         for ka, ca in a.items():
             k = ka + kb
             out[k] = get(k, 0) + ca * cb
-    if q:
-        return _reduced(out, q)
     for k in [k for k, c in out.items() if not c]:
         del out[k]
     return out
-
-
-def _reduced(terms: dict, q: int) -> dict:
-    """terms with every coefficient reduced into [0, q), zeros dropped."""
-    return {k: r for k, c in terms.items() if (r := c % q)}
-
-
-def _multinomial_power(terms: dict, n: int, q: Optional[int] = None) -> dict:
-    """Term map of P^n, P given by a term map of at least two terms; with q,
-    of P^n with every coefficient reduced into [0, q).
-
-    Multinomial theorem: each composition k_1 + ... + k_s = n contributes
-    prod C(rem_i, k_i) c_i^k_i at key sum k_i key_i, where rem_i is what the
-    earlier exponents leave of n and the last exponent takes the rest. The
-    compositions are walked depth first on an explicit stack, so the depth
-    does not grow with s; a prefix that uses up n is added at once, and the
-    last two terms come from a precomputed row of (t_a + t_b)^rem. Each
-    composition is one update, each prefix of at most s-2 exponents summing
-    below n one stack entry. With q the power tables, the rows and each
-    prefix's coefficient are reduced mod q, and a prefix whose coefficient
-    is 0 mod q is dropped when it is popped. The caller checks that n times
-    the total degree is within MAX_DEGREE.
-    """
-    tables = []
-    for key, c in terms.items():
-        pw = [1]
-        for _ in range(n):
-            pw.append(pw[-1] * c % q if q else pw[-1] * c)
-        tables.append((key, pw))
-    (key_a, pw_a), (key_b, pw_b) = tables.pop(), tables.pop()
-
-    def last_two(rem: int) -> list:
-        # (t_a + t_b)^rem, one term per split of rem: distinct keys, and
-        # no zero (with q, no zero residue)
-        row = []
-        b = 1  # C(rem, k)
-        for k in range(rem + 1):
-            r = rem - k
-            c = b * pw_b[k] * pw_a[r]
-            if q:
-                c %= q
-            if c:
-                row.append((k * key_b + r * key_a, c))
-            b = b * r // (k + 1)
-        return row
-
-    if not tables:
-        return dict(last_two(n))
-    rows = [last_two(rem) for rem in range(n + 1)]
-    last = len(tables)
-    out: dict = {}
-    get = out.get
-    stack = [(0, n, 0, 1)]  # (term index, exponent left, key, coefficient)
-    push, pop = stack.append, stack.pop
-    while stack:
-        i, rem, key, coeff = pop()
-        if q:
-            coeff %= q
-            if not coeff:  # every composition below adds a multiple of q
-                continue
-        if i == last:
-            for mono, c in rows[rem]:
-                mono += key
-                out[mono] = get(mono, 0) + coeff * c
-            continue
-        key_i, pw = tables[i]
-        mono = key + rem * key_i  # k_i = rem: the later exponents are 0
-        out[mono] = get(mono, 0) + coeff * pw[rem]
-        b = 1
-        for k in range(rem):
-            push((i + 1, rem - k, key + k * key_i, coeff * b * pw[k]))
-            b = b * (rem - k) // (k + 1)
-    if q:
-        return _reduced(out, q)
-    for mono in [mono for mono, c in out.items() if not c]:
-        del out[mono]
-    return out
-
-
-def _tops(terms: dict) -> tuple:
-    """The nonzero largest exponents of the X_i in the keys of terms, in
-    increasing order: the kernel choice reads them only through
-    prod (j e_i + 1), which sees neither their order nor the zeros."""
-    tops = map(max, zip_longest(*map(_unpack, terms), fillvalue=0))
-    return tuple(sorted(filter(None, tops)))
-
-
-def _squaring_pairs(s: int, tops: tuple, n: int) -> int:
-    """A bound on the term pairs square-and-multiply forms for P^n, P of s
-    terms and top exponents tops: P^j has at most C(j+s-1, s-1) terms, one
-    per composition of j, and at most prod (j e_i + 1)."""
-
-    def size(j: int) -> int:
-        box = 1
-        for e in tops:
-            box *= j * e + 1
-        return min(comb(j + s - 1, s - 1), box)
-
-    pairs, have, j = 0, 0, 1
-    while n:
-        if n & 1:
-            pairs += size(have) * size(j)
-            have += j
-        n >>= 1
-        if n:
-            pairs += size(j) ** 2
-            j *= 2
-    return pairs
-
-
-@lru_cache(maxsize=4096)
-def _expands(s: int, n: int, tops: tuple) -> bool:
-    """True if __pow__ expands P^n, P of s terms and top exponents tops, and
-    False if it squares: the expansion's steps cost about 1.4 term pairs each
-    (median over sparse, dense and cycle-indicator bases of 3 to 150 terms),
-    and the pairs are only an upper bound, so it must win by 2."""
-    steps = comb(n + s - 1, s - 1) + comb(n + s - 2, s - 2)
-    return 2 * steps <= _squaring_pairs(s, tops, n)
 
 
 def _square_and_multiply(base, n: int, one, mul):
@@ -417,37 +280,18 @@ class MultiPoly:
 
     __rmul__ = __mul__
 
-    def __pow__(self, n: int, modulo: Optional[int] = None) -> "MultiPoly":
-        """self**n, or with ``pow(self, n, q)`` self**n with every
-        coefficient reduced into [0, q) and the zeros dropped."""
+    def __pow__(self, n: int) -> "MultiPoly":
         if not isinstance(n, int) or n < 0:
             raise ValueError("exponent must be a natural number")
-        base = self
-        mod: tuple = ()  # the modulus, passed on to the kernel if given
-        if modulo is not None:
-            if not isinstance(modulo, int) or modulo < 1:
-                raise ValueError("modulus must be a positive integer")
-            base = MultiPoly(_reduced(self.terms, modulo), _raw=True)
-            mod = (modulo,)
         if n == 0:
-            return MultiPoly.constant(1 % modulo if mod else 1)
-        if n == 1 or not base.terms:
-            return base
+            return MultiPoly.one()
+        if n == 1 or not self.terms:
+            return self
         # deg(P^n) = n deg(P) over Z, so this is the only check needed, and
         # below it no slot of a sum of keys carries into the next
-        _check_degree(n * base.total_degree())
-        terms = base.terms
-        s = len(terms)
-        if s == 1:
-            (key, c), = terms.items()
-            c = pow(c, n, *mod)
-            return MultiPoly({n * key: c} if c else {}, _raw=True)
-        if _expands(s, n, _tops(terms)):
-            return MultiPoly(_multinomial_power(terms, n, *mod), _raw=True)
+        _check_degree(n * self.total_degree())
         return MultiPoly(
-            _square_and_multiply(terms, n, {0: 1},
-                                 lambda a, b: _mul_terms(a, b, *mod)),
-            _raw=True,
+            _square_and_multiply(self.terms, n, {0: 1}, _mul_terms), _raw=True
         )
 
     # -- serialization ------------------------------------------------

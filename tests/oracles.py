@@ -33,6 +33,11 @@ the package's sweeps (``report_gamma_congruence``, ``report_binomial_lift``);
 :func:`morita_gamma_range` yields Morita Gamma by a running product, against
 ``PadicContext.morita_gamma``; :class:`ValuedInt` pairs an integer with its
 valuation.
+
+Residues of a polynomial mod q have their own route too:
+:func:`reduced_mod` takes each coefficient mod q, and :func:`power_mod`
+reduces every product of a power, for ``cycle_indicator_mod`` and the
+compares mod q of the power lemma's tests.
 """
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -45,6 +50,25 @@ from cyclopadic.polyring import MultiPoly, UniPoly, substitute_univariate
 from cyclopadic.series import series_exp, series_mul
 
 DETERMINANT_BOUND_DEFAULT = 8
+
+
+def reduced_mod(poly: MultiPoly, q: int) -> MultiPoly:
+    """poly with each coefficient taken into [0, q), the zeros dropped."""
+    return MultiPoly({k: r for k, c in poly.terms.items() if (r := c % q)},
+                     _raw=True)
+
+
+def power_mod(base: MultiPoly, n: int, q: int) -> MultiPoly:
+    """base**n mod q, squared and multiplied with every product reduced."""
+    base = reduced_mod(base, q)
+    acc = reduced_mod(MultiPoly.one(), q)
+    while n:
+        if n & 1:
+            acc = reduced_mod(acc * base, q)
+        n >>= 1
+        if n:
+            base = reduced_mod(base * base, q)
+    return acc
 
 
 def cycle_indicators_by_recurrence(n: int) -> list:

@@ -325,17 +325,21 @@ class TestVerify:
         assert "Traceback (most recent call last)" in err
         assert err.endswith("RuntimeError: injected checker fault\n")
 
-    def test_checker_value_error_is_not_a_usage_error(self, tmp_path, capsys,
-                                                      monkeypatch):
+    @pytest.mark.parametrize("error", [ValueError, OSError],
+                             ids=lambda error: error.__name__)
+    def test_checker_error_is_not_a_usage_error(self, tmp_path, capsys,
+                                                monkeypatch, error):
+        # the tasks run outside the write's OSError handler, so a checker's
+        # own OSError is an internal error too, not a failed write
         def broken(*args):
-            raise ValueError("injected checker fault")
+            raise error("injected checker fault")
 
         monkeypatch.setattr(congruences, "check_carlitz_coeff", broken)
         code = main(["verify", "carlitz-coeff", "--primes", "3", "--n-max", "2",
                      "--out", str(tmp_path / "out.txt")])
         assert code == 3
         err = capsys.readouterr().err
-        assert err.endswith("ValueError: injected checker fault\n")
+        assert err.endswith(f"{error.__name__}: injected checker fault\n")
         assert "error: " not in err
 
     def test_local_checker_error_keeps_its_traceback(self, tmp_path, capsys,
@@ -372,6 +376,41 @@ class TestVerify:
                   "--threads", "2", "--out", str(out)])
         assert len(calls) == 1
         assert out.read_text() == ""
+
+    def test_later_error_keeps_the_earlier_reports(self, tmp_path, capsys,
+                                                   monkeypatch):
+        # each job's reports are written as it ends: a fault at p = 5 exits 3
+        # with the reports of p = 3 written, as a run at p = 3 alone writes them
+        argv = ["verify", "carlitz-coeff", "--n-max", "2"]
+        code, clean = run(tmp_path, *argv, "--primes", "3")
+        assert code == 0 and len(clean.splitlines()) == 2
+        check = congruences.check_carlitz_coeff
+
+        def fails_at_5(n, ctx, mutation):
+            if ctx.p == 5:
+                raise RuntimeError("injected checker fault")
+            return check(n, ctx, mutation)
+
+        monkeypatch.setattr(congruences, "check_carlitz_coeff", fails_at_5)
+        capsys.readouterr()
+        code, text = run(tmp_path, *argv, "--primes", "3,5")
+        assert code == 3 and text == clean
+        assert capsys.readouterr().err.endswith("RuntimeError: injected checker fault\n")
+
+    @pytest.mark.parametrize("argv, count", [
+        (["--primes", "3,5,7", "--n-max", "3", "--degree-cap", "24"], 243),
+        (["--primes", "2,3,5,7,11", "--allow-p2", "--n-max", "6",
+          "--degree-cap", "40"], 688),
+        (["--primes", "3,5,7", "--n-max", "3", "--degree-cap", "24",
+          "--r-range", "1:4"], 209),
+    ], ids=["pinned", "p2", "r-range"])
+    def test_jobs_come_in_report_order(self, argv, count):
+        # run_verify writes each job's reports as it ends and sorts nothing,
+        # so the jobs must hold distinct keys in ascending order
+        keys = [key for keys, _ in build_all_tasks(verify_spec(["all", *argv]))
+                for key in keys]
+        assert len(keys) == count
+        assert keys == sorted(set(keys))
 
     def test_threads_leave_the_jobs_as_they_are(self, monkeypatch):
         # --threads K, whatever K and the CPU count, builds the jobs the

@@ -1,10 +1,8 @@
 import json
-import math
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cyclopadic import polyring
 from cyclopadic.cycle_index import cycle_indicator
 from cyclopadic.padic import PadicContext
 from cyclopadic.polyring import (
@@ -14,6 +12,7 @@ from cyclopadic.polyring import (
     congruent_mod,
     substitute_univariate,
 )
+from oracles import power_mod, reduced_mod
 
 X1 = MultiPoly.variable(1)
 X2 = MultiPoly.variable(2)
@@ -219,7 +218,7 @@ pow_bases = st.dictionaries(pow_exponents, pow_coeffs, min_size=1, max_size=6).m
 
 
 class TestPower:
-    """P**n, by the multinomial expansion or by squaring, against repeated *."""
+    """P**n, squared and multiplied on the product kernel, against repeated *."""
 
     @settings(max_examples=120, deadline=None)
     @given(pow_bases, st.integers(min_value=0, max_value=12))
@@ -228,66 +227,17 @@ class TestPower:
         assert power == power_oracle(base, n)
         assert all(power.terms.values())
 
-    def test_sparse_base_is_expanded(self, monkeypatch):
-        calls = []
-        expand = polyring._multinomial_power
-        monkeypatch.setattr(
-            polyring, "_multinomial_power",
-            lambda terms, n: calls.append(n) or expand(terms, n),
-        )
-        base = 3 * X1**2 * X3 - 7 * X2 + 5 * X1 * X2 * X3**2 + 1
-        assert base**12 == power_oracle(base, 12)
-        assert calls == [12]
+    @settings(max_examples=60, deadline=None)
+    @given(pow_bases, st.integers(min_value=0, max_value=12),
+           st.integers(min_value=1, max_value=10**6))
+    def test_power_reduced_mod_q_is_the_reduced_power(self, base, n, q):
+        # reduction mod q is a ring map, which the compares mod q rely on
+        assert reduced_mod(base**n, q) == power_mod(base, n, q)
 
-    def test_dense_base_falls_back_to_squaring(self, monkeypatch):
-        def refuse(terms, n):
-            raise AssertionError("a dense base is not expanded")
-
-        monkeypatch.setattr(polyring, "_multinomial_power", refuse)
-        base = sum((i + 1) * X1**i for i in range(11))
-        assert len(base) == 11
-        assert base**12 == power_oracle(base, 12)
-
-    def test_many_term_base(self, monkeypatch):
-        # 1002 terms: the expansion walks its compositions without recursion,
-        # and __pow__ squares the base, whose pairs are fewer than twice
-        # the expansion's steps
+    def test_many_term_base(self):
         base = cycle_indicator(22)
         assert len(base) == 1002
-        square = base * base
-        assert polyring._multinomial_power(base.terms, 2) == square.terms
-
-        def refuse(terms, n):
-            raise AssertionError("a many-term base at n = 2 is not expanded")
-
-        monkeypatch.setattr(polyring, "_multinomial_power", refuse)
-        assert base**2 == square
-
-    @pytest.mark.parametrize(
-        "base, n, pairs",
-        [
-            (sum((i + 1) * X1**i for i in range(11)), 12, 5605),
-            (3 * X1**2 * X3 - 7 * X2 + 5 * X1 * X2 * X3**2 + 1, 4, 151),
-            (X1 + 2 * X2 - X3, 7, 216),
-        ],
-    )
-    def test_pair_bound_is_exact_without_collisions(
-        self, monkeypatch, base, n, pairs
-    ):
-        # dense univariate and collision-free sparse bases: the bound is the
-        # number of term pairs the squaring loop forms
-        terms = base.terms
-        assert polyring._squaring_pairs(len(terms), polyring._tops(terms), n) == pairs
-        formed = []
-        mul = polyring._mul_terms
-        monkeypatch.setattr(
-            polyring, "_mul_terms",
-            lambda a, b: formed.append(len(a) * len(b)) or mul(a, b),
-        )
-        monkeypatch.setattr(polyring, "_expands", lambda s, n, tops: False)
-        power = base**n
-        assert sum(formed) == pairs
-        assert power == power_oracle(base, n)
+        assert base**2 == base * base
 
     def test_trivial_bases_and_exponents(self):
         zero = MultiPoly.zero()
@@ -306,186 +256,6 @@ class TestPower:
         assert square == power_oracle(base, 2)
         assert square.coefficient((2, 2)) == 0
         assert all(square.terms.values()) and len(square) == 4
-        assert polyring._multinomial_power(base.terms, 2) == square.terms
-
-
-def choice_rule(base: MultiPoly, n: int) -> bool:
-    """__pow__'s kernel rule, unmemoized, with the top exponents read from
-    the public exponent view: True for the expansion, False for squaring."""
-    exps = [e for e, _ in base.sorted_terms()]
-    tops = tuple(max(e[i] if i < len(e) else 0 for e in exps)
-                 for i in range(max(map(len, exps))))
-    s = len(base)
-    steps = math.comb(n + s - 1, s - 1) + math.comb(n + s - 2, s - 2)
-    return 2 * steps <= polyring._squaring_pairs(s, tops, n)
-
-
-# the fixed bases of TestPower and TestModularPower
-CHOICE_BASES = [
-    3 * X1**2 * X3 - 7 * X2 + 5 * X1 * X2 * X3**2 + 1,
-    sum((i + 1) * X1**i for i in range(11)),
-    X1 + 2 * X2 - X3,
-    X1**2 - 2 * X2**2 + 2 * X1 * X2,
-    -4 * X1 + 9 * X2 - 1,
-    X1 - 5 * X2,
-    -(X1 + X2 + X3) * 4,
-    X1 + 2 * X2 + 3 * X3,
-]
-
-
-class TestKernelChoice:
-    """__pow__ reads its kernel from a memo keyed by (s, n, the sorted nonzero
-    top exponents)."""
-
-    @staticmethod
-    def check(base, n):
-        expected = choice_rule(base, n)
-        # base with its variables in reverse order and X_1 unused: its top
-        # exponents permuted and padded with a zero, the same rule and memo key
-        terms = base.sorted_terms()
-        width = max(len(e) for e, _ in terms)
-        moved = MultiPoly({
-            (0, *(e[i] if i < len(e) else 0 for i in reversed(range(width)))): c
-            for e, c in terms
-        })
-        assert choice_rule(moved, n) == expected
-        key = (len(base), n, polyring._tops(base.terms))
-        assert polyring._tops(moved.terms) == key[2]
-        assert polyring._expands(*key) == expected
-        hits = polyring._expands.cache_info().hits
-        assert polyring._expands(*key) == expected  # now from the memo
-        assert polyring._expands.cache_info().hits == hits + 1
-
-    @pytest.mark.parametrize("base", CHOICE_BASES)
-    def test_memo_matches_the_rule_on_the_fixed_bases(self, base):
-        polyring._expands.cache_clear()
-        for n in range(2, 13):
-            self.check(base, n)
-        self.check(cycle_indicator(22), 2)
-
-    @settings(max_examples=120, deadline=None)
-    @given(pow_bases.filter(lambda b: len(b) >= 2),
-           st.integers(min_value=2, max_value=12))
-    def test_memo_matches_the_rule(self, base, n):
-        self.check(base, n)
-
-    def test_power_follows_the_choice(self, monkeypatch):
-        # the expansion runs exactly where the rule picks it
-        expand = polyring._multinomial_power
-        calls = []
-        monkeypatch.setattr(
-            polyring, "_multinomial_power",
-            lambda terms, n, *mod: calls.append(n) or expand(terms, n, *mod),
-        )
-        for base in CHOICE_BASES:
-            for n in range(2, 13):
-                calls.clear()
-                assert base**n == power_oracle(base, n)
-                assert calls == ([n] if choice_rule(base, n) else [])
-
-
-def reduced_oracle(power: MultiPoly, q: int) -> MultiPoly:
-    """power with each coefficient reduced into [0, q), zeros dropped."""
-    return MultiPoly({e: c % q for e, c in power.sorted_terms()})
-
-
-moduli = st.one_of(
-    st.sampled_from([1, 2, 9, 12, 125, 3**40]),
-    st.integers(min_value=1, max_value=10**6),
-)
-
-
-class TestModularPower:
-    """pow(P, n, q) is P**n with every coefficient reduced into [0, q)."""
-
-    @staticmethod
-    def check(base, n, q):
-        power = pow(base, n, q)
-        assert power == reduced_oracle(power_oracle(base, n), q)
-        assert all(0 < c < q for c in power.terms.values())
-
-    @settings(max_examples=120, deadline=None)
-    @given(pow_bases, st.integers(min_value=0, max_value=12), moduli)
-    def test_matches_the_reduced_power(self, base, n, q):
-        self.check(base, n, q)
-
-    @settings(max_examples=60, deadline=None)
-    @given(pow_bases.filter(lambda b: len(b) >= 2),
-           st.integers(min_value=2, max_value=10), moduli)
-    def test_expansion_path(self, base, n, q):
-        # the expansion, forced by patching the kernel choice (a memoized
-        # choice would not see a patched cost), reduces as it walks
-        calls = []
-        expand = polyring._multinomial_power
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(polyring, "_expands", lambda s, n, tops: True)
-            mp.setattr(
-                polyring, "_multinomial_power",
-                lambda terms, n, *mod: calls.append(mod) or expand(terms, n, *mod),
-            )
-            self.check(base, n, q)
-        reduced = reduced_oracle(base, q)
-        assert calls == ([(q,)] if len(reduced) >= 2 else [])
-
-    @settings(max_examples=60, deadline=None)
-    @given(pow_bases, st.integers(min_value=2, max_value=10), moduli)
-    def test_squaring_path(self, base, n, q):
-        # squaring, forced by patching the kernel choice, reduces each product
-        def refuse(terms, n, *mod):
-            raise AssertionError("the kernel choice forced squaring")
-
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(polyring, "_multinomial_power", refuse)
-            mp.setattr(polyring, "_expands", lambda s, n, tops: False)
-            self.check(base, n, q)
-
-    def test_both_paths_at_fixed_points(self, monkeypatch):
-        # a sparse base is expanded and a dense one squared, as over Z
-        sparse = 3 * X1**2 * X3 - 7 * X2 + 5 * X1 * X2 * X3**2 + 1
-        dense = sum((i + 1) * X1**i for i in range(11))
-        expanded = []
-        expand = polyring._multinomial_power
-        monkeypatch.setattr(
-            polyring, "_multinomial_power",
-            lambda terms, n, *mod: expanded.append(len(terms))
-            or expand(terms, n, *mod),
-        )
-        for q in (1, 7, 36, 10**30):
-            self.check(sparse, 12, q)
-            self.check(dense, 12, q)
-        # q = 1 reduces every base to 0, and q = 7 drops the sparse -7 X2
-        assert expanded == [3, 4, 4]
-
-    def test_negative_and_single_term_bases(self):
-        for q in (1, 2, 6, 27, 1000):
-            for base in (-X1, -3 * X1 * X2**2, X1 - 5 * X2, -(X1 + X2 + X3) * 4,
-                         MultiPoly.constant(-7), MultiPoly.zero()):
-                for n in range(6):
-                    self.check(base, n, q)
-        assert pow(-2 * X1, 3, 8) == MultiPoly.zero()  # -8 X1^3 = 0 mod 8
-        assert pow(-2 * X1, 3, 9) == X1**3  # -8 = 1 mod 9
-
-    def test_exponents_zero_and_one_reduce(self):
-        base = -4 * X1 + 9 * X2 - 1
-        assert pow(base, 0, 5) == MultiPoly.one()
-        assert pow(base, 0, 1) == MultiPoly.zero()
-        assert pow(base, 1, 3) == 2 * X1 + 2
-        assert pow(base, 1, 1) == MultiPoly.zero()
-        assert pow(base, 1, 10**9) == reduced_oracle(base, 10**9)
-
-    def test_composite_modulus(self):
-        # mod 12 the residues mod 4 and mod 3 both survive
-        base = X1 + 2 * X2 + 3 * X3
-        for n in range(1, 9):
-            power = pow(base, n, 12)
-            assert pow(power, 1, 4) == pow(base, n, 4)
-            assert pow(power, 1, 3) == pow(base, n, 3)
-            self.check(base, n, 12)
-
-    @pytest.mark.parametrize("q", [0, -1, -12, 2.0, "3"])
-    def test_a_modulus_that_is_not_a_positive_int_is_refused(self, q):
-        with pytest.raises(ValueError, match="modulus"):
-            pow(X1 + 1, 3, q)
 
 
 class TestPackedLimits:
