@@ -3,6 +3,7 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cyclopadic import cycle_index, polyring
 from cyclopadic.cycle_index import cycle_indicator
 from cyclopadic.padic import PadicContext
 from cyclopadic.polyring import (
@@ -217,8 +218,61 @@ pow_bases = st.dictionaries(pow_exponents, pow_coeffs, min_size=1, max_size=6).m
 )
 
 
+# fixed bases: sparse and dense, univariate and in three variables, with
+# negative coefficients and with a square whose terms cancel
+FIXED_BASES = [
+    3 * X1**2 * X3 - 7 * X2 + 5 * X1 * X2 * X3**2 + 1,
+    sum((i + 1) * X1**i for i in range(11)),
+    X1 + 2 * X2 - X3,
+    X1**2 - 2 * X2**2 + 2 * X1 * X2,
+    -4 * X1 + 9 * X2 - 1,
+    X1 - 5 * X2,
+    -(X1 + X2 + X3) * 4,
+    X1 + 2 * X2 + 3 * X3,
+]
+
+
 class TestPower:
     """P**n, squared and multiplied on the product kernel, against repeated *."""
+
+    @pytest.mark.parametrize("base", FIXED_BASES)
+    def test_fixed_base_matches_repeated_mul(self, base):
+        for n in range(13):
+            power = base**n
+            assert power == power_oracle(base, n)
+            assert all(power.terms.values())
+
+    @pytest.mark.parametrize(
+        "base, n, pairs",
+        [
+            (sum((i + 1) * X1**i for i in range(11)), 12, 5605),
+            (3 * X1**2 * X3 - 7 * X2 + 5 * X1 * X2 * X3**2 + 1, 4, 151),
+            (X1 + 2 * X2 - X3, 7, 216),
+        ],
+    )
+    def test_squaring_forms_the_counted_pairs(self, monkeypatch, base, n, pairs):
+        # the term pairs the squaring loop forms, counted by hand for a dense
+        # univariate base and two collision-free sparse ones
+        formed = []
+        mul = polyring._mul_terms
+        monkeypatch.setattr(
+            polyring, "_mul_terms",
+            lambda a, b: formed.append(len(a) * len(b)) or mul(a, b),
+        )
+        power = base**n
+        assert sum(formed) == pairs
+        assert power == power_oracle(base, n)
+
+    @pytest.mark.parametrize("n", [-1, 2.0, "3"])
+    def test_an_exponent_that_is_not_a_natural_number_is_refused(self, n):
+        with pytest.raises(ValueError, match="exponent"):
+            (X1 + 1) ** n
+
+    @pytest.mark.parametrize("q", [7, 3**40])
+    def test_there_is_no_power_mod_q(self, q):
+        # residues mod q come from cycle_indicator_mod and the tests' oracles
+        with pytest.raises(TypeError):
+            pow(X1 + 1, 3, q)
 
     @settings(max_examples=120, deadline=None)
     @given(pow_bases, st.integers(min_value=0, max_value=12))
@@ -256,6 +310,57 @@ class TestPower:
         assert square == power_oracle(base, 2)
         assert square.coefficient((2, 2)) == 0
         assert all(square.terms.values()) and len(square) == 4
+
+
+class TestPowerMod:
+    """The tests' power_mod(P, n, q) is P**n with every coefficient reduced
+    into [0, q), and reduced_mod agrees with cycle_index's reduction."""
+
+    @staticmethod
+    def check(base, n, q):
+        power = power_mod(base, n, q)
+        assert power == reduced_mod(power_oracle(base, n), q)
+        assert all(0 < c < q for c in power.terms.values())
+
+    def test_fixed_points(self):
+        sparse, dense = FIXED_BASES[0], FIXED_BASES[1]
+        for q in (1, 7, 36, 10**30):
+            self.check(sparse, 12, q)
+            self.check(dense, 12, q)
+
+    def test_negative_and_single_term_bases(self):
+        for q in (1, 2, 6, 27, 1000):
+            for base in (-X1, -3 * X1 * X2**2, X1 - 5 * X2, -(X1 + X2 + X3) * 4,
+                         MultiPoly.constant(-7), MultiPoly.zero()):
+                for n in range(6):
+                    self.check(base, n, q)
+        assert power_mod(-2 * X1, 3, 8) == MultiPoly.zero()  # -8 X1^3 = 0 mod 8
+        assert power_mod(-2 * X1, 3, 9) == X1**3  # -8 = 1 mod 9
+
+    def test_exponents_zero_and_one_reduce(self):
+        base = -4 * X1 + 9 * X2 - 1
+        assert power_mod(base, 0, 5) == MultiPoly.one()
+        assert power_mod(base, 0, 1) == MultiPoly.zero()
+        assert power_mod(base, 1, 3) == 2 * X1 + 2
+        assert power_mod(base, 1, 1) == MultiPoly.zero()
+        assert power_mod(base, 1, 10**9) == reduced_mod(base, 10**9)
+
+    def test_composite_modulus(self):
+        # mod 12 the residues mod 4 and mod 3 both survive
+        base = X1 + 2 * X2 + 3 * X3
+        for n in range(1, 9):
+            power = power_mod(base, n, 12)
+            assert reduced_mod(power, 4) == power_mod(base, n, 4)
+            assert reduced_mod(power, 3) == power_mod(base, n, 3)
+            self.check(base, n, 12)
+
+    @pytest.mark.parametrize("q", [1, 2, 9, 12, 125, 3**40])
+    def test_cycle_index_reduction_matches_the_oracle(self, q):
+        for base in (*FIXED_BASES, -X1, MultiPoly.constant(-7),
+                     MultiPoly.zero(), cycle_indicator(10)):
+            reduced = cycle_index._reduced(base.terms, q)
+            assert reduced == reduced_mod(base, q)
+            assert all(0 < c < q for c in reduced.terms.values())
 
 
 class TestPackedLimits:
