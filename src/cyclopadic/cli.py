@@ -16,13 +16,14 @@ limit before any task is built (junod-lemma's trial count is not bounded).
 Exit codes: 0 all checks passed, 1 at least one violation, 2 usage error,
 a refused grid, a grid that holds no task, a --primes entry that is not
 prime or too large for ``is_prime`` to certify, a negative --n-max,
---degree-cap, --threads or --trials, a malformed --mutate or one with a
-negative index and a failed write to --out or stdout included, 3 internal
-error: an exception raised by a checker, with the traceback on stderr. A
-reader that closes stdout early ends the run quietly with 141, the status of
-a process that SIGPIPE ends. ``--out`` is opened only after every usage check
-has passed, so a usage error other than a failed write leaves an existing
-file as it was.
+--degree-cap, --threads or --trials, a negative --r-range entry, a cycle
+type given to a ``compute`` object other than coeff, a malformed --mutate
+or one with a negative index and a failed write to --out or stdout
+included, 3 internal error: an exception raised by a checker, with the
+traceback on stderr. A reader that closes stdout early ends the run quietly
+with 141, the status of a process that SIGPIPE ends. ``--out`` is opened
+only after every usage check has passed, so a usage error other than a
+failed write leaves an existing file as it was.
 
 Each task is exact, CPU-bound and independent, and ``verify`` runs them one
 after another in the CLI process. ``--threads K`` is accepted and ignored.
@@ -352,6 +353,8 @@ def run_compute(args) -> Iterable[str]:
         raise UsageError(f"unknown object {obj!r}")
     if n < 0:
         raise UsageError("n must be >= 0")
+    if obj != "coeff" and args.cycle_type is not None:
+        raise UsageError(f"{obj} takes no cycle type, got {args.cycle_type!r}")
     _refuse(obj, COMPUTE_SIZES[obj], n)
     if obj == "coeff":
         if args.cycle_type is None:
@@ -432,9 +435,12 @@ def _checked(args: Namespace) -> Namespace:
     if args.r_range:
         lo, _, hi = args.r_range.partition(":")
         try:
-            args.r_range = (int(lo), int(hi))
+            lo, hi = int(lo), int(hi)
         except ValueError:
             raise UsageError(f"malformed --r-range {args.r_range!r}")
+        if lo < 0 or hi < 0:
+            raise UsageError(f"--r-range must be >= 0, got {args.r_range!r}")
+        args.r_range = lo, hi
     args.r_range = args.r_range or None
     try:
         args.primes = sorted({int(x) for x in args.primes.split(",") if x})

@@ -28,11 +28,13 @@ carlitz-poly and prop-poly compare C_N with (X_1^p -+ X_p)^n C_r mod
 m*Z_p, and reduction mod q = p^vp(m) is a ring map, so residues decide the
 compare exactly (``compare_indicator``). C_N mod q comes from the
 division-free recurrence of ``cycle_index.cycle_indicator_mod``, and the
-right-hand side, at most (n+1)*p(r) terms, is built over Z. A witness's
-exact difference is ``class_size`` of its class minus the right-hand side's
-coefficient; a mutated compare reads only the key order of C_N, its terms
-in graded revlex order, to place the fault. The instances are still the
-p(N) terms of C_N, and the reports are those of the exact compare.
+right-hand side, at most (n+1)*p(r) terms, is built over Z.
+``polyring.congruence_witnesses`` decides the compare, as it does every
+polynomial compare; a witness's residue difference c lifts to the exact one
+as c + s - (s mod q), s the ``class_size`` of its class. A mutated compare
+reads only the key order of C_N, its terms in graded revlex order, to place
+the fault. The instances are still the p(N) terms of C_N, and the reports
+are those of the exact compare.
 """
 from __future__ import annotations
 
@@ -55,7 +57,6 @@ from .polyring import (
     Poly,
     UniPoly,
     _grevlex_sorted,
-    _unpack,
     congruence_witnesses,
 )
 from .reports import CongruenceReport
@@ -129,39 +130,28 @@ def compare_indicator(
 
     Reduction mod q = p^vp(modulus) is a ring map, so C_n and rhs agree mod
     modulus*Z_p at a class exactly where ``cycle_indicator_mod(n, q)`` and
-    rhs mod q do. C_n's p(n) terms are counted as instances; the mutation
-    adds its delta at the key of C_n's i-th term in witness order, which
-    only a mutated compare builds C_n for. A class where the residues differ
-    is a witness, with the exact difference ``class_size(n, class)`` minus
-    rhs's coefficient. ``clean``, what an earlier call on the same n, rhs
-    and modulus returned, is taken for the witnesses unless the mutation
-    lands here. Returns the witnesses of the unperturbed operands, or None
-    if the mutation landed here.
+    rhs do, and ``congruence_witnesses`` decides that. C_n's p(n) terms are
+    counted as instances; a nonzero mutation delta is added to the residues
+    at the key of C_n's i-th term in witness order, which only a mutated
+    compare builds C_n for. A witness's residue is s mod q (+ delta), s =
+    ``class_size(n, class)``, so c + s - (s mod q) lifts its difference c to
+    the exact one. ``clean``, what an earlier call on the same n, rhs and
+    modulus returned, is taken for the witnesses unless the mutation lands
+    here. Returns the witnesses of the unperturbed operands, or None if the
+    mutation landed here.
     """
     hit = report.count(partition_count(n))
     if hit is None and clean is not None:
         bad = clean
     else:
-        req = ctx.vp(modulus)
-        q = ctx.p**req
-        lhs = cycle_indicator_mod(n, q).terms
-        rt = rhs.terms
-        get = lhs.get
-        keys = {k for k in lhs if k not in rt}
-        keys.update(k for k, c in rt.items() if (get(k, 0) - c) % q)
-        key, delta = None, 0
-        if hit:
-            key, delta = _indicator_keys(n)[hit[0]], hit[1]
-            if (get(key, 0) + delta - rt.get(key, 0)) % q:
-                keys.add(key)
-            else:
-                keys.discard(key)
+        q = ctx.p ** ctx.vp(modulus)
+        lhs = cycle_indicator_mod(n, q)
+        if hit and hit[1]:
+            lhs += MultiPoly({_indicator_keys(n)[hit[0]]: hit[1]}, _raw=True)
         bad = []
-        for k in _grevlex_sorted(keys):
-            exps = _unpack(k)
-            c = class_size(n, [(i, x) for i, x in enumerate(exps, 1) if x])
-            bad.append(({"exponents": list(exps)},
-                        c + (delta if k == key else 0) - rt.get(k, 0), req))
+        for place, c, req in congruence_witnesses(lhs, rhs, modulus, ctx):
+            s = class_size(n, enumerate(place["exponents"], 1))
+            bad.append((place, c + s - s % q, req))
     _add_witnesses(report, bad, modulus, ctx, tag)
     return None if hit else bad
 

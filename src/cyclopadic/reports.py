@@ -4,6 +4,10 @@ from __future__ import annotations
 import json
 from typing import Optional, Tuple
 
+# one encoder for every report: json.dumps with these arguments builds one
+# per call
+_ENCODER = json.JSONEncoder(separators=(",", ":"), sort_keys=True)
+
 
 def _jsonable(x):
     """x as a report writes it: an int above 2**53 in magnitude, which a
@@ -136,12 +140,14 @@ class CongruenceReport:
         return obj
 
     def to_json(self) -> str:
-        return json.dumps(self.to_json_obj(), separators=(",", ":"), sort_keys=True)
+        return _ENCODER.encode(self.to_json_obj())
 
     def to_text(self) -> str:
         status = "PASS" if self.passed else f"FAIL({len(self.violations)})"
         params = " ".join(f"{k}={v}" for k, v in sorted(self.params.items()))
         line = f"{status:8s} {self.checker:20s} {params} instances={self.instances}"
+        if self.elapsed_ms is not None:
+            line += f" elapsed_ms={self.elapsed_ms}"
         if self.advisory:
             line += " [advisory]"
         if not self.passed:

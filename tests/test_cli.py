@@ -92,6 +92,18 @@ class TestCompute:
         assert code == 0
         assert json.loads(text) == {"coeffs": ["0", "-2", "0", "1"]}
 
+    @pytest.mark.parametrize("argv", [
+        ["meixner-q", "3", "1,2"],
+        ["cycle-index", "3", "1,1,0"],
+        ["meixner-qstar", "3", "0,0,1"],
+    ])
+    def test_cycle_type_of_another_object_exit2(self, tmp_path, capsys, argv):
+        # only coeff reads a cycle type; the others used to ignore it
+        obj, _, cycle_type = argv
+        code, _ = run(tmp_path, "compute", *argv)
+        assert code == 2 and capsys.readouterr().err == (
+            f"error: {obj} takes no cycle type, got '{cycle_type}'\n")
+
     def test_malformed_cycle_type_exit2(self, tmp_path, capsys):
         code, _ = run(tmp_path, "compute", "coeff", "3", "2,1,0")
         assert code == 2
@@ -521,6 +533,23 @@ class TestVerify:
         )
         assert "elapsed_ms" in json.loads(text.splitlines()[0])
 
+    def test_timing_flag_in_text_format(self, tmp_path, monkeypatch):
+        # every job takes one second; the status line of each report ends
+        # with its time, and a run without --timing keeps its bytes
+        clock = iter(range(10**6))
+        monkeypatch.setattr(cli.time, "monotonic", lambda: next(clock))
+        argv = ["verify", "remark1", "--primes", "3", "--n-max", "1",
+                "--format", "text"]
+        plain = [f"PASS     remark1              modulus=3 n=1 p=3 r={r} instances=2"
+                 for r in (1, 2)]
+        assert run(tmp_path, *argv) == (0, "".join(f"{line}\n" for line in plain))
+        assert run(tmp_path, *argv, "--timing") == (
+            0, "".join(f"{line} elapsed_ms=1000\n" for line in plain))
+        code, text = run(tmp_path, *argv, "--timing", "--mutate", "0:1")
+        status, witness = text.splitlines()[:2]
+        assert code == 1 and status.endswith("instances=2 elapsed_ms=1000")
+        assert witness.startswith("         first witness: ")
+
     def test_r_range_filter(self, tmp_path):
         code, text = run(
             tmp_path,
@@ -789,12 +818,19 @@ def test_verify_spec_defaults():
 @pytest.mark.parametrize("argv, message", [
     (["--primes", "3,x"], "malformed --primes '3,x'"),
     (["--r-range", "1"], "malformed --r-range '1'"),
+    # r = 0..1 used to run without a word
+    (["--r-range=-3:1"], "--r-range must be >= 0, got '-3:1'"),
+    (["--r-range", "1:-1"], "--r-range must be >= 0, got '1:-1'"),
 ])
 def test_verify_spec_refuses(argv, message):
     with pytest.raises(UsageError) as info:
         verify_spec(["all", *argv])
     assert str(info.value) == message
 
+
+# the rows that compare two polynomials, each through congruence_witnesses
+POLYNOMIAL_ROWS = {"carlitz-poly", "corollary2", "meixner-qp", "meixner-qstar-q",
+                   "prop-poly"}
 
 # a prime over MAX_SCALAR_SIZE and a small n
 LARGE_P = ["--primes", "1000003", "--n-max", "2"]
@@ -828,6 +864,41 @@ class TestCheckerTable:
         for threads in ([], ["--threads", "3"]):
             code, text = run(tmp_path, "verify", row.name, *SMALL_GRID, *threads)
             assert code == 0 and text.splitlines() == mine
+
+    @pytest.mark.parametrize("row", CHECKER_TABLE, ids=lambda row: row.name)
+    def test_zero_delta_keeps_the_clean_bytes(self, tmp_path, all_small_grid, row):
+        # a delta of 0 is a multiple of every modulus: at the first, a middle
+        # and the last instance index the output is the clean run's
+        mine = [line for line in all_small_grid
+                if json.loads(line)["checker"] == row.name]
+        last = max(json.loads(line)["instances"] for line in mine) - 1
+        for i in (0, last // 2, last):
+            code, text = run(tmp_path, "verify", row.name, *SMALL_GRID,
+                             "--mutate", f"{i}:0")
+            assert (code, text) == (0, "".join(f"{line}\n" for line in mine))
+
+    @pytest.mark.parametrize("row", CHECKER_TABLE, ids=lambda row: row.name)
+    def test_every_polynomial_compare_is_one_routine(self, tmp_path, monkeypatch,
+                                                     capsys, row):
+        # with congruence_witnesses refusing, every polynomial row exits 3
+        # with its traceback, and junod-lemma where --mutate builds a trial's
+        # powers; the coefficient and scalar rows are unaffected
+        def refuse(*args):
+            raise RuntimeError("congruence_witnesses refused")
+
+        argv = ["verify", row.name, *SMALL_GRID]
+        for mutate in ([], ["--mutate", "0:1"]):
+            expected = run(tmp_path, *argv, *mutate)
+            capsys.readouterr()
+            with monkeypatch.context() as patch:
+                patch.setattr(congruences, "congruence_witnesses", refuse)
+                code, text = run(tmp_path, *argv, *mutate)
+            err = capsys.readouterr().err
+            if row.name in POLYNOMIAL_ROWS or (row.name == "junod-lemma" and mutate):
+                assert code == 3 and err.startswith("Traceback")
+                assert err.endswith("RuntimeError: congruence_witnesses refused\n")
+            else:
+                assert (code, text, err) == (*expected, "")
 
     def test_p2_columns(self, tmp_path):
         code, text = run(tmp_path, "verify", "all", "--primes", "2,3", "--allow-p2",
