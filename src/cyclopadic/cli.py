@@ -59,9 +59,10 @@ from .reports import CongruenceReport
 # C_m exactly only for m <= p, plus C_N itself for its key order when
 # mutated. carlitz-coeff, prop-coeff and corollary1 visit only the classes
 # that a valuation bound does not clear and count the rest: prop-coeff at
-# p = n = 11 (p(121) ~ 2e9) takes about 10 ms on a 2-core VM, and
+# p = n = 11 (p(121) ~ 2e9) takes about 2.5 ms on a 2-core VM, and
 # corollary1's visited classes grow like p(r), 504 of them at p = n = 11,
-# r = 10. A limit on N measured for these routes would replace p(N).
+# r = 10, which takes about 14 ms. A limit on N measured for these routes
+# would replace p(N).
 MAX_CYCLE_INDEX_TERMS = 100_000
 # the first N with p(N) over MAX_CYCLE_INDEX_TERMS: p(45) = 89,134 and
 # p(46) = 105,558, which a test checks. p(N) grows with N, so _refuse compares

@@ -39,6 +39,7 @@ are those of the exact compare.
 from __future__ import annotations
 
 import random
+import threading
 from functools import lru_cache
 from math import comb
 from typing import Optional, Tuple
@@ -156,6 +157,27 @@ def compare_indicator(
     return None if hit else bad
 
 
+_vp_lock = threading.Lock()
+# p -> [vp(0!), vp(1!), ...], grown in place
+_factorial_vps: dict = {}
+
+
+def _factorial_valuations(p: int, n: int) -> list:
+    """[vp(0!), vp(1!), ..., vp(n!)] and perhaps more: one list per p, shared
+    by every call and grown as needed."""
+    vps = _factorial_vps.get(p)
+    if vps is None or n >= len(vps):
+        with _vp_lock:
+            vps = _factorial_vps.setdefault(p, [0])
+            for m in range(len(vps), n + 1):
+                v, k = vps[-1], m
+                while not k % p:
+                    k //= p
+                    v += 1
+                vps.append(v)
+    return vps
+
+
 def _class_walk(
     name: str,
     r: int,
@@ -181,6 +203,12 @@ def _class_walk(
     integer R!/z_rho: its vp is at least vp(N!) - vp(z_pi) - vp(R!), which
     at R = 0 is exact. Its parts other than 1 and p sum to at least those of
     pi; past r, the class takes the second branch.
+
+    That sum is tested first, in a plain loop. The bound is at least req
+    exactly when vp(z_pi) <= vp(N!) - vp(R!) - req, that is when
+    p^(vp(N!) - vp(R!) - req + 1) does not divide z_pi: one remainder per
+    node, with the powers computed once per walk for every R and vp(m!) read
+    from ``_factorial_valuations``.
     """
     p = ctx.p
     params = {"p": p, "n": n, "modulus": modulus}
@@ -190,18 +218,20 @@ def _class_walk(
     req = ctx.vp(modulus)
     q = p**req
     a, b = branches
-    vfact = [0]  # vfact[m] = vp(m!)
-    for m in range(1, r + n * p + 1):
-        vfact.append(vfact[-1] + ctx.vp(m))
+    big_n = r + n * p
+    vfact = _factorial_valuations(p, big_n)
+    # where vp(N!) - vp(R!) - req is negative no z passes, and z % 1 is 0
+    divisor = [p ** max(vfact[big_n] - vfact[rest] - req + 1, 0)
+               for rest in range(big_n + 1)]
 
     def clears(pairs, z, rest, count):
-        return (
-            sum(i * x for i, x in pairs if i != 1 and i != p) > r
-            and vfact[-1] - ctx.vp(z) - vfact[rest] >= req
-            and report.skip(count)
-        )
+        s = 0
+        for i, x in pairs:
+            if i != 1 and i != p:
+                s += i * x
+        return s > r and z % divisor[rest] != 0 and report.skip(count)
 
-    for parts, c in class_sizes(r + n * p, clears):
+    for parts, c in class_sizes(big_n, clears):
         c = report.tap(c)
         # the first branch leaves the parts other than 1 and p a sum of at
         # most r < p, so it needs a largest part k <= p; k = p has m_p <= n
@@ -221,7 +251,7 @@ def _class_walk(
         if diff % q:
             # the first branch expects a nonzero value: C(n, m_p), c_r > 0
             report.add_violation(
-                {"cycle_type": multiplicity_vector(r + n * p, parts),
+                {"cycle_type": multiplicity_vector(big_n, parts),
                  "branch": a if expected else b},
                 diff,
                 modulus,
@@ -330,25 +360,38 @@ def check_remark1(
     return report
 
 
-def _randint(bits, lo: int, hi: int) -> int:
-    """``rng.randint(lo, hi)`` for bits = rng.getrandbits, by randint's own
-    rule: bits of the width's bit length, drawn again while not below it."""
-    width = hi - lo + 1
-    while (r := bits(width.bit_length())) >= width:
-        pass
-    return lo + r
-
-
 def _junod_draws(rng: random.Random) -> tuple:
     """One trial's draws, the same at every p: the terms of a and gamma, the
-    k of m = p*k and the exponent n."""
+    k of m = p*k and the exponent n.
+
+    Each integer is ``rng.randint``'s for its range, drawn by randint's own
+    rule: bits of the width's bit length, drawn again until below the width.
+    The widths are constants: 3 (2 bits) for a term count, a variable count
+    and an exponent, 11 (4 bits) for a coefficient in -5..5, 20 (5 bits) for
+    k and 12 (4 bits) for n.
+    """
     bits = rng.getrandbits
     alpha, gamma = {}, {}
     for terms in (alpha, gamma):  # 1 to 3 terms in up to 3 variables
-        for _ in range(_randint(bits, 1, 3)):
-            e = tuple(_randint(bits, 0, 2) for _ in range(_randint(bits, 1, 3)))
-            terms[e] = terms.get(e, 0) + _randint(bits, -5, 5)
-    return alpha, gamma, _randint(bits, 1, 20), _randint(bits, 1, 12)
+        while (count := bits(2)) > 2:
+            pass
+        for _ in range(count + 1):
+            while (length := bits(2)) > 2:
+                pass
+            e = []
+            for _ in range(length + 1):
+                while (x := bits(2)) > 2:
+                    pass
+                e.append(x)
+            while (c := bits(4)) > 10:
+                pass
+            key = tuple(e)
+            terms[key] = terms.get(key, 0) + c - 5
+    while (k := bits(5)) > 19:
+        pass
+    while (n := bits(4)) > 11:
+        pass
+    return alpha, gamma, k + 1, n + 1
 
 
 def _row_vanishes(n: int, moduli: dict) -> bool:

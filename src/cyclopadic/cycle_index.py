@@ -22,7 +22,10 @@ with smaller parts; the classes below a node are consecutive in the stream.
 A node the predicate clears is counted, from :func:`partition_table`, and
 not visited. A stream that runs to its end checks, again with
 ``ArithmeticError``, that the classes it yielded and counted are p(n) by
-Euler's recurrence (:func:`partition_count`).
+Euler's recurrence (:func:`partition_count`). The partition table and the
+list of p(n) are each one module-level table, shared by every call and
+grown in place when a larger n is asked for, so a run computes each entry
+once.
 
 :func:`class_size` is the one closed-form routine: n!/z for a class given by
 its pairs (i, m_i), in any order. The checkers call it for the single classes
@@ -42,7 +45,6 @@ types, the determinant and the truncated EGF) are test oracles in
 from __future__ import annotations
 
 import threading
-from functools import lru_cache
 from itertools import accumulate
 from math import factorial
 from typing import Callable, Iterable, Iterator, List, Optional, Tuple
@@ -195,18 +197,36 @@ def class_sizes(
         )
 
 
-def partition_table(n: int) -> List[List[int]]:
-    """t[m][j] = the number of partitions of m into parts <= j, 0 <= m, j <= n.
+_table_lock = threading.Lock()
+# t[m][j] = the number of partitions of m into parts <= j, grown in place:
+# every row runs to the same last index, len(_partitions) - 1
+_partitions: List[List[int]] = [[1]]
+# p(0), p(1), ... by Euler's recurrence, grown in place
+_euler: List[int] = [1]
 
+
+def partition_table(n: int) -> List[List[int]]:
+    """t with t[m][j] = the number of partitions of m into parts <= j, for
+    0 <= m, j <= n at least.
+
+    The table is shared and grown in place when a larger n is asked for, so
+    its rows may run past n; entries at or below an earlier n do not change.
     A partition of m into parts <= j has no part j, or is one part j more
     than a partition of m - j into parts <= j: t[m][j] = t[m][j-1] +
     t[m-j][j]. Parts past m add nothing: t[m][j] = t[m][m] for j > m.
     """
-    t = [[1] * (n + 1)]
-    for m in range(1, n + 1):
-        row = list(accumulate((t[m - j][j] for j in range(1, m + 1)), initial=0))
-        row += [row[-1]] * (n - m)
-        t.append(row)
+    t = _partitions
+    if n >= len(t):
+        with _table_lock:
+            size = len(t) - 1
+            if n > size:
+                for row in t:
+                    row += [row[-1]] * (n - size)
+                for m in range(size + 1, n + 1):
+                    row = list(accumulate((t[m - j][j] for j in range(1, m + 1)),
+                                          initial=0))
+                    row += [row[-1]] * (n - m)
+                    t.append(row)
     return t
 
 
@@ -233,26 +253,29 @@ def enumerate_cycle_types(n: int) -> Iterator[CycleType]:
         yield ct
 
 
-@lru_cache(maxsize=None)
 def partition_count(n: int) -> int:
-    """p(n) by Euler's pentagonal-number recurrence (enumeration oracle),
-    memoized: a polynomial compare counts p(N) instances."""
-    p = [1] + [0] * n
-    for m in range(1, n + 1):
-        total = 0
-        k = 1
-        while True:
-            g1 = k * (3 * k - 1) // 2
-            g2 = k * (3 * k + 1) // 2
-            if g1 > m and g2 > m:
-                break
-            sign = -1 if k % 2 == 0 else 1
-            if g1 <= m:
-                total += sign * p[m - g1]
-            if g2 <= m:
-                total += sign * p[m - g2]
-            k += 1
-        p[m] = total
+    """p(n) by Euler's pentagonal-number recurrence (enumeration oracle), from
+    one list of p(0), p(1), ... shared by every call and grown as needed."""
+    if n < 0:
+        raise ValueError("n must be >= 0")
+    p = _euler
+    if n >= len(p):
+        with _table_lock:
+            for m in range(len(p), n + 1):
+                total = 0
+                k = 1
+                while True:
+                    g1 = k * (3 * k - 1) // 2
+                    g2 = k * (3 * k + 1) // 2
+                    if g1 > m and g2 > m:
+                        break
+                    sign = -1 if k % 2 == 0 else 1
+                    if g1 <= m:
+                        total += sign * p[m - g1]
+                    if g2 <= m:
+                        total += sign * p[m - g2]
+                    k += 1
+                p.append(total)
     return p[n]
 
 

@@ -323,32 +323,33 @@ class TestJunodLemma:
             for n in (3, 9):
                 assert row_and_compare(3, m, n) == (False, False)
 
+    @staticmethod
+    def randint_draws(rng):
+        """A trial's draws through ``rng.randint``, in _junod_draws' order."""
+        polys = []
+        for _ in range(2):
+            terms = {}
+            for _ in range(rng.randint(1, 3)):
+                e = tuple(rng.randint(0, 2) for _ in range(rng.randint(1, 3)))
+                terms[e] = terms.get(e, 0) + rng.randint(-5, 5)
+            polys.append(terms)
+        return (*polys, rng.randint(1, 20), rng.randint(1, 12))
+
     def test_draws_follow_randint(self):
-        # the getrandbits draw is randint's, and leaves the stream where
-        # randint does: every width _junod_draws uses, 1 and powers of 2
-        ranges = [(1, 3), (0, 2), (-5, 5), (1, 20), (1, 12), (4, 4), (0, 0),
-                  (0, 1), (-2, 1), (1, 8), (-8, 7), (0, 1023), (3, 2**40 + 2)]
-        for seed in range(250):
+        # the inline getrandbits draws are randint's, redrawn as it redraws,
+        # and leave the stream where randint does: one trial at each of
+        # 5,000 seeds, so every range meets its rejections at the start of a
+        # stream as well as after the first draws
+        for seed in range(5000):
             ours, theirs = random.Random(seed), random.Random(seed)
-            for lo, hi in ranges * 3:
-                assert cg._randint(ours.getrandbits, lo, hi) == theirs.randint(lo, hi)
+            assert cg._junod_draws(ours) == self.randint_draws(theirs)
             assert ours.getstate() == theirs.getstate()
 
     def test_trial_draws_are_the_randint_stream(self):
-        def randint_draws(rng):
-            polys = []
-            for _ in range(2):
-                terms = {}
-                for _ in range(rng.randint(1, 3)):
-                    e = tuple(rng.randint(0, 2) for _ in range(rng.randint(1, 3)))
-                    terms[e] = terms.get(e, 0) + rng.randint(-5, 5)
-                polys.append(terms)
-            return (*polys, rng.randint(1, 20), rng.randint(1, 12))
-
         for seed in range(200):
             ours, theirs = random.Random(seed), random.Random(seed)
             for _ in range(5):
-                assert cg._junod_draws(ours) == randint_draws(theirs)
+                assert cg._junod_draws(ours) == self.randint_draws(theirs)
             assert ours.getstate() == theirs.getstate()
 
     def test_a_prime_given_twice_gets_two_equal_reports(self, ctx3):
@@ -779,6 +780,124 @@ class TestPrunedWalk:
         args = (1, 3) if check is cg.check_corollary1 else (3,)
         with pytest.raises(ArithmeticError, match="counted"):
             check(*args, PadicContext(3))
+
+
+def legendre(p, m):
+    """vp(m!) by Legendre's formula, the sum of m // p^i over i >= 1."""
+    v, power = 0, p
+    while power <= m:
+        v += m // power
+        power *= p
+    return v
+
+
+def valuation_bound(p, r, big_n, req):
+    """The walk's clearing test as it was before the divisibility form, less
+    ``report.skip``: the parts outside {1, p} summed by a generator, and
+    vp(N!) - vp(z) - vp(R!) >= req with vp(z) from ``ctx.vp``."""
+    ctx = PadicContext(p)
+    vfact = [legendre(p, m) for m in range(big_n + 1)]
+
+    def holds(pairs, z, rest):
+        return (sum(i * x for i, x in pairs if i != 1 and i != p) > r
+                and vfact[-1] - ctx.vp(z) - vfact[rest] >= req)
+
+    return holds
+
+
+def walk_beside_the_valuation_bound(monkeypatch, args):
+    """(report, cleared subtrees) of ``cg._class_walk(*args)``, checked at
+    each node it offers against ``valuation_bound``: the walk asks
+    ``report.skip`` there exactly when the bound holds, and clears the node
+    exactly when it holds and skip counts it. A cleared subtree is (first
+    index, count)."""
+    made, cleared, asked = [], [], []
+
+    class Recorded(CongruenceReport):
+        def __init__(self, *a, **kw):
+            super().__init__(*a, **kw)
+            made.append(self)
+
+        def skip(self, k):
+            asked.append(super().skip(k))
+            return asked[-1]
+
+    def sizes(big_n, prune):
+        report = made[-1]
+        params = report.params
+        p = params["p"]
+        bound = valuation_bound(p, params.get("r", 0), big_n,
+                                PadicContext(p).vp(params["modulus"]))
+
+        def beside(pairs, z, rest, count):
+            holds, start = bound(pairs, z, rest), report.instances
+            asked.clear()
+            clears = prune(pairs, z, rest, count)
+            assert asked == ([clears] if holds else [])
+            if clears:
+                cleared.append((start, count))
+            return clears
+
+        return class_sizes(big_n, beside)
+
+    with monkeypatch.context() as m:
+        m.setattr(cg, "CongruenceReport", Recorded)
+        m.setattr(cg, "class_sizes", sizes)
+        report = cg._class_walk(*args)
+    return report, cleared
+
+
+class TestDivisibilityPrune:
+    @pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
+    @pytest.mark.parametrize("check, sign, branches", CLASS_WALKS, ids=WALK_IDS)
+    def test_clears_what_the_valuation_bound_cleared(
+        self, check, sign, branches, p, monkeypatch
+    ):
+        # at every point with r + np <= 40, at the modulus and at the modulus
+        # times p and p^2, clean and with a delta of 1 and of the modulus at
+        # an index inside a cleared subtree (the middle one, and at the
+        # modulus also the first and the last): every node the walk offers
+        # is cleared exactly where the valuation bound clears it, so the walk
+        # visits the classes, counts the instances and writes the report of
+        # the walk by that bound. A mutated walk visits more classes than
+        # the clean one, and a delta of the modulus changes no byte
+        ctx = PadicContext(p)
+        cleared_somewhere = 0
+        for r, n, args in walk_points(check, p, 40):
+            modulus = check(*args, ctx).params["modulus"]
+            for claimed in (modulus, modulus * p, modulus * p * p):
+                def walk(mutation):
+                    return walk_beside_the_valuation_bound(monkeypatch, (
+                        check.__name__, r, n, ctx, claimed, sign(p), branches,
+                        mutation))
+
+                clean, subtrees = walk(None)
+                assert clean.instances == partition_count(r + n * p)
+                cleared_somewhere += len(subtrees)
+                skipped = sum(count for _, count in subtrees)
+                ends = (0, -1) if claimed == modulus else ()
+                picked = {subtrees[i] for i in (len(subtrees) // 2, *ends)
+                          if subtrees}
+                for start, count in sorted(picked):
+                    for delta in (1, claimed):
+                        mutated, inside = walk((start + count // 2, delta))
+                        assert mutated.instances == clean.instances
+                        assert sum(c for _, c in inside) < skipped
+                        assert ((mutated.to_json_obj() == clean.to_json_obj())
+                                == (delta == claimed))
+        assert cleared_somewhere
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13, 43])
+    def test_factorial_valuations_are_legendres(self, p, monkeypatch):
+        # one list per p, grown in place, in whatever order it is asked
+        monkeypatch.setattr(cg, "_factorial_vps", {})
+        sizes = list(range(0, 201, 7))
+        random.Random(p).shuffle(sizes)
+        for n in (200, 3, *sizes, 0):
+            vps = cg._factorial_valuations(p, n)
+            assert len(vps) > n
+            assert vps[: n + 1] == [legendre(p, m) for m in range(n + 1)]
+            assert vps is cg._factorial_valuations(p, 0)
 
 
 class TestScalarMutationTwoSided:

@@ -3,6 +3,7 @@ import json
 import math
 import pathlib
 import pickle
+import random
 
 import pytest
 
@@ -227,6 +228,62 @@ class TestClassSizes:
         monkeypatch.setattr(cycle_index, "factorial", lambda k: math.factorial(k) + 1)
         with pytest.raises(ArithmeticError, match=rf"non-integral .* \(\({n}, 1\),\)"):
             next(class_sizes(n))
+
+
+def counted_by_parts(top):
+    """t[m][j], the partitions of m into parts <= j for m, j <= top, counted
+    part size by part size: allowing part j adds the counts of m - j."""
+    counts = [1] + [0] * top
+    columns = [counts[:]]
+    for j in range(1, top + 1):
+        for m in range(j, top + 1):
+            counts[m] += counts[m - j]
+        columns.append(counts[:])
+    return [[columns[j][m] for j in range(top + 1)] for m in range(top + 1)]
+
+
+ORDERS = {
+    "ascending": list(range(81)),
+    "descending": list(range(80, -1, -1)),
+    "shuffled": random.Random(37).sample(range(81), 81),
+}
+
+
+class TestSharedTables:
+    @pytest.mark.parametrize("order", ORDERS)
+    def test_partition_table_grows_to_the_fresh_table(self, order, monkeypatch):
+        # one table, grown in place: asked in any order, its entries at or
+        # below n are those of a table counted afresh, and earlier entries
+        # do not move
+        monkeypatch.setattr(cycle_index, "_partitions", [[1]])
+        fresh = counted_by_parts(80)
+        shared = cycle_index.partition_table(0)
+        for n in ORDERS[order]:
+            table = cycle_index.partition_table(n)
+            assert table is shared and len(table) > n
+            assert all(len(row) == len(table) for row in table)
+            assert [row[: n + 1] for row in table[: n + 1]] == [
+                row[: n + 1] for row in fresh[: n + 1]]
+
+    @pytest.mark.parametrize("order", ORDERS)
+    def test_partition_count_in_any_order(self, order, monkeypatch):
+        monkeypatch.setattr(cycle_index, "_euler", [1])
+        fresh = counted_by_parts(80)
+        for n in ORDERS[order]:
+            assert partition_count(n) == fresh[n][n]
+
+    def test_known_values_asked_largest_first(self, monkeypatch):
+        monkeypatch.setattr(cycle_index, "_euler", [1])
+        assert partition_count(200) == 3_972_999_029_388
+        assert partition_count(100) == 190_569_292
+        assert partition_count(46) == 105_558
+        monkeypatch.setattr(cycle_index, "_euler", [1])
+        assert partition_count(100) == 190_569_292
+        assert partition_count(200) == 3_972_999_029_388
+
+    def test_negative_n_is_refused(self):
+        with pytest.raises(ValueError):
+            partition_count(-1)
 
 
 class TestIndicatorRoutes:
