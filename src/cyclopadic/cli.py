@@ -52,16 +52,16 @@ from .reports import CongruenceReport
 # `verify` refuses a grid in which a checker sized by p(N) reaches an N = r + np
 # whose C_N has more terms than this (C_N has p(N) terms), and `compute
 # cycle-index N` refuses such an N; p(45) = 89,134 is the largest admitted. On
-# a 2-core VM C_45 is built in 0.3 s and 99 MB, and `compute cycle-index 45`
-# takes 0.9 s and 110 MB with its JSON. The tests and the benchmark grids reach
-# at most N = 39 (p(39) = 31,185). For every checker sized by p(N) the limit is
-# now conservative. carlitz-poly and prop-poly decide C_N mod p^e and build
-# C_m exactly only for m <= p, plus C_N itself for its key order when
-# mutated. carlitz-coeff, prop-coeff and corollary1 visit only the classes
-# that a valuation bound does not clear and count the rest: prop-coeff at
-# p = n = 11 (p(121) ~ 2e9) takes about 2.5 ms on a 2-core VM, and
-# corollary1's visited classes grow like p(r), 504 of them at p = n = 11,
-# r = 10, which takes about 14 ms. A limit on N measured for these routes
+# a 2-core VM C_45 is built from its class walk in 0.3 s and 32 MB, and
+# `compute cycle-index 45` takes 0.6 s and 33 MB with its JSON. The tests reach
+# N = 45, the benchmark grids N = 39 (p(39) = 31,185). For every checker sized
+# by p(N) the limit is now conservative. carlitz-poly and prop-poly decide C_N
+# mod p^e and build C_m exactly only for m <= p at e >= 2, and for the
+# right-hand side's C_r, mutated or not. carlitz-coeff, prop-coeff and
+# corollary1 visit only the classes that a valuation bound does not clear and
+# count the rest: prop-coeff at p = n = 11 (p(121) ~ 2e9) takes about 2.5 ms
+# on a 2-core VM, and corollary1's visited classes grow like p(r), 504 of them
+# at p = n = 11, r = 10, which takes about 14 ms. A limit on N measured for these routes
 # would replace p(N).
 MAX_CYCLE_INDEX_TERMS = 100_000
 # the first N with p(N) over MAX_CYCLE_INDEX_TERMS: p(45) = 89,134 and

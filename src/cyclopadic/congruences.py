@@ -32,9 +32,10 @@ right-hand side, at most (n+1)*p(r) terms, is built over Z.
 ``polyring.congruence_witnesses`` decides the compare, as it does every
 polynomial compare; a witness's residue difference c lifts to the exact one
 as c + s - (s mod q), s the ``class_size`` of its class. A mutated compare
-reads only the key order of C_N, its terms in graded revlex order, to place
-the fault. The instances are still the p(N) terms of C_N, and the reports
-are those of the exact compare.
+places its fault at the i-th term of C_N in graded revlex order, which
+``_indicator_key`` unranks from partition counts: no compare builds C_N
+over Z. The instances are still the p(N) terms of C_N, and the reports are
+those of the exact compare.
 """
 from __future__ import annotations
 
@@ -53,13 +54,7 @@ from .cycle_index import (
     partition_count,
 )
 from .padic import PadicContext, binomial, factorial
-from .polyring import (
-    MultiPoly,
-    Poly,
-    UniPoly,
-    _grevlex_sorted,
-    congruence_witnesses,
-)
+from .polyring import SLOT_BITS, MultiPoly, Poly, UniPoly, congruence_witnesses
 from .reports import CongruenceReport
 
 
@@ -112,9 +107,37 @@ def compare_polys(
 
 
 @lru_cache(maxsize=None)
-def _indicator_keys(n: int) -> tuple:
-    """The keys of C_n's terms in witness order (graded revlex)."""
-    return tuple(_grevlex_sorted(cycle_indicator(n).terms))
+def _partitions_into(s: int, c: int, j: int) -> int:
+    """The number of partitions of s into exactly c parts, each at most j:
+    those with no part j, and those with one part j more than a partition
+    of s - j into c - 1 parts."""
+    if c <= 0 or s < c or s > c * j:
+        return int(s == c == 0)
+    return _partitions_into(s, c, j - 1) + _partitions_into(s - j, c - 1, j)
+
+
+def _indicator_key(n: int, i: int) -> int:
+    """The key of C_n's i-th term in witness order (graded revlex), for
+    0 <= i < p(n): more cycles first, then ascending (m_n, ..., m_2).
+
+    A block of c cycles holds _partitions_into(n, c, n) classes, and the
+    classes of s into c parts <= j with m_j = x come before those with
+    m_j = x + 1, _partitions_into(s - x*j, c - x, j - 1) of them.
+    """
+    c = n
+    while i >= (count := _partitions_into(n, c, n)):
+        i -= count
+        c -= 1
+    key, s = c, n
+    for j in range(n, 1, -1):
+        x = 0
+        while i >= (count := _partitions_into(s - x * j, c - x, j - 1)):
+            i -= count
+            x += 1
+        key += x << SLOT_BITS * j
+        s -= x * j
+        c -= x
+    return key + (c << SLOT_BITS)
 
 
 def compare_indicator(
@@ -133,13 +156,13 @@ def compare_indicator(
     modulus*Z_p at a class exactly where ``cycle_indicator_mod(n, q)`` and
     rhs do, and ``congruence_witnesses`` decides that. C_n's p(n) terms are
     counted as instances; a nonzero mutation delta is added to the residues
-    at the key of C_n's i-th term in witness order, which only a mutated
-    compare builds C_n for. A witness's residue is s mod q (+ delta), s =
-    ``class_size(n, class)``, so c + s - (s mod q) lifts its difference c to
-    the exact one. ``clean``, what an earlier call on the same n, rhs and
-    modulus returned, is taken for the witnesses unless the mutation lands
-    here. Returns the witnesses of the unperturbed operands, or None if the
-    mutation landed here.
+    at the key of C_n's i-th term in witness order, ``_indicator_key(n, i)``.
+    A witness's residue is s mod q (+ delta), s = ``class_size(n, class)``,
+    so c + s - (s mod q) lifts its difference c to the exact one.
+    ``clean``, what an earlier call on the same n, rhs and modulus returned,
+    is taken for the witnesses unless the mutation lands here. Returns the
+    witnesses of the unperturbed operands, or None if the mutation landed
+    here.
     """
     hit = report.count(partition_count(n))
     if hit is None and clean is not None:
@@ -148,7 +171,7 @@ def compare_indicator(
         q = ctx.p ** ctx.vp(modulus)
         lhs = cycle_indicator_mod(n, q)
         if hit and hit[1]:
-            lhs += MultiPoly({_indicator_keys(n)[hit[0]]: hit[1]}, _raw=True)
+            lhs += MultiPoly({_indicator_key(n, hit[0]): hit[1]}, _raw=True)
         bad = []
         for place, c, req in congruence_witnesses(lhs, rhs, modulus, ctx):
             s = class_size(n, enumerate(place["exponents"], 1))

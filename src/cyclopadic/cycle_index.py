@@ -32,15 +32,17 @@ its pairs (i, m_i), in any order. The checkers call it for the single classes
 they name, and :func:`coefficient` calls it on the ``parts`` of a
 ``CycleType``; the tests hold the stream to it.
 
-:func:`cycle_indicator` is the one production route to C_n: memoized, it
-builds each class of n once, from the cached class of n - k that lacks one
-copy of the largest part k. :func:`cycle_indicator_mod` is C_n mod q, for
-the polynomial checkers, which decide their compares mod q = p^e: its rows
-up to p are C_m reduced, and the rows past p follow the shifted-sum
-recurrence mod q, which keeps only the classes whose size q does not divide.
-Independent routes over Z (the shifted-sum recurrence, the sum over cycle
-types, the determinant and the truncated EGF) are test oracles in
-``tests/oracles.py``.
+:func:`cycle_indicator` is the one production route to C_n: memoized per n,
+it reads the stream of :func:`class_sizes` and makes one term per class, its
+size the coefficient. :func:`cycle_indicator_mod` is C_n mod q, for the
+polynomial checkers, which decide their compares mod q = p^e: its rows up to
+p are C_m reduced, except row p at q = p, which has two terms in closed form,
+and the rows past p follow the shifted-sum recurrence mod q, which keeps
+only the classes whose size q does not divide, and reads no class stream.
+The test oracles in ``tests/oracles.py`` build C_n over Z by independent
+routes (the shifted-sum recurrence, the determinant and the truncated EGF),
+and by the sum over :func:`enumerate_cycle_types`, which reads the same
+stream.
 """
 from __future__ import annotations
 
@@ -49,7 +51,7 @@ from itertools import accumulate
 from math import factorial
 from typing import Callable, Iterable, Iterator, List, Optional, Tuple
 
-from .polyring import MAX_DEGREE, SLOT_BITS, MultiPoly, _check_degree
+from .polyring import SLOT_BITS, MultiPoly, _check_degree
 
 
 class CycleType:
@@ -306,48 +308,29 @@ def coefficient(ct: CycleType) -> int:
 
 
 _cache_lock = threading.Lock()
-# C_0, C_1, ... as computed. Each C_m's term map holds its classes in
-# nondecreasing order of largest part (the highest nonzero slot of the key),
-# so the classes of C_j with parts all <= k are a prefix of C_j.terms: the
-# keys below 1 << SLOT_BITS*(k+1). cycle_indicator relies on this.
-_indicator_cache: list = [MultiPoly.one()]
+# n -> C_n, for each n asked for
+_indicator_cache: dict = {0: MultiPoly.one()}
 
 
 def cycle_indicator(n: int) -> MultiPoly:
-    """C_n, memoized, built with one term per cycle type.
-
-    Removing one k-cycle from a class lambda of m whose largest part k
-    occurs a times leaves a class lambda - k of m - k with all parts <= k,
-    and c(lambda) = c(lambda - k) * (m!/(m-k)!) / (k*a). Taking k = 1, 2, ...
-    in turn reads each such source once from the cached prefix of C_{m-k}
-    and inserts each class of m once, in the order the cache invariant asks
-    for. The quotients are floored: the exact ones are integer class sizes
-    summing to m!, so a coefficient sum other than m! means a step was not
-    integral, and C_m is refused.
-    """
+    """C_n, memoized: one term per class of :func:`class_sizes`, whose size
+    is its coefficient. C_n is refused with ``ArithmeticError``, and not
+    cached, unless the sizes sum to n!."""
     if n < 0:
         raise ValueError("n must be >= 0")
     # slot 0 of a term of C_n holds its number of cycles, at most n
     _check_degree(n)
     with _cache_lock:
-        for m in range(len(_indicator_cache), n + 1):
-            acc: dict = {}
-            falling = 1  # m!/(m-k)!
-            for k in range(1, m + 1):
-                falling *= m - k + 1
-                shift = SLOT_BITS * k
-                step = 1 | 1 << shift
-                bound = 1 << (shift + SLOT_BITS)
-                for key, c in _indicator_cache[m - k].terms.items():
-                    if key >= bound:
-                        break
-                    a = ((key >> shift) & MAX_DEGREE) + 1
-                    acc[key + step] = c * falling // (k * a)
-            if sum(acc.values()) != factorial(m):
-                raise ArithmeticError(
-                    f"non-integral cycle-indicator coefficient in C_{m}"
-                )
-            _indicator_cache.append(MultiPoly(acc, _raw=True))
+        if n not in _indicator_cache:
+            terms = {}
+            for parts, size in class_sizes(n):
+                key = 0
+                for i, x in parts:
+                    key += (x << SLOT_BITS * i) + x
+                terms[key] = size
+            if sum(terms.values()) != factorial(n):
+                raise ArithmeticError(f"the class sizes of S_{n} do not sum to {n}!")
+            _indicator_cache[n] = MultiPoly(terms, _raw=True)
         return _indicator_cache[n]
 
 
@@ -366,10 +349,11 @@ def cycle_indicator_mod(n: int, q: int) -> MultiPoly:
     """C_n with every coefficient reduced into [0, q) and the zeros dropped,
     memoized for each q >= 2.
 
-    For p the least prime factor of q, a row m <= p is cycle_indicator(m)
-    reduced: no class of S_m with m < p has a size that p divides, so
-    residues would drop nothing there, and the exact builder makes one term
-    per class. A row m > p follows the shifted-sum recurrence
+    For p the least prime factor of q, a row m < p is cycle_indicator(m)
+    reduced: no class of S_m has a size that p divides, so residues would
+    drop nothing there. So is row p, unless q = p: then it is
+    X_1^p + (p-1)! X_p reduced, as p divides the size of every other class
+    of S_p. A row m > p follows the shifted-sum recurrence
     C_m = sum_k (m-1)!/(m-k)! X_k C_{m-k}, which divides nothing and so
     runs mod q. The sum stops at the first k whose falling factorial is 0
     mod q, as every later one is its multiple, so the rows up to p are
@@ -389,7 +373,12 @@ def cycle_indicator_mod(n: int, q: int) -> MultiPoly:
 
         def row(m: int) -> MultiPoly:
             if m not in rows:
-                rows[m] = _reduced(cycle_indicator(m).terms, q)
+                if m == q:  # then q = p is prime
+                    terms = {q | q << SLOT_BITS: 1,
+                             1 | 1 << SLOT_BITS * q: factorial(q - 1)}
+                else:
+                    terms = cycle_indicator(m).terms
+                rows[m] = _reduced(terms, q)
             return rows[m]
 
         for m in range(p + 1, n + 1):

@@ -95,15 +95,6 @@ class PadicContext:
             v += 1
         return v
 
-    def in_mZp(self, x: int, m: int) -> bool:
-        """True iff x lies in the ideal m*Z_p, i.e. vp(x) >= vp(m).
-
-        The prime-to-p part of m is a unit in Z_p and is ignored.
-        """
-        if m == 0:
-            raise ValueError("m must be nonzero")
-        return self.vp(x) >= self.vp(m)
-
     def morita_gamma(self, n: int) -> int:
         """Morita Gamma at a positive integer: (-1)^n * prod of j < n with p∤j."""
         if n < 1:

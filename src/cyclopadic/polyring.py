@@ -327,10 +327,6 @@ class MultiPoly:
     def to_json(self) -> str:
         return "".join(self.json_chunks())
 
-    @classmethod
-    def from_json_obj(cls, obj: dict) -> "MultiPoly":
-        return cls({tuple(e): int(c) for e, c in obj["terms"]})
-
 
 class UniPoly:
     """Immutable dense univariate polynomial with integer coefficients."""
@@ -421,21 +417,11 @@ class UniPoly:
             raise ValueError("exponent must be a natural number")
         return _square_and_multiply(self, n, UniPoly.constant(1), UniPoly.__mul__)
 
-    def __call__(self, x: int) -> int:
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
-
     def to_json_obj(self) -> dict:
         return {"coeffs": [str(c) for c in self.coeffs]}
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_obj(), separators=(",", ":"))
-
-    @classmethod
-    def from_json_obj(cls, obj: dict) -> "UniPoly":
-        return cls(int(c) for c in obj["coeffs"])
 
 
 def substitute_univariate(a: MultiPoly, images: Mapping[int, UniPoly]) -> UniPoly:

@@ -1,11 +1,15 @@
 """Independent construction routes for C_n and the Meixner polynomials (test oracles).
 
-The package builds C_n one term per cycle type (``cycle_indicator``); the
-routes here share none of that code and are compared against it:
+The package builds C_n one term per class of ``class_sizes``
+(``cycle_indicator``). Three routes here share none of that code and are
+compared against it; a fourth reads the same class stream:
 
 * :func:`cycle_indicators_by_recurrence` -- the shifted-sum recurrence
   C_m = sum_{j<m} ((m-1)!/j!) * X_{m-j} * C_j, through MultiPoly arithmetic.
-* :func:`cycle_indicator_direct` -- sum over enumerated cycle types.
+* :func:`cycle_indicator_direct` -- sum over enumerated cycle types, each
+  coefficient from the closed form ``coefficient``. Its classes come from
+  the same ``class_sizes`` stream as the package's, so it checks the terms
+  built from them, not the enumeration.
 * :func:`cycle_indicator_via_determinant` -- cofactor expansion of the
   m x m matrix with X_i down the first column and -1..-(m-1) above the
   diagonal (small m only).
@@ -34,6 +38,10 @@ the package's sweeps (``report_gamma_congruence``, ``report_binomial_lift``);
 ``PadicContext.morita_gamma``; :class:`ValuedInt` pairs an integer with its
 valuation.
 
+Three readers stand in for package API that only the tests used:
+:func:`multipoly_from_json_obj` and :func:`unipoly_from_json_obj` parse the
+JSON of ``to_json_obj``, and :func:`in_mZp` decides x in m*Z_p.
+
 Residues of a polynomial mod q have their own route too:
 :func:`reduced_mod` takes each coefficient mod q, and :func:`power_mod`
 reduces every product of a power, for ``cycle_indicator_mod`` and the
@@ -50,6 +58,27 @@ from cyclopadic.polyring import MultiPoly, UniPoly, substitute_univariate
 from cyclopadic.series import series_exp, series_mul
 
 DETERMINANT_BOUND_DEFAULT = 8
+
+
+def multipoly_from_json_obj(obj: dict) -> MultiPoly:
+    """The MultiPoly of ``MultiPoly.to_json_obj``'s output; terms whose
+    exponents differ only in trailing zeros are summed."""
+    return MultiPoly({tuple(e): int(c) for e, c in obj["terms"]})
+
+
+def unipoly_from_json_obj(obj: dict) -> UniPoly:
+    """The UniPoly of ``UniPoly.to_json_obj``'s output."""
+    return UniPoly(int(c) for c in obj["coeffs"])
+
+
+def in_mZp(ctx: PadicContext, x: int, m: int) -> bool:
+    """True iff x lies in the ideal m*Z_p, i.e. vp(x) >= vp(m).
+
+    The prime-to-p part of m is a unit in Z_p and is ignored.
+    """
+    if m == 0:
+        raise ValueError("m must be nonzero")
+    return ctx.vp(x) >= ctx.vp(m)
 
 
 def reduced_mod(poly: MultiPoly, q: int) -> MultiPoly:

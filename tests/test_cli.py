@@ -14,7 +14,7 @@ import time
 import pytest
 
 import cyclopadic
-from cyclopadic import cli, congruences
+from cyclopadic import cli, congruences, cycle_index
 from cyclopadic.cli import (
     CHECKER_TABLE,
     MAX_CYCLE_INDEX_TERMS,
@@ -1012,3 +1012,46 @@ class TestCheckerTable:
         spec.primes = [above]
         with pytest.raises(UsageError, match=f"meixner-qp reaches N = {above},"):
             build_all_tasks(spec)
+
+
+class TestIndicatorSizes:
+    def test_mutated_poly_run_builds_no_large_indicator(self, tmp_path, monkeypatch):
+        # the fault is placed by unranking C_N's key order, and the rows of
+        # C_N mod q read exact C_m only for m <= p, so the largest exact C_m
+        # asked for is the right-hand side's C_r, r <= 6
+        asked = []
+        exact = cycle_index.cycle_indicator
+
+        def spy(n):
+            asked.append(n)
+            return exact(n)
+
+        for module in (cycle_index, congruences, cli):
+            if getattr(module, "cycle_indicator", None) is exact:
+                monkeypatch.setattr(module, "cycle_indicator", spy)
+        code, _ = run(tmp_path, "verify", "prop-poly", "--primes", "3,5,7",
+                      "--n-max", "12", "--degree-cap", "36", "--mutate", "20000:3")
+        assert code == 1
+        assert max(asked) == 6
+
+
+class TestBenchmarkTrace:
+    def test_traced_run_reports_every_layer_metric(self):
+        # perfbench/spans.py leaves out the metrics of a wrapped name that is
+        # gone, so a renamed or deleted layer shows here as a missing key
+        root = pathlib.Path(__file__).resolve().parents[1]
+        declared = json.loads((root / "BENCHMARK.json").read_text())["per_layer"]
+        from_parent = {"cli.cpu_util", "trace.overhead_s", "tasks_failed_frac"}
+        expected = {m["name"] for m in declared} - from_parent
+        proc = subprocess.run(
+            [sys.executable, str(root / "perfbench" / "child.py"),
+             repr(time.monotonic()), "traced", "verify", "all", "--primes", "3",
+             "--n-max", "1", "--degree-cap", "6"],
+            env=dict(os.environ, PYTHONPATH=str(root / "src")), cwd=root,
+            capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0
+        last = proc.stderr.splitlines()[-1]
+        assert last.startswith("PERFBENCH ")
+        layers = json.loads(last[len("PERFBENCH "):])["layers"]
+        assert len(expected) == 39
+        assert set(layers) == expected

@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import pickle
@@ -18,7 +19,7 @@ from cyclopadic.cycle_index import (
     partition_count,
 )
 from cyclopadic.padic import PadicContext
-from cyclopadic.polyring import MultiPoly, congruence_witnesses
+from cyclopadic.polyring import MultiPoly, _grevlex_sorted, congruence_witnesses
 from cyclopadic.reports import CongruenceReport
 from oracles import power_mod
 
@@ -551,6 +552,41 @@ class TestResidueCompare:
                 if p > 2:
                     flagged = json.loads(text)["violations"]
                     assert len(flagged) == (delta == 1 and index < size)
+
+
+class TestIndicatorKey:
+    """``_indicator_key`` unranks the i-th term of C_n in witness order."""
+
+    @pytest.mark.parametrize("n", range(1, 36))
+    def test_every_index_matches_the_sorted_keys(self, n):
+        keys = _grevlex_sorted(ci.cycle_indicator(n).terms)
+        assert [cg._indicator_key(n, i) for i in range(len(keys))] == keys
+
+    def test_spread_indices_at_45(self):
+        keys = _grevlex_sorted(ci.cycle_indicator(45).terms)
+        assert len(keys) == 89_134
+        indices = sorted({*range(0, len(keys), 43), len(keys) - 1})
+        assert len(indices) >= 2_000 and indices[0] == 0
+        assert [cg._indicator_key(45, i) for i in indices] == [keys[i] for i in indices]
+
+    def test_partition_count_is_brute_force(self):
+        found = {}
+        for s in range(21):
+            for parts in _partitions(s, s):
+                for j in range(max(parts, default=0), 21):
+                    found[s, len(parts), j] = found.get((s, len(parts), j), 0) + 1
+        for s, c, j in itertools.product(range(21), repeat=3):
+            assert cg._partitions_into(s, c, j) == found.get((s, c, j), 0), (s, c, j)
+
+
+def _partitions(s, j):
+    """The partitions of s into parts at most j, as non-increasing tuples."""
+    if not s:
+        yield ()
+        return
+    for k in range(min(s, j), 0, -1):
+        for rest in _partitions(s - k, k):
+            yield (k, *rest)
 
 
 class TestCoeffMutationTwoSided:

@@ -19,6 +19,7 @@ from cyclopadic.cycle_index import (
     multiplicity_vector,
     partition_count,
 )
+from cyclopadic.padic import is_prime
 from cyclopadic.polyring import MultiPoly, UniPoly, substitute_univariate
 from oracles import (
     cycle_indicator_direct,
@@ -309,23 +310,26 @@ class TestIndicatorRoutes:
         assert sum(built.terms.values()) == math.factorial(n)
 
     def test_cache_state_does_not_change_the_result(self, monkeypatch):
-        monkeypatch.setattr(cycle_index, "_indicator_cache", [MultiPoly.one()])
+        monkeypatch.setattr(cycle_index, "_indicator_cache", {0: MultiPoly.one()})
         fresh = cycle_indicator(25)
-        monkeypatch.setattr(cycle_index, "_indicator_cache", [MultiPoly.one()])
+        monkeypatch.setattr(cycle_index, "_indicator_cache", {0: MultiPoly.one()})
         cycle_indicator(7)
         assert cycle_indicator(25) == fresh == cycle_indicator_direct(25)
 
-    def test_corrupted_cache_entry_is_refused(self, monkeypatch):
-        cache = [MultiPoly.one()]
+    @pytest.mark.parametrize("at", [0, 11, 21])  # the first, a middle, the last class
+    def test_a_class_size_one_off_is_refused(self, at, monkeypatch):
+        cache = {0: MultiPoly.one()}
         monkeypatch.setattr(cycle_index, "_indicator_cache", cache)
-        cycle_indicator(7)
-        terms = dict(cache[7].terms)  # same order: the prefix invariant holds
-        first = next(iter(terms))  # X_1^7, read again for X_1^8
-        terms[first] += 1
-        cache[7] = MultiPoly(terms, _raw=True)
-        with pytest.raises(ArithmeticError, match="non-integral"):
+        sizes = cycle_index.class_sizes
+
+        def one_off(n):
+            for i, (parts, size) in enumerate(sizes(n)):
+                yield parts, size + (i == at)
+
+        monkeypatch.setattr(cycle_index, "class_sizes", one_off)
+        with pytest.raises(ArithmeticError, match=r"S_8 do not sum to 8!"):
             cycle_indicator(8)
-        assert len(cache) == 8
+        assert list(cache) == [0]
 
     def test_degree_past_limit_refused_before_building(self):
         built = len(cycle_index._indicator_cache)
@@ -374,7 +378,7 @@ class TestIndicatorRoutes:
             assert val == UniPoly.constant(math.factorial(n))
 
 
-RESIDUE_MODULI = [2, 4, 8, 3, 9, 27, 81, 5, 25, 7, 49, 11, 23, 43]
+RESIDUE_MODULI = [2, 4, 8, 3, 9, 27, 81, 5, 25, 7, 49, 11, 17, 19, 23, 29, 43]
 
 
 class TestResidueRows:
@@ -385,6 +389,22 @@ class TestResidueRows:
             assert row.terms == reduced_mod(cycle_indicator(m), q).terms
             if m <= 30:  # the shifted-sum recurrence over Z
                 assert row.terms == reduced_mod(recurrence_table[m], q).terms
+
+    @pytest.mark.parametrize("p", [p for p in range(2, 44) if is_prime(p)])
+    def test_row_p_at_q_p_is_the_exact_one_reduced(self, p, monkeypatch):
+        monkeypatch.setattr(cycle_index, "_residue_cache", {})
+        assert cycle_indicator_mod(p, p) == reduced_mod(cycle_indicator(p), p)
+
+    def test_row_q_at_a_prime_q_reads_no_exact_row_q(self, monkeypatch):
+        asked = []
+        exact = cycle_index.cycle_indicator
+        monkeypatch.setattr(cycle_index, "_residue_cache", {})
+        monkeypatch.setattr(cycle_index, "cycle_indicator",
+                            lambda m: asked.append(m) or exact(m))
+        for q in (2, 3, 5, 7, 11, 13, 43):
+            cycle_indicator_mod(45, q)
+            cycle_indicator_mod(q, q)
+        assert asked == []
 
     @pytest.mark.parametrize("q", [9, 7, 43])
     def test_cache_state_does_not_change_the_rows(self, q, monkeypatch):

@@ -103,9 +103,9 @@ class TestConstruction:
 
     def test_integrality_check_survives_optimize(self):
         # under `python -O` an assert would vanish: 1/2 would truncate to 0,
-        # a packed degree slot would carry into the X_1 slot, and a floored
-        # cycle-indicator quotient or a class size n!/z that is no integer
-        # would go unnoticed
+        # a packed degree slot would carry into the X_1 slot, and a class
+        # size one off, or a class size n!/z that is no integer, would go
+        # unnoticed
         cases = [
             (
                 "from fractions import Fraction\n"
@@ -119,13 +119,20 @@ class TestConstruction:
                 "OverflowError: total degree 65536 exceeds the packed limit",
             ),
             (
+                "import sys\n"
                 "from cyclopadic import cycle_index\n"
-                "from cyclopadic.polyring import MultiPoly\n"
-                "terms = dict(cycle_index.cycle_indicator(7).terms)\n"
-                "terms[next(iter(terms))] += 1\n"
-                "cycle_index._indicator_cache[7] = MultiPoly(terms, _raw=True)\n"
-                "cycle_index.cycle_indicator(8)\n",
-                "ArithmeticError: non-integral cycle-indicator coefficient in C_8",
+                "sizes = cycle_index.class_sizes\n"
+                "def one_off(n):\n"
+                "    for i, (parts, size) in enumerate(sizes(n)):\n"
+                "        yield parts, size + (i == 0)\n"
+                "cycle_index.class_sizes = one_off\n"
+                "try:\n"
+                "    cycle_index.cycle_indicator(8)\n"
+                "except ArithmeticError as e:\n"
+                "    cached = sorted(cycle_index._indicator_cache)\n"
+                "    print(f'{e!r}, cached {cached}', file=sys.stderr)\n",
+                "ArithmeticError('the class sizes of S_8 do not sum to 8!'), "
+                "cached [0]",
             ),
             (
                 "import math\n"

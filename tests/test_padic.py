@@ -9,6 +9,7 @@ from oracles import (
     ValuedInt,
     check_binomial_lift,
     check_gamma_congruence,
+    in_mZp,
     morita_gamma_range,
 )
 
@@ -86,16 +87,16 @@ class TestValuation:
 class TestIdealMembership:
     def test_prime_to_p_part_is_unit(self):
         ctx = PadicContext(5)
-        assert not ctx.in_mZp(6, 15)
-        assert ctx.in_mZp(10, 15)
+        assert not in_mZp(ctx, 6, 15)
+        assert in_mZp(ctx, 10, 15)
 
     def test_zero_in_every_ideal(self, ctx3):
         for m in (1, 3, 9, 14, -6):
-            assert ctx3.in_mZp(0, m)
+            assert in_mZp(ctx3, 0, m)
 
     def test_m_zero_rejected(self, ctx3):
         with pytest.raises(ValueError):
-            ctx3.in_mZp(1, 0)
+            in_mZp(ctx3, 1, 0)
 
 
 class TestMoritaGamma:
